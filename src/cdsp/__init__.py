@@ -51,7 +51,6 @@ from .network import (
     Multigraph,
     TimeWindows,
     build_multigraph,
-    check_triangle,
     preprocess_time_windows,
 )
 from .oracle import OracleResult, OracleSizeError, exact_solve_tiny
@@ -107,7 +106,6 @@ __all__ = [
     "build_instance",
     "build_model",
     "build_multigraph",
-    "check_triangle",
     "emit_model",
     "evaluate",
     "exact_solve_tiny",

@@ -5,14 +5,22 @@ pair (y), and per point of care the visit time (z), elapsed-shift time
 (tau) and completion time (C). The objective is the sum of completion
 times. Constraint deactivation uses the tightest big-M constants derivable
 from the preprocessed windows.
+
+The model is stored as arrays only: one CSR constraint matrix, row and
+column bound vectors, an integrality vector, the objective vector and a
+family table giving each constraint family its row range. Row and column
+names, and per-row and per-column views, are built on access.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..instances import Instance
 from ..network import Arc, ArcKind, Multigraph, TimeWindows
@@ -20,24 +28,25 @@ from ..network import Arc, ArcKind, Multigraph, TimeWindows
 SENSE_LE = "<="
 SENSE_EQ = "="
 SENSE_GE = ">="
+SENSES = (SENSE_LE, SENSE_EQ, SENSE_GE)  # indexed by MipModel.row_senses() codes
 
 BINARY = "binary"
 CONTINUOUS = "continuous"
 
 
-@dataclass(frozen=True)
-class VariableRef:
+class Variable(NamedTuple):
+    """Read-only view of one column."""
+
     name: str
-    family: str  # "x" (arc), "y" (carry pair), "z", "tau" or "completion"
-    index: tuple
     column: int
     kind: str
     lower: float
     upper: float
 
 
-@dataclass(slots=True)
-class LinearConstraint:
+class Row(NamedTuple):
+    """Read-only view of one constraint row."""
+
     name: str
     coeffs: dict[int, float]  # column -> coefficient, no stored zeros
     sense: str
@@ -48,7 +57,8 @@ class ColumnLayout:
     """Bijection of the variable families onto columns [0, 3n^2 + 3n).
 
     x over arc ids (2n^2 binaries), then y over ordered pairs including
-    i = j (n^2 binaries), then z, tau, C blocks (n continuous each).
+    i = j (n^2 binaries), then z, tau, C blocks (n continuous each). The
+    index methods accept numpy arrays as well as ints.
     """
 
     def __init__(self, n: int):
@@ -58,45 +68,150 @@ class ColumnLayout:
         self.num_continuous = 3 * n
         self.num_columns = self.num_binary + self.num_continuous
 
-    def x(self, arc_id: int) -> int:
+    def x(self, arc_id):
         return arc_id
 
-    def y(self, i: int, j: int) -> int:
+    def y(self, i, j):
         return self.num_arcs + (i - 1) * self.n + (j - 1)
 
-    def z(self, j: int) -> int:
+    def z(self, j):
         return self.num_binary + (j - 1)
 
-    def tau(self, j: int) -> int:
+    def tau(self, j):
         return self.num_binary + self.n + (j - 1)
 
-    def completion(self, j: int) -> int:
+    def completion(self, j):
         return self.num_binary + 2 * self.n + (j - 1)
 
+    def names(self) -> list[str]:
+        """Column names: x_<arcid>, y_<i>_<j>, z_<j>, tau_<j>, C_<j>."""
+        nodes = range(1, self.n + 1)
+        return (
+            [f"x_{a}" for a in range(self.num_arcs)]
+            + [f"y_{i}_{j}" for i in nodes for j in nodes]
+            + [f"{family}_{j}" for family in ("z", "tau", "C") for j in nodes]
+        )
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
+class RowFamily:
+    """Rows ``rows`` of the matrix, named ``<name>_<key>[_<key>]`` from ``keys``.
+
+    Families built together interleave, so ``rows`` may be strided. A single
+    named row (depot_balance, fleet_cap) has zero-width keys.
+    """
+
+    name: str
+    rows: range
+    keys: np.ndarray  # (len(rows), 0..2) integer name suffixes
+
+    def names(self) -> list[str]:
+        parts = self.keys.T.tolist()
+        if not parts:
+            return [self.name] * len(self.rows)
+        if len(parts) == 1:
+            return [f"{self.name}_{a}" for a in parts[0]]
+        return [f"{self.name}_{a}_{b}" for a, b in zip(*parts)]
+
+
+@dataclass(eq=False)
 class MipModel:
+    """The model's arrays and family table; views are derived on access."""
+
     n: int
     fleet_size: int
     layout: ColumnLayout
-    variables: list[VariableRef]
-    constraints: list[LinearConstraint]
-    objective: dict[int, float]  # column -> cost; 1 on every completion column
+    matrix: sp.csr_matrix  # columns sorted within each row, no stored zeros
+    row_lower: np.ndarray  # -inf on <= rows
+    row_upper: np.ndarray  # +inf on >= rows
+    col_lower: np.ndarray
+    col_upper: np.ndarray
+    integrality: np.ndarray  # 1 on binary columns, 0 on continuous ones
+    c: np.ndarray  # objective costs; 1 on every completion column
+    families: tuple[RowFamily, ...]  # in order of their first row
     metadata: dict = field(default_factory=dict)
 
     @property
+    def num_rows(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
     def num_columns(self) -> int:
-        return len(self.variables)
+        return self.matrix.shape[1]
 
     def count_binary(self) -> int:
-        return sum(1 for v in self.variables if v.kind == BINARY)
+        return int(np.count_nonzero(self.integrality))
 
     def count_continuous(self) -> int:
-        return sum(1 for v in self.variables if v.kind == CONTINUOUS)
+        return self.num_columns - self.count_binary()
 
-    def rows_by_family(self, family: str) -> list[LinearConstraint]:
-        prefix = family + "_"
-        return [c for c in self.constraints if c.name.startswith(prefix)]
+    @property
+    def objective(self) -> dict[int, float]:
+        """Column -> cost over the columns with a nonzero cost."""
+        cols = np.flatnonzero(self.c)
+        return dict(zip(cols.tolist(), self.c[cols].tolist()))
+
+    @property
+    def variables(self) -> list[Variable]:
+        """One view per column, in column order."""
+        return [
+            Variable(name, col, BINARY if integer else CONTINUOUS, lo, up)
+            for col, (name, integer, lo, up) in enumerate(
+                zip(
+                    self.layout.names(),
+                    self.integrality.tolist(),
+                    self.col_lower.tolist(),
+                    self.col_upper.tolist(),
+                )
+            )
+        ]
+
+    def row_names(self) -> list[str]:
+        """Constraint names in row order, built from the family table."""
+        names: list = [None] * self.num_rows
+        for fam in self.families:
+            names[fam.rows.start : fam.rows.stop : fam.rows.step] = fam.names()
+        return names
+
+    def row_senses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row index into SENSES, and the finite right-hand side."""
+        lower_open = np.isneginf(self.row_lower)
+        codes = np.where(lower_open, 0, np.where(np.isposinf(self.row_upper), 2, 1))
+        return codes, np.where(lower_open, self.row_upper, self.row_lower)
+
+    @property
+    def constraints(self) -> "RowView":
+        return RowView(self)
+
+    def rows_by_family(self, family: str) -> list[Row]:
+        """Rows named ``<family>_<index>``, in row order."""
+        for fam in self.families:
+            if fam.name == family and fam.keys.shape[1]:
+                return list(self._rows(fam.rows, fam.names()))
+        return []
+
+    def _rows(self, rows: Iterable[int], names: Iterable[str]) -> Iterator[Row]:
+        codes, rhs = self.row_senses()
+        codes, rhs = codes.tolist(), rhs.tolist()
+        ptr = self.matrix.indptr.tolist()
+        cols = self.matrix.indices.tolist()
+        vals = self.matrix.data.tolist()
+        for r, name in zip(rows, names):
+            a, b = ptr[r], ptr[r + 1]
+            yield Row(name, dict(zip(cols[a:b], vals[a:b])), SENSES[codes[r]], rhs[r])
+
+
+class RowView:
+    """The model's rows as Row views, built while iterating."""
+
+    def __init__(self, model: MipModel):
+        self._model = model
+
+    def __len__(self) -> int:
+        return self._model.num_rows
+
+    def __iter__(self) -> Iterator[Row]:
+        return self._model._rows(range(len(self)), self._model.row_names())
 
 
 def big_m_visit(arc: Arc, windows: TimeWindows) -> float:
@@ -122,6 +237,69 @@ def big_m_shift(arc: Arc, windows: TimeWindows, travel: np.ndarray) -> float:
     return float(windows.deadline[arc.target] - travel[0, arc.target])
 
 
+def _dense_rows(cols: list, vals: list):
+    """Rows of equal width given column by column: sort each row by column,
+    drop zero coefficients, return the CSR pieces (indices, data, counts).
+
+    Callers list the columns close to sorted order, so the compare-swap
+    passes mostly find nothing to swap.
+    """
+    cols = np.column_stack(cols).astype(np.int64, copy=False)
+    vals = np.column_stack([np.broadcast_to(v, len(cols)) for v in vals]).astype(float, copy=False)
+    width = cols.shape[1]
+    for end in range(width - 1, 0, -1):
+        for k in range(end):
+            swap = cols[:, k] > cols[:, k + 1]
+            if swap.any():
+                for a in (cols, vals):
+                    a[swap, k], a[swap, k + 1] = a[swap, k + 1], a[swap, k]
+    keep = vals != 0.0
+    return cols[keep], vals[keep], keep.sum(axis=1)
+
+
+def _coo_rows(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, num_rows: int):
+    """CSR pieces of rows given as (row, column, value) triplets."""
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order].astype(float)
+    keep = vals != 0.0
+    return cols[keep], vals[keep], np.bincount(rows[keep], minlength=num_rows)
+
+
+class _RowBlocks:
+    """Row blocks appended in matrix order, plus the family table."""
+
+    def __init__(self):
+        self.pieces: list[tuple] = []
+        self.families: list[RowFamily] = []
+        self.num_rows = 0
+
+    def add(self, families, csr_pieces):
+        """Append rows; ``families`` lists (name, keys, sense, rhs) with 2-D
+        keys, and block row r belongs to families[r % len(families)]."""
+        indices, data, counts = csr_pieces
+        stride = len(families)
+        lower = np.empty(len(counts))
+        upper = np.empty(len(counts))
+        for offset, (name, keys, sense, rhs) in enumerate(families):
+            start = self.num_rows + offset
+            self.families.append(
+                RowFamily(name, range(start, self.num_rows + len(counts), stride), keys)
+            )
+            lower[offset::stride] = -math.inf if sense == SENSE_LE else rhs
+            upper[offset::stride] = math.inf if sense == SENSE_GE else rhs
+        self.pieces.append((indices, data, counts, lower, upper))
+        self.num_rows += len(counts)
+
+    def assemble(self, num_columns: int):
+        indices, data, counts, lower, upper = (np.concatenate(p) for p in zip(*self.pieces))
+        indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        matrix = sp.csr_matrix(
+            (data, indices.astype(np.int64, copy=False), indptr),
+            shape=(self.num_rows, num_columns),
+        )
+        return matrix, lower, upper, tuple(self.families)
+
+
 def build_model(
     graph: Multigraph, inst: Instance, explicit_bounds: bool = False
 ) -> MipModel:
@@ -130,147 +308,144 @@ def build_model(
     By default the window, carry-start and shift-cap clauses become variable
     bounds/fixings (mathematically identical, smaller model); with
     explicit_bounds=True they are emitted as rows for one-to-one audits.
+    Big-M constants are the values of big_m_visit, big_m_completion and
+    big_m_shift, computed for all arcs at once.
     """
     n = graph.n
     windows = graph.windows
     travel = inst.travel
     release, deadline = windows.release, windows.deadline
     lay = ColumnLayout(n)
-    inf = math.inf
+    nodes = np.arange(1, n + 1)
+    node_keys = nodes[:, None]
+    no_keys = np.empty((1, 0), dtype=np.int64)  # for a single named row
 
-    variables: list[VariableRef] = []
-    for arc in graph.arcs:
-        variables.append(
-            VariableRef(f"x_{arc.id}", "x", (arc.id,), lay.x(arc.id), BINARY, 0.0, 1.0)
-        )
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            fixed = i == j and not explicit_bounds
-            variables.append(
-                VariableRef(
-                    f"y_{i}_{j}", "y", (i, j), lay.y(i, j), BINARY, 1.0 if fixed else 0.0, 1.0
-                )
-            )
-    for j in range(1, n + 1):
-        lo = 0.0 if explicit_bounds else float(release[j])
-        up = inf if explicit_bounds else float(deadline[j])
-        variables.append(VariableRef(f"z_{j}", "z", (j,), lay.z(j), CONTINUOUS, lo, up))
-    for j in range(1, n + 1):
-        lo = 0.0 if explicit_bounds else float(travel[0, j])
-        up = inf if explicit_bounds else float(inst.shift_cap - travel[j, 0])
-        variables.append(VariableRef(f"tau_{j}", "tau", (j,), lay.tau(j), CONTINUOUS, lo, up))
-    for j in range(1, n + 1):
-        variables.append(
-            VariableRef(f"C_{j}", "completion", (j,), lay.completion(j), CONTINUOUS, 0.0, inf)
-        )
+    arcs = graph.arcs
+    arc_id = np.fromiter((a.id for a in arcs), np.int64, len(arcs))
+    assert np.array_equal(arc_id, np.arange(lay.num_arcs)), "arcs must come in id order"
+    src = np.fromiter((a.source for a in arcs), np.int64, len(arcs))
+    tgt = np.fromiter((a.target for a in arcs), np.int64, len(arcs))
+    cost = np.fromiter((a.cost for a in arcs), float, len(arcs))
+    is_depot = np.fromiter((a.kind is ArcKind.DEPOT for a in arcs), bool, len(arcs))
+    is_inter = np.fromiter((a.kind is ArcKind.INTER for a in arcs), bool, len(arcs))
 
-    rows: list[LinearConstraint] = []
+    col_lower = np.zeros(lay.num_columns)
+    col_upper = np.ones(lay.num_columns)
+    col_upper[lay.num_binary :] = math.inf
+    if not explicit_bounds:
+        col_lower[lay.y(nodes, nodes)] = 1.0
+        col_lower[lay.z(nodes)] = release[1:]
+        col_upper[lay.z(nodes)] = deadline[1:]
+        col_lower[lay.tau(nodes)] = travel[0, 1:]
+        col_upper[lay.tau(nodes)] = inst.shift_cap - travel[1:, 0]
+    integrality = (np.arange(lay.num_columns) < lay.num_binary).astype(np.int64)
+    c = np.zeros(lay.num_columns)
+    c[lay.completion(nodes)] = 1.0
 
-    def add(name: str, coeffs: dict[int, float], sense: str, rhs: float):
-        rows.append(
-            LinearConstraint(
-                name=name,
-                coeffs={c: v for c, v in coeffs.items() if v != 0.0},
-                sense=sense,
-                rhs=rhs,
-            )
-        )
+    rows = _RowBlocks()
 
-    depot_out = {lay.x(a): 1.0 for a in graph.out_arcs(0)}
-    balance = dict(depot_out)
-    for a in graph.in_arcs(0):
-        balance[lay.x(a)] = balance.get(lay.x(a), 0.0) - 1.0
-    add("depot_balance", balance, SENSE_EQ, 0.0)
-    add("fleet_cap", depot_out, SENSE_LE, float(inst.fleet_size))
+    depot_in, depot_out = np.flatnonzero(tgt == 0), np.flatnonzero(src == 0)
+    rows.add(
+        [
+            ("depot_balance", no_keys, SENSE_EQ, 0.0),
+            ("fleet_cap", no_keys, SENSE_LE, inst.fleet_size),
+        ],
+        _coo_rows(
+            np.repeat([0, 0, 1], [len(depot_out), len(depot_in), len(depot_out)]),
+            lay.x(np.concatenate((depot_out, depot_in, depot_out))),
+            np.repeat([1.0, -1.0, 1.0], [len(depot_out), len(depot_in), len(depot_out)]),
+            2,
+        ),
+    )
 
-    for j in range(1, n + 1):
-        add("visit_out_%d" % j, {lay.x(a): 1.0 for a in graph.out_arcs(j)}, SENSE_EQ, 1.0)
-        add("visit_in_%d" % j, {lay.x(a): 1.0 for a in graph.in_arcs(j)}, SENSE_EQ, 1.0)
+    leaves, enters = np.flatnonzero(src > 0), np.flatnonzero(tgt > 0)
+    rows.add(
+        [("visit_out", node_keys, SENSE_EQ, 1.0), ("visit_in", node_keys, SENSE_EQ, 1.0)],
+        _coo_rows(
+            np.concatenate((2 * (src[leaves] - 1), 2 * (tgt[enters] - 1) + 1)),
+            lay.x(np.concatenate((leaves, enters))),
+            np.ones(len(leaves) + len(enters)),
+            2 * n,
+        ),
+    )
 
-    movement = graph.movement_arcs
-    for arc in movement:
-        m_e = big_m_visit(arc, windows)
-        add(
-            "tprop_%d" % arc.id,
-            {lay.z(arc.source): 1.0, lay.z(arc.target): -1.0, lay.x(arc.id): m_e},
-            SENSE_LE,
-            m_e - arc.cost,
-        )
-
-    if explicit_bounds:
-        for j in range(1, n + 1):
-            add("window_lo_%d" % j, {lay.z(j): 1.0}, SENSE_GE, float(release[j]))
-            add("window_hi_%d" % j, {lay.z(j): 1.0}, SENSE_LE, float(deadline[j]))
-        for j in range(1, n + 1):
-            add("collect_%d" % j, {lay.y(j, j): 1.0}, SENSE_EQ, 1.0)
-
-    for arc in movement:
-        if arc.kind is not ArcKind.INTER:
-            continue
-        for j in range(1, n + 1):
-            if j == arc.target:
-                continue
-            add(
-                "carry_%d_%d" % (arc.id, j),
-                {lay.y(arc.source, j): 1.0, lay.y(arc.target, j): -1.0, lay.x(arc.id): 1.0},
-                SENSE_LE,
-                1.0,
-            )
-
-    for i in range(1, n + 1):
-        m_i = big_m_completion(i, windows, travel)
-        for j in range(1, n + 1):
-            add(
-                "compl_%d_%d" % (i, j),
-                {lay.z(i): 1.0, lay.completion(j): -1.0, lay.y(i, j): m_i},
-                SENSE_LE,
-                m_i - float(travel[i, 0]),
-            )
+    move = np.flatnonzero(~is_depot)
+    s, t = src[move], tgt[move]
+    m_visit = np.maximum(0.0, deadline[s] + cost[move] - release[t])
+    rows.add(
+        [("tprop", move[:, None], SENSE_LE, m_visit - cost[move])],
+        _dense_rows([lay.x(move), lay.z(s), lay.z(t)], [m_visit, 1.0, -1.0]),
+    )
 
     if explicit_bounds:
-        for j in range(1, n + 1):
-            add("shift_lo_%d" % j, {lay.tau(j): 1.0}, SENSE_GE, float(travel[0, j]))
-
-    for arc in movement:
-        m_s = big_m_shift(arc, windows, travel)
-        add(
-            "sprop_%d" % arc.id,
-            {
-                lay.tau(arc.source): 1.0,
-                lay.tau(arc.target): -1.0,
-                lay.z(arc.target): 1.0,
-                lay.z(arc.source): -1.0,
-                lay.x(arc.id): m_s,
-            },
-            SENSE_LE,
-            m_s,
+        rows.add(
+            [
+                ("window_lo", node_keys, SENSE_GE, release[1:]),
+                ("window_hi", node_keys, SENSE_LE, deadline[1:]),
+            ],
+            _dense_rows([np.repeat(lay.z(nodes), 2)], [1.0]),
+        )
+        rows.add(
+            [("collect", node_keys, SENSE_EQ, 1.0)], _dense_rows([lay.y(nodes, nodes)], [1.0])
         )
 
+    inter = np.repeat(np.flatnonzero(is_inter), n)
+    carried = np.tile(nodes, np.count_nonzero(is_inter))
+    keep = carried != tgt[inter]
+    inter, carried = inter[keep], carried[keep]
+    rows.add(
+        [("carry", np.column_stack((inter, carried)), SENSE_LE, 1.0)],
+        _dense_rows(
+            [lay.x(inter), lay.y(src[inter], carried), lay.y(tgt[inter], carried)],
+            [1.0, 1.0, -1.0],
+        ),
+    )
+
+    carrier, carried = np.repeat(nodes, n), np.tile(nodes, n)
+    m_completion = deadline[carrier] + travel[carrier, 0]
+    completion_rhs = m_completion - travel[carrier, 0]
+    rows.add(
+        [("compl", np.column_stack((carrier, carried)), SENSE_LE, completion_rhs)],
+        _dense_rows(
+            [lay.y(carrier, carried), lay.z(carrier), lay.completion(carried)],
+            [m_completion, 1.0, -1.0],
+        ),
+    )
+
     if explicit_bounds:
-        for j in range(1, n + 1):
-            add(
-                "shift_cap_%d" % j,
-                {lay.tau(j): 1.0},
-                SENSE_LE,
-                float(inst.shift_cap - travel[j, 0]),
-            )
+        rows.add(
+            [("shift_lo", node_keys, SENSE_GE, travel[0, 1:])],
+            _dense_rows([lay.tau(nodes)], [1.0]),
+        )
 
-    objective = {lay.completion(j): 1.0 for j in range(1, n + 1)}
-    assert len(objective) == n
-    assert all(variables[col].family == "completion" for col in objective)
+    m_shift = deadline[t] - travel[0, t]
+    rows.add(
+        [("sprop", move[:, None], SENSE_LE, m_shift)],
+        _dense_rows(
+            [lay.x(move), lay.z(s), lay.z(t), lay.tau(s), lay.tau(t)],
+            [m_shift, -1.0, 1.0, 1.0, -1.0],
+        ),
+    )
 
-    names = [r.name for r in rows]
-    assert len(set(names)) == len(names), "constraint names must be unique"
-    assert all(v.column == idx for idx, v in enumerate(variables))
-    assert len(variables) == lay.num_columns
+    if explicit_bounds:
+        rows.add(
+            [("shift_cap", node_keys, SENSE_LE, inst.shift_cap - travel[1:, 0])],
+            _dense_rows([lay.tau(nodes)], [1.0]),
+        )
 
+    matrix, row_lower, row_upper, families = rows.assemble(lay.num_columns)
     return MipModel(
         n=n,
         fleet_size=inst.fleet_size,
         layout=lay,
-        variables=variables,
-        constraints=rows,
-        objective=objective,
+        matrix=matrix,
+        row_lower=row_lower,
+        row_upper=row_upper,
+        col_lower=col_lower,
+        col_upper=col_upper,
+        integrality=integrality,
+        c=c,
+        families=families,
         metadata={
             "label": inst.label,
             "n": n,

@@ -10,7 +10,6 @@ external solver executable and parses its solution file.
 from __future__ import annotations
 
 import enum
-import math
 import subprocess
 import tempfile
 import time
@@ -19,9 +18,8 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 import numpy as np
-import scipy.sparse as sp
 
-from .model import BINARY, SENSE_EQ, SENSE_GE, SENSE_LE, MipModel
+from .model import MipModel
 from .writers import emit_model
 
 
@@ -73,38 +71,17 @@ class SolverAdapter(Protocol):
 
 
 def model_to_arrays(model: MipModel):
-    """Dense objective/bounds plus a sparse row matrix with row ranges."""
-    ncols = model.num_columns
-    c = np.zeros(ncols)
-    for col, val in model.objective.items():
-        c[col] = val
-    lb = np.array([v.lower for v in model.variables])
-    ub = np.array([v.upper for v in model.variables])
-    integrality = np.array([1 if v.kind == BINARY else 0 for v in model.variables])
-
-    data, indices, indptr = [], [], [0]
-    row_lb, row_ub = [], []
-    for row in model.constraints:
-        for col in sorted(row.coeffs):
-            indices.append(col)
-            data.append(row.coeffs[col])
-        indptr.append(len(indices))
-        if row.sense == SENSE_LE:
-            row_lb.append(-math.inf)
-            row_ub.append(row.rhs)
-        elif row.sense == SENSE_GE:
-            row_lb.append(row.rhs)
-            row_ub.append(math.inf)
-        elif row.sense == SENSE_EQ:
-            row_lb.append(row.rhs)
-            row_ub.append(row.rhs)
-        else:
-            raise ValueError(f"unknown sense {row.sense!r}")
-    matrix = sp.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(model.constraints), ncols),
+    """Objective, CSR row matrix, row bounds, column bounds and integrality:
+    the model's own arrays, which callers must not modify."""
+    return (
+        model.c,
+        model.matrix,
+        model.row_lower,
+        model.row_upper,
+        model.col_lower,
+        model.col_upper,
+        model.integrality,
     )
-    return c, matrix, np.array(row_lb), np.array(row_ub), lb, ub, integrality
 
 
 @dataclass(frozen=True)
@@ -261,7 +238,7 @@ class FileSolverAdapter:
         values = None
         objective = None
         if parsed.values:
-            columns = {v.name: v.column for v in model.variables}
+            columns = {name: col for col, name in enumerate(model.layout.names())}
             values = np.zeros(model.num_columns)
             matched = 0
             for name, value in parsed.values.items():
@@ -275,10 +252,11 @@ class FileSolverAdapter:
                     wall_s=wall,
                     message="solution file contains no recognizable variables",
                 )
+            costed = np.flatnonzero(model.c)
             objective = (
                 parsed.objective
                 if parsed.objective is not None
-                else float(sum(model.objective.get(c, 0.0) * values[c] for c in model.objective))
+                else float(sum(model.c[costed] * values[costed]))
             )
         if "optimal" in status_word:
             if values is None:

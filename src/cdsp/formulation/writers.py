@@ -2,7 +2,8 @@
 
 Variable names follow x_<arcid>, y_<i>_<j>, z_<j>, tau_<j>, C_<j>;
 constraint names carry their family tags. Emitting the same model twice
-yields identical bytes.
+yields identical bytes. Both writers stream from the model's arrays and
+format each distinct coefficient and right-hand side once.
 """
 
 from __future__ import annotations
@@ -10,7 +11,9 @@ from __future__ import annotations
 import math
 import re
 
-from .model import BINARY, SENSE_EQ, SENSE_GE, SENSE_LE, MipModel
+import numpy as np
+
+from .model import SENSE_EQ, SENSE_GE, SENSE_LE, SENSES, MipModel
 
 _LINE_WIDTH = 78
 
@@ -46,107 +49,174 @@ def _wrap(prefix: str, tokens: list[str]) -> list[str]:
     return lines
 
 
-def _expr_tokens(coeffs: dict[int, float], names: list[str]) -> list[str]:
-    tokens: list[str] = []
-    for col in sorted(coeffs):
-        val = coeffs[col]
-        sign = "-" if val < 0 else "+"
-        if not tokens and sign == "+":
-            sign = ""
-        mag = abs(val)
-        if sign:
-            tokens.append(sign)
-        if mag != 1.0:
-            tokens.append(_num(mag))
-        tokens.append(names[col])
-    return tokens
+def _distinct(values: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """Distinct values, 1 and -1 first, and each entry's index among them.
+
+    Only the entries other than +-1, a small share of the model's
+    coefficients and right-hand sides, are sorted.
+    """
+    code = np.empty(len(values), dtype=np.int64)
+    plus, minus = values == 1.0, values == -1.0
+    code[plus], code[minus] = 0, 1
+    rest = np.flatnonzero(~(plus | minus))
+    distinct, inverse = np.unique(values[rest], return_inverse=True)
+    code[rest] = inverse + 2
+    return [1.0, -1.0] + distinct.tolist(), code
+
+
+def _text(values: np.ndarray, fmt) -> np.ndarray:
+    """fmt(value) for every entry, calling fmt once per distinct value."""
+    distinct, code = _distinct(values)
+    return np.array([fmt(v) for v in distinct], dtype=object)[code]
+
+
+def _concat_rows(ptr: np.ndarray, head: list, items: list = (), tail: list = ()) -> str:
+    """Concatenate, for every row r, the head pieces, then the pieces of its
+    items ptr[r]:ptr[r+1] in order, then the tail pieces.
+
+    A head or tail piece is one str for all rows or one per row; an item
+    piece is one str per item. The pieces are placed by index arithmetic
+    and joined once.
+    """
+    counts = np.diff(ptr)
+    per_item = len(items)
+    per_row = len(head) + len(tail)
+    pieces = np.empty(per_item * int(ptr[-1]) + per_row * len(counts), dtype=object)
+    start = per_item * ptr[:-1] + per_row * np.arange(len(counts))
+    for k, piece in enumerate(head):
+        pieces[start + k] = piece
+    if per_item:
+        shift = np.repeat(start + len(head) - per_item * ptr[:-1], counts)
+        first = per_item * np.arange(ptr[-1]) + shift
+        for k, piece in enumerate(items):
+            pieces[first + k] = piece
+    end = start + len(head) + per_item * counts
+    for k, piece in enumerate(tail):
+        pieces[end + k] = piece
+    return "".join(pieces.tolist())
+
+
+def _lp_lines(ptr, indices, data, names: np.ndarray, head: list, tail: list) -> list[str]:
+    """One LP line per CSR row: head, signed terms, tail; wrapped where
+    longer than the line width."""
+    distinct, code = _distinct(data)
+    terms = [
+        (" - " if v < 0 else " + ") + ("" if abs(v) == 1.0 else _num(abs(v)) + " ")
+        for v in distinct
+    ]
+    leads = [t if v < 0 else " " + t[3:] for t, v in zip(terms, distinct)]
+    code[ptr[:-1][np.diff(ptr) > 0]] += len(distinct)
+    prefixes = np.array(terms + leads, dtype=object)[code]
+    text = _concat_rows(ptr, head, [prefixes, names[indices]], [*tail, "\n"])
+    lines = text.split("\n")[:-1]
+    for r in [r for r, line in enumerate(lines) if len(line) > _LINE_WIDTH]:
+        label, body = lines[r].split(": ", 1)
+        lines[r] = "\n".join(_wrap(label + ":", body.split(" ")))
+    return lines
 
 
 def write_lp(model: MipModel) -> str:
-    names = [v.name for v in model.variables]
+    names = np.array(model.layout.names(), dtype=object)
     out: list[str] = []
     label = model.metadata.get("label", "")
     out.append(f"\\ cdsp model  label={label}  n={model.n}  K={model.fleet_size}")
     out.append("Minimize")
-    out.extend(_wrap(" obj:", _expr_tokens(model.objective, names)))
+    costed = np.flatnonzero(model.c)
+    out.extend(
+        _lp_lines(np.array([0, len(costed)]), costed, model.c[costed], names, [" obj:"], [])
+    )
     out.append("Subject To")
-    for row in model.constraints:
-        tokens = _expr_tokens(row.coeffs, names)
-        sense = {SENSE_LE: "<=", SENSE_EQ: "=", SENSE_GE: ">="}[row.sense]
-        tokens += [sense, _num(row.rhs)]
-        out.extend(_wrap(f" {row.name}:", tokens))
+    matrix = model.matrix
+    codes, rhs = model.row_senses()
+    out.extend(
+        _lp_lines(
+            matrix.indptr,
+            matrix.indices,
+            matrix.data,
+            names,
+            [" ", np.array(model.row_names(), dtype=object), ":"],
+            [np.array([f" {s} " for s in SENSES], dtype=object)[codes], _text(rhs, _num)],
+        )
+    )
+
     out.append("Bounds")
-    for var in model.variables:
-        if var.kind == BINARY:
-            if var.lower == var.upper:
-                out.append(f" {var.name} = {_num(var.lower)}")
+    names = names.tolist()
+    for name, integer, lo, up in zip(
+        names, model.integrality.tolist(), model.col_lower.tolist(), model.col_upper.tolist()
+    ):
+        if integer:
+            if lo == up:
+                out.append(f" {name} = {_num(lo)}")
             continue
-        if var.lower == 0.0 and var.upper == math.inf:
+        if lo == 0.0 and up == math.inf:
             continue
-        if var.lower == var.upper:
-            out.append(f" {var.name} = {_num(var.lower)}")
-        elif var.upper == math.inf:
-            out.append(f" {var.name} >= {_num(var.lower)}")
+        if lo == up:
+            out.append(f" {name} = {_num(lo)}")
+        elif up == math.inf:
+            out.append(f" {name} >= {_num(lo)}")
         else:
-            out.append(f" {_num(var.lower)} <= {var.name} <= {_num(var.upper)}")
+            out.append(f" {_num(lo)} <= {name} <= {_num(up)}")
     out.append("Binaries")
-    out.extend(_wrap("", [v.name for v in model.variables if v.kind == BINARY]))
+    out.extend(_wrap("", [name for name, b in zip(names, model.integrality.tolist()) if b]))
     out.append("End")
     return "\n".join(out) + "\n"
 
 
 def write_mps(model: MipModel) -> str:
-    names = [v.name for v in model.variables]
+    names = model.layout.names()
+    row_names = np.array(model.row_names(), dtype=object)
+    one_line_per_row = np.zeros(model.num_rows + 1, dtype=np.int64)  # rows without items
     label = str(model.metadata.get("label", "")) or "model"
     safe = re.sub(r"[^A-Za-z0-9_.-]", "_", label)
-    out: list[str] = [f"NAME {safe}"]
+    codes, rhs = model.row_senses()
+    out: list[str] = [f"NAME {safe}\nROWS\n N obj\n"]
+    tag = {SENSE_LE: " L ", SENSE_EQ: " E ", SENSE_GE: " G "}
+    tags = np.array([tag[s] for s in SENSES], dtype=object)[codes]
+    out.append(_concat_rows(one_line_per_row, [tags, row_names, "\n"]))
 
-    out.append("ROWS")
-    out.append(" N obj")
-    sense_tag = {SENSE_LE: "L", SENSE_EQ: "E", SENSE_GE: "G"}
-    for row in model.constraints:
-        out.append(f" {sense_tag[row.sense]} {row.name}")
-
-    entries: list[list[tuple[str, float]]] = [[] for _ in model.variables]
-    for col, val in sorted(model.objective.items()):
-        entries[col].append(("obj", val))
-    for row in model.constraints:
-        for col in sorted(row.coeffs):
-            entries[col].append((row.name, row.coeffs[col]))
-
-    out.append("COLUMNS")
+    out.append("COLUMNS\n")
+    csc = model.matrix.tocsc()
+    csc.sort_indices()
+    heads = []
     in_integer = False
-    for var in model.variables:
-        want_integer = var.kind == BINARY
-        if want_integer and not in_integer:
-            out.append("    MARKER    'MARKER'    'INTORG'")
-            in_integer = True
-        elif not want_integer and in_integer:
-            out.append("    MARKER    'MARKER'    'INTEND'")
-            in_integer = False
-        cell = entries[var.column]
-        if not cell:
-            cell = [("obj", 0.0)]  # declare otherwise-empty columns
-        for row_name, val in cell:
-            out.append(f"    {var.name}  {row_name}  {_num(val)}")
+    for name, integer, cost, cells in zip(
+        names, model.integrality.tolist(), model.c.tolist(), np.diff(csc.indptr).tolist()
+    ):
+        head = ""
+        if integer and not in_integer:
+            head = "    MARKER    'MARKER'    'INTORG'\n"
+        elif not integer and in_integer:
+            head = "    MARKER    'MARKER'    'INTEND'\n"
+        in_integer = bool(integer)
+        if cost != 0.0 or not cells:  # an otherwise-empty column is declared with obj 0
+            head += f"    {name}  obj  {_num(cost)}\n"
+        heads.append(head)
+    column_of = np.repeat(np.arange(model.num_columns), np.diff(csc.indptr))
+    cells = [
+        np.array([f"    {name}  " for name in names], dtype=object)[column_of],
+        row_names[csc.indices],
+        _text(csc.data, lambda v: f"  {_num(v)}\n"),
+    ]
+    out.append(_concat_rows(csc.indptr, [np.array(heads, dtype=object)], cells))
     if in_integer:
-        out.append("    MARKER    'MARKER'    'INTEND'")
+        out.append("    MARKER    'MARKER'    'INTEND'\n")
 
-    out.append("RHS")
-    for row in model.constraints:
-        out.append(f"    RHS  {row.name}  {_num(row.rhs)}")
+    out.append("RHS\n")
+    rhs_text = _text(rhs, _num)
+    out.append(_concat_rows(one_line_per_row, ["    RHS  ", row_names, "  ", rhs_text, "\n"]))
 
-    out.append("BOUNDS")
-    for var in model.variables:
-        if var.kind == BINARY:
-            if var.lower == var.upper:
-                out.append(f" FX BND {var.name}  {_num(var.lower)}")
+    out.append("BOUNDS\n")
+    for name, integer, lo, up in zip(
+        names, model.integrality.tolist(), model.col_lower.tolist(), model.col_upper.tolist()
+    ):
+        if integer:
+            if lo == up:
+                out.append(f" FX BND {name}  {_num(lo)}\n")
             else:
-                out.append(f" BV BND {var.name}")
+                out.append(f" BV BND {name}\n")
             continue
-        out.append(f" LO BND {var.name}  {_num(var.lower)}")
-        if var.upper != math.inf:
-            out.append(f" UP BND {var.name}  {_num(var.upper)}")
-
-    out.append("ENDATA")
-    return "\n".join(out) + "\n"
+        out.append(f" LO BND {name}  {_num(lo)}\n")
+        if up != math.inf:
+            out.append(f" UP BND {name}  {_num(up)}\n")
+    out.append("ENDATA\n")
+    return "".join(out)

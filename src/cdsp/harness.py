@@ -290,7 +290,8 @@ def run_suite(
     """Run every manifest entry and aggregate per setting.
 
     manifest: a manifest file path or a prepared list of ManifestEntry.
-    Missing instance files yield per-file error records, not a crash.
+    Missing instance files and incumbents that fail validation yield
+    per-instance error records, not a crash.
     Instances run in parallel across worker processes when workers > 1.
     """
     cfg = cfg or InstanceConfig()
@@ -298,26 +299,14 @@ def run_suite(
     entries = manifest if isinstance(manifest, list) else load_manifest(manifest)
     solutions_dir = Path(out_dir) / "solutions" if out_dir is not None else None
 
+    args = [
+        (e.path, cfg, limits, adapter, e.setting, raw_release, solutions_dir) for e in entries
+    ]
     if workers > 1 and len(entries) > 1:
-        args = [
-            (e.path, cfg, limits, adapter, e.setting, raw_release, solutions_dir)
-            for e in entries
-        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_entry, args))
     else:
-        records = [
-            run_instance(
-                e.path,
-                cfg,
-                limits,
-                adapter,
-                setting=e.setting,
-                raw_release=raw_release,
-                out_dir=solutions_dir,
-            )
-            for e in entries
-        ]
+        records = [_run_entry(a) for a in args]
 
     fingerprint = config_fingerprint(
         cfg, limits, getattr(adapter, "name", "scipy-highs"), raw_release
@@ -328,11 +317,17 @@ def run_suite(
     return report
 
 
-def _run_entry(args):
+def _run_entry(args) -> RunRecord:
+    """run_instance for one suite entry; an incumbent that fails validation
+    becomes an error record, so the other entries still report."""
     path, cfg, limits, adapter, setting, raw_release, out_dir = args
-    return run_instance(
-        path, cfg, limits, adapter, setting=setting, raw_release=raw_release, out_dir=out_dir
-    )
+    try:
+        return run_instance(
+            path, cfg, limits, adapter, setting=setting, raw_release=raw_release, out_dir=out_dir
+        )
+    except IncumbentValidationError as exc:
+        status = SolveStatus.ERROR.value
+        return RunRecord(label=Path(path).stem, setting=setting, status=status, message=str(exc))
 
 
 def _setting_label(key: tuple) -> str:

@@ -275,9 +275,13 @@ def parse_solomon(text: str) -> RawInstance:
 
 
 def write_solomon(raw: RawInstance) -> str:
-    """Serialize a raw instance back to Solomon layout (numeric fields exact)."""
+    """Serialize a raw instance back to Solomon layout (numeric fields exact).
+
+    Fields are right-aligned in the usual columns, with at least one space
+    between them however long a value's exact text is.
+    """
     out = [raw.name, "", "VEHICLE", "NUMBER     CAPACITY"]
-    out.append(f"{raw.vehicle_number:>4}{_fmt(raw.vehicle_capacity):>13}")
+    out.append(f"{raw.vehicle_number:>4} {_fmt(raw.vehicle_capacity):>12}")
     out.append("")
     out.append("CUSTOMER")
     out.append(
@@ -286,7 +290,7 @@ def write_solomon(raw: RawInstance) -> str:
     out.append("")
     for site, demand in zip(raw.sites, raw.demands):
         fields = (site.id, site.x, site.y, demand, site.release, site.deadline, site.service)
-        out.append("".join(f"{_fmt(v):>11}" for v in fields))
+        out.append("".join(f" {_fmt(v):>10}" for v in fields))
     return "\n".join(out) + "\n"
 
 

@@ -11,12 +11,11 @@ nor so late that the vehicle misses the depot deadline on the way back.
 from __future__ import annotations
 
 import enum
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import Instance, triangle_violations
+from .instances import Instance
 
 
 class ArcKind(enum.Enum):
@@ -163,17 +162,3 @@ def build_multigraph(inst: Instance, windows: TimeWindows | None = None) -> Mult
 
     assert len(arcs) == 2 * n * n
     return Multigraph(n=n, arcs=tuple(arcs), windows=windows)
-
-
-def check_triangle(inst: Instance) -> list[tuple[int, int, int, float]]:
-    """Diagnostic: all ordered-triple triangle violations of the travel matrix."""
-    return triangle_violations(inst.travel)
-
-
-def arcs_to_csv(graph: Multigraph) -> str:
-    """Debug dump of the arc list."""
-    buf = io.StringIO()
-    buf.write("id,kind,source,target,cost\n")
-    for arc in graph.arcs:
-        buf.write(f"{arc.id},{arc.kind.value},{arc.source},{arc.target},{arc.cost!r}\n")
-    return buf.getvalue()

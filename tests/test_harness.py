@@ -1,9 +1,10 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
-from cdsp import InstanceConfig, Setting, SolveLimits
+from cdsp import InstanceConfig, ScipyMilpAdapter, Setting, SolveLimits
 from cdsp.harness import (
     SCHEMA_TAG,
     BenchmarkReport,
@@ -19,6 +20,19 @@ from cdsp.harness import (
 )
 
 LIMITS = SolveLimits(time_limit_s=60.0)
+
+
+@dataclasses.dataclass(frozen=True)
+class OffByOneAdapter:
+    """Claims an optimum one above the true one on instances labelled "bad"."""
+
+    name: str = "off-by-one"
+
+    def solve(self, model, limits):
+        outcome = ScipyMilpAdapter().solve(model, limits)
+        if model.metadata["label"] != "bad":
+            return outcome
+        return dataclasses.replace(outcome, objective=outcome.objective + 1.0)
 
 INFEASIBLE_WINDOW_FILE = """\
 BADWIN
@@ -159,6 +173,19 @@ class TestRunSuite:
         serial = run_suite(entries, cfg, LIMITS, workers=1)
         parallel = run_suite(entries, cfg, LIMITS, workers=2)
         assert [r.net for r in serial.records] == [r.net for r in parallel.records]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_validation_is_one_error_record(self, tmp_path, tiny2_file, workers):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(tiny2_file.read_text())
+        entries = [ManifestEntry(path=p) for p in (tiny2_file, bad, tiny2_file)]
+        report = run_suite(
+            entries, InstanceConfig(fleet_size="file"), LIMITS, OffByOneAdapter(), workers=workers
+        )
+        assert [r.status for r in report.records] == ["optimal", "error", "optimal"]
+        assert "decoded objective" in report.records[1].message
+        assert report.records[0].net == pytest.approx(13.0, abs=1e-6)
+        assert report.has_errors
 
 
 class TestReporting:

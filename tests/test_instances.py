@@ -73,9 +73,15 @@ class TestParseSolomon:
         assert again == raw
 
     def test_roundtrip_preserves_fractional_fields(self):
-        raw = parse_solomon(SOLOMON_SNIPPET.replace("45         68", "45.25      67.875"))
-        again = parse_solomon(write_solomon(raw))
-        assert again == raw
+        for old, new in [
+            ("45         68", "45.25      67.875"),
+            # full-precision texts are wider than a column
+            ("    0      40", "    0      12.3456789012345"),
+            ("  25         200", "  25         1234567890123.5"),
+        ]:
+            raw = parse_solomon(SOLOMON_SNIPPET.replace(old, new))
+            again = parse_solomon(write_solomon(raw))
+            assert again == raw
 
 
 class TestBuildInstance:

@@ -8,13 +8,20 @@ from cdsp import (
     Instance,
     Site,
     build_multigraph,
-    check_triangle,
     preprocess_time_windows,
 )
-from cdsp.network import arcs_to_csv
+from cdsp.instances import triangle_violations
+from cdsp.network import Multigraph
 
 from conftest import make_tiny2
 from gen import random_instance
+
+
+def arcs_to_csv(graph: Multigraph) -> str:
+    """The arc list as CSV, for comparing graphs."""
+    lines = ["id,kind,source,target,cost"]
+    lines += [f"{a.id},{a.kind.value},{a.source},{a.target},{a.cost!r}" for a in graph.arcs]
+    return "\n".join(lines) + "\n"
 
 
 def line_instance(releases, deadlines, depot_deadline, legs, fleet_size=1, shift_cap=None):
@@ -147,7 +154,7 @@ class TestMultigraph:
 
 class TestCheckTriangle:
     def test_euclidean_instance_clean(self, tiny2):
-        assert check_triangle(tiny2) == []
+        assert triangle_violations(tiny2.travel) == []
 
     def test_tiny2_clean(self):
-        assert check_triangle(make_tiny2()) == []
+        assert triangle_violations(make_tiny2().travel) == []
