@@ -53,7 +53,7 @@ from .network import (
     build_multigraph,
     preprocess_time_windows,
 )
-from .oracle import OracleResult, OracleSizeError, exact_solve_tiny
+from .oracle import OracleConsistencyError, OracleResult, OracleSizeError, exact_solve_tiny
 from .routes import (
     EvaluatedSolution,
     InfeasibleTourError,
@@ -85,6 +85,7 @@ __all__ = [
     "MipModel",
     "ModelDecodeError",
     "Multigraph",
+    "OracleConsistencyError",
     "OracleResult",
     "OracleSizeError",
     "RawInstance",

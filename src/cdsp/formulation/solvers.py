@@ -391,7 +391,6 @@ _SOLUTION_PARSERS: dict[str, Callable[[str], _ParsedSolution]] = {
 
 _ADAPTERS: dict[str, Callable[[], SolverAdapter]] = {
     "scipy": ScipyMilpAdapter,
-    "scipy-highs": ScipyMilpAdapter,
 }
 
 

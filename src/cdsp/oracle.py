@@ -1,33 +1,57 @@
 """Exhaustive exact solver for desk-scale instances.
 
-Ground truth for tests: enumerates every assignment of requests to at most
-K vehicles, every visiting order per vehicle and every trip-split pattern,
-times each candidate with the fixed-route scheduler and keeps the minimum
-total completion time. Exponential; refuses instances beyond a small size.
+Ground truth for tests. One depth-first search from the depot builds every
+visit order and trip split of every request set: it extends the open trip by
+one stop, or returns to the depot and starts the next trip. It carries the
+earliest schedule, the departure-0 forward pass of `schedule_tour` with the
+same float operations in the same order. A prefix whose earliest visit
+misses a deadline is cut with all its extensions; this loses nothing,
+because appending stops leaves the prefix's earliest times as they are and
+no timing visits earlier than those. Every return to the depot closes a
+complete tour of the set visited so far. When delaying its departure by the
+minimum accumulated waiting meets the shift cap, its total is read off the
+pass; otherwise `schedule_tour` times it with its LP. The best tour per set
+is then combined over every partition of the requests into at most K
+blocks. Exponential in n; refuses instances beyond a small size. An n = 7
+instance takes milliseconds, up to about half a second when a tight shift
+cap sends many tours through the LP.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 from .instances import Instance
 from .network import TimeWindows, preprocess_time_windows
-from .routes import EvaluatedSolution, InfeasibleTourError, assemble_solution, schedule_tour
+from .routes import (
+    TIME_TOL,
+    EvaluatedSolution,
+    InfeasibleTourError,
+    assemble_solution,
+    schedule_tour,
+)
 
 DEFAULT_LIMIT = 7
+
+Trips = tuple[tuple[int, ...], ...]
 
 
 class OracleSizeError(ValueError):
     """Instance too large for exhaustive enumeration."""
 
 
+class OracleConsistencyError(RuntimeError):
+    """The searched optimum disagrees with the recomputed schedule of its routes."""
+
+
 @dataclass(frozen=True)
 class OracleResult:
     solution: EvaluatedSolution | None
     best_total: float  # objective F; infinity when nothing is feasible
-    candidates: int  # routing candidates covered by the search
+    # every (partition, visit order, trip split) the search covers, counted
+    # analytically, including the ones cut before they were timed
+    candidates: int
 
     @property
     def feasible(self) -> bool:
@@ -39,11 +63,13 @@ def exact_solve_tiny(
     windows: TimeWindows | None = None,
     limit: int = DEFAULT_LIMIT,
 ) -> OracleResult:
-    """Globally optimal solution by exhaustive enumeration (n <= limit).
+    """Globally optimal solution by exhaustive search (n <= limit).
 
-    Enumeration is deterministic; ties between equal-objective candidates
+    The search is deterministic; ties between equal-objective candidates
     break to the lexicographically smallest route encoding, so golden values
-    derived from this solver are stable.
+    derived from this solver are stable. Raises OracleConsistencyError when
+    the assembled optimum's F differs from the searched one by more than
+    TIME_TOL per request.
     """
     n = inst.n
     if n > limit:
@@ -51,45 +77,21 @@ def exact_solve_tiny(
     if windows is None:
         windows = preprocess_time_windows(inst)
 
-    # Tours of different vehicles interact only through the request
-    # partition, so the best tour per request set can be computed once and
-    # reused across partitions.
-    best_tour_cache: dict[frozenset[int], tuple[float, tuple[tuple[int, ...], ...]] | None] = {}
-
-    def best_tour(block: frozenset[int]):
-        if block in best_tour_cache:
-            return best_tour_cache[block]
-        best: tuple[float, tuple[tuple[int, ...], ...]] | None = None
-        for perm in itertools.permutations(sorted(block)):
-            for split_bits in range(1 << (len(perm) - 1)):
-                trips = _split(perm, split_bits)
-                try:
-                    timing = schedule_tour(trips, inst, windows)
-                except InfeasibleTourError:
-                    continue
-                total = sum(
-                    delivered * len(trip) for trip, delivered in zip(trips, timing.deliveries)
-                )
-                key = (total, trips)
-                if best is None or total < best[0] or (total == best[0] and trips < best[1]):
-                    best = key
-        best_tour_cache[block] = best
-        return best
-
     def tour_count(size: int) -> int:
         return math.factorial(size) * (1 << (size - 1))
 
-    best_total = math.inf
-    best_routes: tuple[tuple[tuple[int, ...], ...], ...] | None = None
-    candidates = 0
     max_blocks = min(inst.fleet_size, n)
+    best_by_set = _best_tours(inst, windows, max_blocks)
+    best_total = math.inf
+    best_routes: tuple[Trips, ...] | None = None
+    candidates = 0
     for partition in _set_partitions(list(inst.points_of_care), max_blocks):
         candidates += math.prod(tour_count(len(block)) for block in partition)
         total = 0.0
         routes = []
         feasible = True
         for block in partition:
-            found = best_tour(frozenset(block))
+            found = best_by_set.get(sum(1 << node for node in block))
             if found is None:
                 feasible = False
                 break
@@ -107,18 +109,67 @@ def exact_solve_tiny(
     if best_routes is None:
         return OracleResult(solution=None, best_total=math.inf, candidates=candidates)
     solution = assemble_solution(best_routes, inst, windows)
+    if abs(solution.total_completion - best_total) > TIME_TOL * n:
+        raise OracleConsistencyError(
+            f"searched F = {best_total!r}, but its routes {best_routes} "
+            f"schedule to F = {solution.total_completion!r}"
+        )
     return OracleResult(solution=solution, best_total=best_total, candidates=candidates)
 
 
-def _split(perm: tuple[int, ...], bits: int) -> tuple[tuple[int, ...], ...]:
-    """Cut an ordered visit sequence into trips; set bit i splits after stop i."""
-    trips: list[list[int]] = [[perm[0]]]
-    for i, node in enumerate(perm[1:]):
-        if bits >> i & 1:
-            trips.append([node])
-        else:
-            trips[-1].append(node)
-    return tuple(tuple(t) for t in trips)
+def _best_tours(
+    inst: Instance, windows: TimeWindows, max_blocks: int
+) -> dict[int, tuple[float, Trips]]:
+    """Best (total, trips) of one vehicle per request set, keyed by bit mask.
+
+    Only sets that can be a block of a partition into at most max_blocks
+    blocks are evaluated (for one block, the full set). Among equal totals
+    the smallest trips tuple wins.
+    """
+    n = inst.n
+    travel = inst.travel.tolist()
+    release = windows.release.tolist()
+    latest = (windows.deadline + TIME_TOL).tolist()
+    cap = inst.shift_cap + TIME_TOL
+    everyone = (1 << (n + 1)) - 2
+    best: dict[int, tuple[float, Trips]] = {}
+
+    # One step of routes._forward_pass, operation for operation, so that the
+    # totals equal what schedule_tour would return bit for bit.
+    def visit(node, trips, trip, clock, at, cum_wait, min_cum_wait, closed, mask):
+        arrive = clock + travel[at][node]
+        z = max(arrive, release[node])
+        if z > latest[node]:
+            return
+        cum_wait += z - arrive
+        min_cum_wait = min(min_cum_wait, cum_wait)
+        trip += (node,)
+        mask |= 1 << node
+        ret = z + travel[node][0]
+        done = closed + ret * len(trip)
+        tour = trips + (trip,)
+        if max_blocks > 1 or mask == everyone:
+            total: float | None = done
+            if ret - min_cum_wait > cap:
+                try:
+                    timing = schedule_tour(tour, inst, windows)
+                except InfeasibleTourError:
+                    total = None
+                else:
+                    total = sum(d * len(t) for t, d in zip(tour, timing.deliveries))
+            found = best.get(mask)
+            if total is not None and (
+                found is None or total < found[0] or (total == found[0] and tour < found[1])
+            ):
+                best[mask] = (total, tour)
+        for nxt in range(1, n + 1):
+            if not mask >> nxt & 1:
+                visit(nxt, trips, trip, z, node, cum_wait, min_cum_wait, closed, mask)
+                visit(nxt, tour, (), ret, 0, cum_wait, min_cum_wait, done, mask)
+
+    for node in range(1, n + 1):
+        visit(node, (), (), 0.0, 0, 0.0, math.inf, 0.0, 0)
+    return best
 
 
 def _set_partitions(items: list[int], max_blocks: int):

@@ -7,7 +7,7 @@ from cdsp import preprocess_time_windows, validate_solution
 from cdsp.oracle import OracleSizeError, exact_solve_tiny
 
 from conftest import make_tiny2
-from gen import random_instance
+from gen import random_instance, split_bits
 
 
 class TestTiny2:
@@ -89,13 +89,24 @@ class TestContract:
             assert validate_solution(result.solution, inst, w).ok
             assert result.solution.total_completion == pytest.approx(result.best_total)
 
+    def test_search_disagreeing_with_schedule_raises(self, tiny2, monkeypatch):
+        from cdsp import oracle
+
+        search = oracle._best_tours
+
+        def drifted(*args):
+            return {mask: (total + 1.0, trips) for mask, (total, trips) in search(*args).items()}
+
+        monkeypatch.setattr(oracle, "_best_tours", drifted)
+        with pytest.raises(oracle.OracleConsistencyError, match="searched F = 21.0"):
+            exact_solve_tiny(tiny2)
+
     def test_every_schedulable_candidate_validates(self):
         # exhaustive over all single-vehicle candidates of small instances:
         # schedulable ones pass validation, unschedulable ones carry a reason
         import itertools
 
         from cdsp import InfeasibleTourError, assemble_solution
-        from cdsp.oracle import _split
 
         rng = np.random.default_rng(33)
         for _ in range(6):
@@ -103,7 +114,7 @@ class TestContract:
             w = preprocess_time_windows(inst)
             for perm in itertools.permutations(inst.points_of_care):
                 for bits in range(1 << (len(perm) - 1)):
-                    trips = _split(perm, bits)
+                    trips = split_bits(list(perm), bits)
                     try:
                         sol = assemble_solution([trips], inst, w)
                     except InfeasibleTourError as err:

@@ -90,6 +90,12 @@ class TestScipyAdapter:
     def test_registry_default(self):
         assert isinstance(make_adapter("scipy"), ScipyMilpAdapter)
 
+    def test_backend_name_is_not_an_adapter_name(self):
+        # "scipy-highs" names the backend in fingerprints; the adapter is "scipy"
+        assert ScipyMilpAdapter.name == "scipy-highs"
+        with pytest.raises(SolverConfigError, match=r"registered: \[.*'scipy'"):
+            make_adapter("scipy-highs")
+
 
 class TestFileAdapter:
     @pytest.mark.parametrize("fmt", ["lp", "mps"])
