@@ -105,13 +105,21 @@ class RowFamily:
     rows: range
     keys: np.ndarray  # (len(rows), 0..2) integer name suffixes
 
-    def names(self) -> list[str]:
-        parts = self.keys.T.tolist()
-        if not parts:
-            return [self.name] * len(self.rows)
-        if len(parts) == 1:
-            return [f"{self.name}_{a}" for a in parts[0]]
-        return [f"{self.name}_{a}_{b}" for a, b in zip(*parts)]
+    def names(self) -> np.ndarray:
+        """Row names as an object array, built from one string per value of
+        the trailing key and, for two keys, one per value of the leading key."""
+        width = self.keys.shape[1]
+        if not width:
+            return np.full(len(self.rows), self.name, dtype=object)
+        last = self.keys[:, -1]
+        stem = f"{self.name}_" if width == 1 else ""
+        tails = [f"{stem}{b}" for b in range(last.max(initial=0) + 1)]
+        names = np.array(tails, dtype=object)[last]
+        if width == 2:
+            lead = self.keys[:, 0]
+            heads = [f"{self.name}_{a}_" for a in range(lead.max(initial=0) + 1)]
+            names = np.array(heads, dtype=object)[lead] + names
+        return names
 
 
 @dataclass(eq=False)
@@ -166,9 +174,10 @@ class MipModel:
             )
         ]
 
-    def row_names(self) -> list[str]:
-        """Constraint names in row order, built from the family table."""
-        names: list = [None] * self.num_rows
+    def row_names(self) -> np.ndarray:
+        """Constraint names in row order as an object array, built from the
+        family table."""
+        names = np.empty(self.num_rows, dtype=object)
         for fam in self.families:
             names[fam.rows.start : fam.rows.stop : fam.rows.step] = fam.names()
         return names
@@ -187,18 +196,20 @@ class MipModel:
         """Rows named ``<family>_<index>``, in row order."""
         for fam in self.families:
             if fam.name == family and fam.keys.shape[1]:
-                return list(self._rows(fam.rows, fam.names()))
+                return list(self._rows(fam.rows, fam.names().tolist()))
         return []
 
-    def _rows(self, rows: Iterable[int], names: Iterable[str]) -> Iterator[Row]:
+    def _rows(self, rows: range, names: Iterable[str]) -> Iterator[Row]:
+        lo, hi = rows.start, rows.stop  # list only this span of the arrays
         codes, rhs = self.row_senses()
-        codes, rhs = codes.tolist(), rhs.tolist()
-        ptr = self.matrix.indptr.tolist()
-        cols = self.matrix.indices.tolist()
-        vals = self.matrix.data.tolist()
+        codes, rhs = codes[lo:hi].tolist(), rhs[lo:hi].tolist()
+        ptr = self.matrix.indptr[lo : hi + 1]
+        cols = self.matrix.indices[ptr[0] : ptr[-1]].tolist()
+        vals = self.matrix.data[ptr[0] : ptr[-1]].tolist()
+        ptr = (ptr - ptr[0]).tolist()
         for r, name in zip(rows, names):
-            a, b = ptr[r], ptr[r + 1]
-            yield Row(name, dict(zip(cols[a:b], vals[a:b])), SENSES[codes[r]], rhs[r])
+            a, b = ptr[r - lo], ptr[r - lo + 1]
+            yield Row(name, dict(zip(cols[a:b], vals[a:b])), SENSES[codes[r - lo]], rhs[r - lo])
 
 
 class RowView:
@@ -211,7 +222,7 @@ class RowView:
         return self._model.num_rows
 
     def __iter__(self) -> Iterator[Row]:
-        return self._model._rows(range(len(self)), self._model.row_names())
+        return self._model._rows(range(len(self)), self._model.row_names().tolist())
 
 
 def big_m_visit(arc: Arc, windows: TimeWindows) -> float:

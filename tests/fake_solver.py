@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from cdsp.formulation.readers import read_lp, read_mps
+from readers import read_lp, read_mps
 
 
 def main(model_path: str, solution_path: str, time_limit: str = "60") -> int:

@@ -165,6 +165,29 @@ class TestBuildModel:
         assert len(set(names)) == len(names)
         assert [v.column for v in model.variables] == list(range(model.num_columns))
 
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_row_names_follow_family_keys(self, n, explicit):
+        # reference: one f-string per row from the family table
+        inst = random_instance(np.random.default_rng(n), n, max(1, n // 4))
+        model = build_model(build_multigraph(inst), inst, explicit_bounds=explicit)
+        want = [None] * model.num_rows
+        for fam in model.families:
+            for r, key in zip(fam.rows, fam.keys.tolist()):
+                if len(key) == 2:
+                    want[r] = f"{fam.name}_{key[0]}_{key[1]}"
+                elif len(key) == 1:
+                    want[r] = f"{fam.name}_{key[0]}"
+                else:
+                    want[r] = fam.name
+        names = model.row_names()
+        assert len(names) == model.num_rows
+        assert all(type(name) is str for name in names)
+        assert list(names) == want
+        assert [row.name for row in model.constraints] == want
+        tprop = next(fam for fam in model.families if fam.name == "tprop")
+        assert [row.name for row in model.rows_by_family("tprop")] == [want[r] for r in tprop.rows]
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_big_m_coefficients_are_tightest(self, seed):

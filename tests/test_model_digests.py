@@ -1,7 +1,9 @@
 """Byte identity of the emitted files and of the solver handoff.
 
-The digests were recorded from the per-row (dict-based) model that the
-array-native build replaced, with numpy 2.4 on x86-64 Linux. A change to
+The digests for n = 3, 8 and 20 were recorded from the per-row (dict-based)
+model that the array-native build replaced, and those for n = 30, whose
+files span several of the writers' row blocks, from the array-native build
+before the writers were blocked; both with numpy 2.4 on x86-64 Linux. A change to
 the model's layout, coefficients or bounds, or to the writers' formatting,
 shows up as a digest mismatch. They rely on the generator's floats being
 bit-stable. The default model and the explicit-rows variant
@@ -50,6 +52,16 @@ DIGESTS = {
         "88be8430675ce5938aae89b9787ce8d55f6719ede5e9b9c207222109d03f4b38",
         "34560d3a1c390257db7e46d466c8821eb312aa46fc88e4bddee6a1403647c2a2",
         "ee39039bfab441692812edece05c1d8d65d91ce72cc9e7c4cbd874863a98b27a",
+    ),
+    (30, False): (
+        "b6871a61c1b13c2edf42f1d945430c04a88e932b6e7f0caa8158dfd9d1bdd5b5",
+        "ed7325a39716a89bb7e395bce11ddd394b89ccf63e7ae078c9d2fc34d1027e52",
+        "dc7bacf87a29d29befc96e831d00656587559d9fc82599f4142738ef40330bbb",
+    ),
+    (30, True): (
+        "1afc1db1f27b93183fc6593365a55e659c0a64c8ce9dce89a674d93697c30e43",
+        "25f490297fcc6764060c9137a0f23d1f5685f392649087e5447112594bb45859",
+        "91f0d83e910f0995fc930e7469b0fd9d5f7807a0ced03eb966adc33abf587826",
     ),
 }
 

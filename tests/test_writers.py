@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from cdsp import build_model, build_multigraph, emit_model
-from cdsp.formulation import BINARY, read_lp, read_mps, write_lp, write_mps
+from cdsp.formulation import BINARY, write_lp, write_mps, writers
 
 from gen import random_instance
+from readers import read_lp, read_mps
 
 
 def _parsed_matches_model(parsed, model):
@@ -113,3 +114,42 @@ class TestMps:
 def test_unknown_format_rejected(tiny2_model):
     with pytest.raises(ValueError, match="unknown model format"):
         emit_model(tiny2_model, "gms")
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 12])
+@pytest.mark.parametrize("explicit", [False, True])
+def test_row_blocks_do_not_change_bytes(monkeypatch, n, explicit):
+    # blocks of a few pieces put empty rows, long LP rows and the MPS
+    # MARKER lines at block edges
+    inst = random_instance(np.random.default_rng(n), n, max(1, n // 4))
+    model = build_model(build_multigraph(inst), inst, explicit_bounds=explicit)
+    lp, mps = write_lp(model), write_mps(model)
+    monkeypatch.setattr(writers, "_BLOCK_PIECES", 7)
+    assert write_lp(model) == lp
+    assert write_mps(model) == mps
+
+
+def _token_wrap(prefix, tokens):
+    """The LP wrapping rule token by token: a token joins the current line
+    if the line stays within 78 characters, else it starts a new line with
+    one space."""
+    lines, current = [], prefix
+    for token in tokens:
+        if current and len(current) + 1 + len(token) > 78:
+            lines.append(current)
+            current = " " + token
+        else:
+            current = token if not current else current + " " + token
+    lines.append(current)
+    return "\n".join(lines)
+
+
+def test_wrap_follows_token_rule():
+    rng = np.random.default_rng(41)
+    for _ in range(1000):
+        longest = 90 if rng.random() < 0.2 else 12
+        tokens = ["t" * int(k) for k in rng.integers(1, longest, int(rng.integers(1, 40)))]
+        prefix = " " + "r" * int(rng.integers(1, longest)) + ":"
+        line = prefix + " " + " ".join(tokens)
+        assert writers._wrap(line, len(prefix)) == _token_wrap(prefix, tokens)
+        assert writers._wrap(" ".join(tokens), 0) == _token_wrap("", tokens)
