@@ -22,6 +22,7 @@ from .formulation import (
     emit_model,
     extract_solution,
     solve,
+    write_model,
 )
 from .harness import (
     BenchmarkReport,
@@ -121,5 +122,6 @@ __all__ = [
     "solution_to_json",
     "solve",
     "validate_solution",
+    "write_model",
     "write_solomon",
 ]

@@ -13,8 +13,8 @@ from .formulation import (
     SolveLimits,
     SolveStatus,
     build_model,
-    emit_model,
     make_adapter,
+    write_model,
 )
 from .harness import (
     config_fingerprint,
@@ -218,15 +218,15 @@ def main(argv=None) -> int:
         inst = _load_instance(args)
         graph = build_multigraph(inst)
         model = build_model(graph, inst, explicit_bounds=args.explicit_rows)
-        text = emit_model(model, args.format)
         if args.out:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             target = out / f"{inst.label}.{args.format}"
-            target.write_text(text)
+            with open(target, "w", encoding="utf-8", newline="") as file:
+                write_model(model, args.format, file)
             print(f"wrote {target}")
         else:
-            sys.stdout.write(text)
+            write_model(model, args.format, sys.stdout)
         return 0
 
     if args.command == "oracle":

@@ -20,7 +20,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .model import MipModel
-from .writers import emit_model
+from .writers import MODEL_FORMATS, write_model
 
 
 class SolveStatus(str, enum.Enum):
@@ -174,15 +174,25 @@ class FileSolverAdapter:
     solution_format: str = "plain"
     name: str = "file"
 
+    def __post_init__(self):
+        if self.model_format.lower() not in MODEL_FORMATS:
+            raise SolverConfigError(
+                f"unknown model format {self.model_format!r} (known: {list(MODEL_FORMATS)})"
+            )
+        if self.solution_format not in _SOLUTION_PARSERS:
+            raise SolverConfigError(
+                f"unknown solution format {self.solution_format!r} "
+                f"(known: {sorted(_SOLUTION_PARSERS)})"
+            )
+
     def solve(self, model: MipModel, limits: SolveLimits) -> SolveOutcome:
-        parser = _SOLUTION_PARSERS.get(self.solution_format)
-        if parser is None:
-            raise SolverConfigError(f"unknown solution format {self.solution_format!r}")
+        parser = _SOLUTION_PARSERS[self.solution_format]
         start = time.perf_counter()
         with tempfile.TemporaryDirectory(prefix="cdsp-solve-") as tmp:
             model_path = Path(tmp) / f"model.{self.model_format}"
             solution_path = Path(tmp) / "model.sol"
-            model_path.write_text(emit_model(model, self.model_format))
+            with open(model_path, "w", encoding="utf-8", newline="") as file:
+                write_model(model, self.model_format, file)
             substitutions = {
                 "{model}": str(model_path),
                 "{solution}": str(solution_path),

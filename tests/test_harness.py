@@ -2,9 +2,10 @@ import csv
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from cdsp import InstanceConfig, ScipyMilpAdapter, Setting, SolveLimits
+from cdsp import InstanceConfig, RawInstance, ScipyMilpAdapter, Setting, SolveLimits, write_solomon
 from cdsp.harness import (
     SCHEMA_TAG,
     BenchmarkReport,
@@ -18,6 +19,8 @@ from cdsp.harness import (
     run_suite,
     write_report,
 )
+
+from gen import random_instance
 
 LIMITS = SolveLimits(time_limit_s=60.0)
 
@@ -320,6 +323,29 @@ class TestCli:
         assert code == 0
         assert out.startswith("NAME")
         assert "ENDATA" in out
+
+    @pytest.mark.parametrize("fmt", ["lp", "mps"])
+    @pytest.mark.parametrize("which", ["tiny2", "n8"])
+    def test_emit_bytes_equal_emit_model(self, tmp_path, tiny2_file, capsysbinary, fmt, which):
+        from cdsp import build_instance, build_model, build_multigraph, emit_model, parse_solomon
+        from cdsp.cli import main
+
+        path, flags, cfg = tiny2_file, ["--fleet", "file"], InstanceConfig(fleet_size="file")
+        if which == "n8":
+            inst = random_instance(np.random.default_rng(8), 8, 2)
+            raw = RawInstance("gen-n8", inst.fleet_size, 200.0, inst.sites, (0.0,) * 9)
+            path = tmp_path / "gen-n8.txt"
+            path.write_text(write_solomon(raw))
+            flags = ["--fleet", "file", "--shift-cap", repr(inst.shift_cap)]
+            cfg = InstanceConfig(fleet_size="file", shift_cap=inst.shift_cap)
+        inst = build_instance(parse_solomon(path.read_text()), cfg, label=path.stem)
+        want = emit_model(build_model(build_multigraph(inst), inst), fmt).encode()
+
+        assert main(["emit", str(path), "--format", fmt, *flags]) == 0
+        assert capsysbinary.readouterr().out == want
+        out_dir = tmp_path / "out"
+        assert main(["emit", str(path), "--format", fmt, *flags, "--out", str(out_dir)]) == 0
+        assert (out_dir / f"{path.stem}.{fmt}").read_bytes() == want
 
     def test_oracle_subcommand(self, tiny2_file, capsys):
         from cdsp.cli import main

@@ -11,13 +11,14 @@ bit-stable. The default model and the explicit-rows variant
 """
 
 import hashlib
+import io
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from cdsp import build_model, build_multigraph, emit_model
-from cdsp.formulation import BINARY, SENSE_EQ, SENSE_GE, SENSE_LE, model_to_arrays
+from cdsp.formulation import BINARY, SENSE_EQ, SENSE_GE, SENSE_LE, model_to_arrays, writers
 
 from gen import random_instance
 
@@ -103,6 +104,24 @@ def test_recorded_digests(n, explicit):
     assert _sha(emit_model(model, "lp")) == lp
     assert _sha(emit_model(model, "mps")) == mps
     assert _arrays_sha(model) == arrays
+
+
+@pytest.mark.parametrize("n,explicit", sorted(DIGESTS))
+def test_write_model_matches_emit_model(monkeypatch, tmp_path, n, explicit):
+    # a StringIO and a file get exactly emit_model's text, also when every
+    # row block holds only a few pieces (on the smaller models, for time)
+    model = _model(n, explicit)
+    for fmt in ("lp", "mps"):
+        want = emit_model(model, fmt)
+        for pieces in (writers._BLOCK_PIECES, 7) if n <= 8 else (writers._BLOCK_PIECES,):
+            monkeypatch.setattr(writers, "_BLOCK_PIECES", pieces)
+            sink = io.StringIO()
+            writers.write_model(model, fmt, sink)
+            assert sink.getvalue() == want
+            path = tmp_path / f"model.{fmt}"
+            with open(path, "w", encoding="utf-8", newline="") as file:
+                writers.write_model(model, fmt, file)
+            assert path.read_bytes() == want.encode()
 
 
 @pytest.mark.parametrize("explicit", [False, True])

@@ -10,6 +10,7 @@ from cdsp import (
     SolverConfigError,
     build_model,
     build_multigraph,
+    emit_model,
     preprocess_time_windows,
     solve,
 )
@@ -157,6 +158,33 @@ class TestFileAdapter:
         adapter = FileSolverAdapter(command=("/nonexistent/solver", "{model}"))
         outcome = solve(tiny2_model, SolveLimits(time_limit_s=5), adapter=adapter)
         assert outcome.status is SolveStatus.ERROR
+
+    def test_unknown_model_format_fails_at_construction(self):
+        with pytest.raises(SolverConfigError, match="unknown model format 'gms'"):
+            FileSolverAdapter(command=(sys.executable, "{model}"), model_format="gms")
+
+    def test_unknown_solution_format_fails_at_construction(self):
+        with pytest.raises(SolverConfigError, match="unknown solution format 'sol'"):
+            FileSolverAdapter(command=(sys.executable, "{model}"), solution_format="sol")
+
+    def test_model_file_bytes_equal_emit_model(self, tiny2_model, tmp_path):
+        # the solver copies the model file it was given, then reports infeasible
+        copy = tmp_path / "seen.mps"
+        adapter = FileSolverAdapter(
+            command=(
+                sys.executable,
+                "-c",
+                "import shutil, sys; shutil.copyfile(sys.argv[1], sys.argv[3]);"
+                "open(sys.argv[2], 'w').write('status infeasible')",
+                "{model}",
+                "{solution}",
+                str(copy),
+            ),
+            model_format="mps",
+        )
+        outcome = solve(tiny2_model, SolveLimits(time_limit_s=10), adapter=adapter)
+        assert outcome.status is SolveStatus.INFEASIBLE
+        assert copy.read_bytes() == emit_model(tiny2_model, "mps").encode()
 
     def test_no_solution_file_is_error(self, tiny2_model):
         adapter = FileSolverAdapter(command=(sys.executable, "-c", "pass"))

@@ -1,4 +1,6 @@
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,3 +155,74 @@ def test_wrap_follows_token_rule():
         line = prefix + " " + " ".join(tokens)
         assert writers._wrap(line, len(prefix)) == _token_wrap(prefix, tokens)
         assert writers._wrap(" ".join(tokens), 0) == _token_wrap("", tokens)
+
+
+def _lp_row_lines(text):
+    """The LP objective and constraint rows, each as the list of its lines."""
+    body = text.split("Minimize\n", 1)[1].split("Bounds\n", 1)[0]
+    rows = []
+    for line in body.splitlines():
+        if line == "Subject To":
+            continue
+        if line.split(" ", 2)[1].endswith(":"):
+            rows.append([line])
+        else:
+            rows[-1].append(line)
+    return rows
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_lp_rows_wrap_like_wrap(monkeypatch, explicit):
+    # narrow widths force several breaks per row, breaks between a sign and
+    # its coefficient, and tokens longer than a line; over all widths, some
+    # line ends fall exactly on the width
+    inst = random_instance(np.random.default_rng(47), 8, 2)
+    model = build_model(build_multigraph(inst), inst, explicit_bounds=explicit)
+    for width in range(6, 81):
+        monkeypatch.setattr(writers, "_LINE_WIDTH", width)
+        rows = _lp_row_lines(write_lp(model))
+        assert len(rows) == model.num_rows + 1
+        for lines in rows:
+            line = "".join(lines)
+            assert writers._wrap(line, line.index(": ") + 1) == "\n".join(lines)
+
+
+class _Sink:
+    """A text file that remembers its largest single write."""
+
+    def __init__(self, file):
+        self.file, self.largest = file, 0
+
+    def write(self, text):
+        self.largest = max(self.largest, len(text))
+        return self.file.write(text)
+
+
+def test_write_model_never_holds_the_text(tmp_path):
+    # write_mps holds its blocks and the joined text at once: two texts. A
+    # stream holds one block besides the writer's own arrays, which come
+    # to about one text here (the row names alone take ~70 bytes a row).
+    inst = random_instance(np.random.default_rng(50), 50, 12)
+    model = build_model(build_multigraph(inst), inst)
+    path = tmp_path / "model.mps"
+    tracemalloc.start()
+    try:
+        size = len(write_mps(model))
+        _, joined = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with open(path, "w", encoding="utf-8", newline="") as file:
+            sink = _Sink(file)
+            writers.write_model(model, "mps", sink)
+        _, streamed = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size == size
+    assert sink.largest < size / 10
+    assert streamed < joined - size / 2, (streamed, joined, size)
+
+
+def test_write_model_rejects_unknown_format_before_writing(tiny2_model):
+    sink = io.StringIO()
+    with pytest.raises(ValueError, match="unknown model format 'gms'"):
+        writers.write_model(tiny2_model, "gms", sink)
+    assert sink.getvalue() == ""
