@@ -8,14 +8,9 @@ import shlex
 import sys
 from pathlib import Path
 
-from .formulation import (
-    FileSolverAdapter,
-    SolveLimits,
-    SolveStatus,
-    build_model,
-    make_adapter,
-    write_model,
-)
+from .formulation import FileSolverAdapter, SolveLimits, SolveStatus, build_model, write_model
+from .formulation.solvers import SOLUTION_PARSERS
+from .formulation.writers import MODEL_FORMATS
 from .harness import (
     config_fingerprint,
     load_manifest,
@@ -25,7 +20,7 @@ from .harness import (
 )
 from .instances import InstanceConfig, build_instance, parse_solomon
 from .network import build_multigraph, preprocess_time_windows
-from .oracle import OracleSizeError, exact_solve_tiny
+from .oracle import DEFAULT_LIMIT, OracleSizeError, exact_solve_tiny
 from .routes import solution_to_json
 
 
@@ -64,17 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--time-limit", type=float, default=3600.0, help="seconds per instance")
         p.add_argument("--threads", type=int, default=16, help="solver thread cap")
         p.add_argument("--gap-target", type=float, default=0.0, help="relative MIP gap target")
-        p.add_argument("--solver", default="scipy", help="registered adapter name")
         p.add_argument(
             "--solver-cmd",
             default=None,
             help="external solver command template with {model} {solution} "
-            "{time_limit} {threads} placeholders (overrides --solver)",
+            "{time_limit} {threads} placeholders (bundled HiGHS if omitted)",
         )
-        p.add_argument("--solver-format", choices=["lp", "mps"], default="lp")
-        p.add_argument(
-            "--solution-format", choices=["plain", "highs", "cbc"], default="plain"
-        )
+        p.add_argument("--solver-format", choices=MODEL_FORMATS, default="lp")
+        p.add_argument("--solution-format", choices=list(SOLUTION_PARSERS), default="plain")
         p.add_argument("--fprime-raw-release", action="store_true")
         p.add_argument("--out", default=None, help="output directory")
 
@@ -96,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_emit = sub.add_parser("emit", help="write the model file for an instance")
     p_emit.add_argument("instance")
-    p_emit.add_argument("--format", choices=["lp", "mps"], required=True)
+    p_emit.add_argument("--format", choices=MODEL_FORMATS, required=True)
     p_emit.add_argument(
         "--explicit-rows",
         action="store_true",
@@ -108,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="exhaustive exact solve (tiny instances)")
     p_oracle.add_argument("instance")
     add_instance_flags(p_oracle)
-    p_oracle.add_argument("--limit", type=int, default=7, help="max points of care")
+    p_oracle.add_argument("--limit", type=int, default=DEFAULT_LIMIT, help="max points of care")
 
     return parser
 
@@ -131,13 +123,14 @@ def _instance_config(args) -> InstanceConfig:
 
 
 def _adapter(args):
-    if args.solver_cmd:
-        return FileSolverAdapter(
-            command=tuple(shlex.split(args.solver_cmd)),
-            model_format=args.solver_format,
-            solution_format=args.solution_format,
-        )
-    return make_adapter(args.solver)
+    """The external-solver adapter for --solver-cmd, else None (bundled HiGHS)."""
+    if not args.solver_cmd:
+        return None
+    return FileSolverAdapter(
+        command=tuple(shlex.split(args.solver_cmd)),
+        model_format=args.solver_format,
+        solution_format=args.solution_format,
+    )
 
 
 def _limits(args) -> SolveLimits:

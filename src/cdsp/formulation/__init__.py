@@ -1,19 +1,7 @@
 """MIP generation, serialization, solving and solution decoding."""
 
-from .decode import INTEGRALITY_TOL, ModelDecodeError, extract_solution, solution_column_values
-from .model import (
-    BINARY,
-    CONTINUOUS,
-    SENSE_EQ,
-    SENSE_GE,
-    SENSE_LE,
-    ColumnLayout,
-    MipModel,
-    big_m_completion,
-    big_m_shift,
-    big_m_visit,
-    build_model,
-)
+from .decode import INTEGRALITY_TOL, ModelDecodeError, extract_solution
+from .model import SENSE_EQ, SENSE_GE, SENSE_LE, ColumnLayout, MipModel, build_model
 from .solvers import (
     FileSolverAdapter,
     ScipyMilpAdapter,
@@ -22,17 +10,12 @@ from .solvers import (
     SolveStatus,
     SolverAdapter,
     SolverConfigError,
-    default_adapter,
-    make_adapter,
     model_to_arrays,
-    register_adapter,
     solve,
 )
 from .writers import emit_model, write_lp, write_model, write_mps
 
 __all__ = [
-    "BINARY",
-    "CONTINUOUS",
     "ColumnLayout",
     "FileSolverAdapter",
     "INTEGRALITY_TOL",
@@ -47,17 +30,10 @@ __all__ = [
     "SolveStatus",
     "SolverAdapter",
     "SolverConfigError",
-    "big_m_completion",
-    "big_m_shift",
-    "big_m_visit",
     "build_model",
-    "default_adapter",
     "emit_model",
     "extract_solution",
-    "make_adapter",
     "model_to_arrays",
-    "register_adapter",
-    "solution_column_values",
     "solve",
     "write_lp",
     "write_model",

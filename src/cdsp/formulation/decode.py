@@ -1,4 +1,4 @@
-"""Decode incumbent column values into multi-trip tours, and embed tours back.
+"""Decode incumbent column values into multi-trip tours.
 
 Decoding follows traversed arcs out of the depot; replenishment arcs expand
 into depot visits that split trips. Visit times come from the incumbent;
@@ -134,58 +134,7 @@ def extract_solution(
     )
 
 
-def solution_column_values(
-    sol: EvaluatedSolution, model: MipModel, graph: Multigraph
-) -> np.ndarray:
-    """Column values implied by a routed, scheduled solution.
-
-    Useful for checking that every generated constraint admits the
-    solutions an independent search deems feasible.
-    """
-    lay = model.layout
-    n = model.n
-    vec = np.zeros(model.num_columns)
-
-    inter = {(a.source, a.target): a.id for a in graph.arcs if a.kind is ArcKind.INTER}
-    replenish = {(a.source, a.target): a.id for a in graph.arcs if a.kind is ArcKind.REPLENISH}
-
-    for tour in sol.tours:
-        first = tour.trips[0].nodes[0]
-        vec[lay.x(first - 1)] = 1.0  # depot arc 0 -> first
-        last = tour.trips[-1].nodes[-1]
-        vec[lay.x(n + last - 1)] = 1.0  # depot arc last -> 0
-        prev_trip = None
-        for trip in tour.trips:
-            if prev_trip is not None:
-                vec[lay.x(replenish[(prev_trip.nodes[-1], trip.nodes[0])])] = 1.0
-            for u, v in zip(trip.nodes, trip.nodes[1:]):
-                vec[lay.x(inter[(u, v)])] = 1.0
-            nodes = trip.nodes
-            for pos, j in enumerate(nodes):
-                for i in nodes[pos:]:
-                    vec[lay.y(i, j)] = 1.0
-            prev_trip = trip
-
-    for j in range(1, n + 1):
-        vec[lay.y(j, j)] = 1.0  # also for unrouted nodes of partial solutions
-
-    for tour in sol.tours:
-        for trip in tour.trips:
-            for node in trip.nodes:
-                z = sol.timing.visit[node]
-                vec[lay.z(node)] = z
-                vec[lay.tau(node)] = z - tour.departure
-    for j, completed in sol.timing.completion.items():
-        vec[lay.completion(j)] = completed
-    return vec
-
-
 def _as_vector(model: MipModel, values) -> np.ndarray:
-    if isinstance(values, dict):
-        vec = np.zeros(model.num_columns)
-        for col, val in values.items():
-            vec[col] = val
-        return vec
     vec = np.asarray(values, dtype=float)
     if vec.shape != (model.num_columns,):
         raise ModelDecodeError(

@@ -9,13 +9,15 @@ from the preprocessed windows.
 The model is stored as arrays only: one CSR constraint matrix, row and
 column bound vectors, an integrality vector, the objective vector and a
 family table giving each constraint family its row range. Row and column
-names, and per-row and per-column views, are built on access.
+names are built on access. The per-arc big-M formulas that the build
+vectorizes are kept, one arc at a time, as the reference in
+``tests/views.py``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -23,25 +25,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..instances import Instance
-from ..network import Arc, ArcKind, Multigraph, TimeWindows
+from ..network import ArcKind, Multigraph
 
 SENSE_LE = "<="
 SENSE_EQ = "="
 SENSE_GE = ">="
 SENSES = (SENSE_LE, SENSE_EQ, SENSE_GE)  # indexed by MipModel.row_senses() codes
-
-BINARY = "binary"
-CONTINUOUS = "continuous"
-
-
-class Variable(NamedTuple):
-    """Read-only view of one column."""
-
-    name: str
-    column: int
-    kind: str
-    lower: float
-    upper: float
 
 
 class Row(NamedTuple):
@@ -124,7 +113,8 @@ class RowFamily:
 
 @dataclass(eq=False)
 class MipModel:
-    """The model's arrays and family table; views are derived on access."""
+    """The model's arrays and family table; names and the row view are
+    derived on access."""
 
     n: int
     fleet_size: int
@@ -147,33 +137,6 @@ class MipModel:
     def num_columns(self) -> int:
         return self.matrix.shape[1]
 
-    def count_binary(self) -> int:
-        return int(np.count_nonzero(self.integrality))
-
-    def count_continuous(self) -> int:
-        return self.num_columns - self.count_binary()
-
-    @property
-    def objective(self) -> dict[int, float]:
-        """Column -> cost over the columns with a nonzero cost."""
-        cols = np.flatnonzero(self.c)
-        return dict(zip(cols.tolist(), self.c[cols].tolist()))
-
-    @property
-    def variables(self) -> list[Variable]:
-        """One view per column, in column order."""
-        return [
-            Variable(name, col, BINARY if integer else CONTINUOUS, lo, up)
-            for col, (name, integer, lo, up) in enumerate(
-                zip(
-                    self.layout.names(),
-                    self.integrality.tolist(),
-                    self.col_lower.tolist(),
-                    self.col_upper.tolist(),
-                )
-            )
-        ]
-
     def row_names(self) -> np.ndarray:
         """Constraint names in row order as an object array, built from the
         family table."""
@@ -192,28 +155,13 @@ class MipModel:
     def constraints(self) -> "RowView":
         return RowView(self)
 
-    def rows_by_family(self, family: str) -> list[Row]:
-        """Rows named ``<family>_<index>``, in row order."""
-        for fam in self.families:
-            if fam.name == family and fam.keys.shape[1]:
-                return list(self._rows(fam.rows, fam.names().tolist()))
-        return []
-
-    def _rows(self, rows: range, names: Iterable[str]) -> Iterator[Row]:
-        lo, hi = rows.start, rows.stop  # list only this span of the arrays
-        codes, rhs = self.row_senses()
-        codes, rhs = codes[lo:hi].tolist(), rhs[lo:hi].tolist()
-        ptr = self.matrix.indptr[lo : hi + 1]
-        cols = self.matrix.indices[ptr[0] : ptr[-1]].tolist()
-        vals = self.matrix.data[ptr[0] : ptr[-1]].tolist()
-        ptr = (ptr - ptr[0]).tolist()
-        for r, name in zip(rows, names):
-            a, b = ptr[r - lo], ptr[r - lo + 1]
-            yield Row(name, dict(zip(cols[a:b], vals[a:b])), SENSES[codes[r - lo]], rhs[r - lo])
-
 
 class RowView:
-    """The model's rows as Row views, built while iterating."""
+    """The model's rows as Row views, built while iterating.
+
+    Only the benchmark tracer and tests read it, the tracer to count rows
+    and nonzeros; it goes once the tracer reads ``matrix.nnz`` instead.
+    """
 
     def __init__(self, model: MipModel):
         self._model = model
@@ -222,30 +170,16 @@ class RowView:
         return self._model.num_rows
 
     def __iter__(self) -> Iterator[Row]:
-        return self._model._rows(range(len(self)), self._model.row_names().tolist())
-
-
-def big_m_visit(arc: Arc, windows: TimeWindows) -> float:
-    """Deactivation constant for time propagation along a movement arc."""
-    if arc.kind is ArcKind.DEPOT:
-        raise ValueError("visit big-M is defined only between points of care")
-    return max(0.0, float(windows.deadline[arc.source] + arc.cost - windows.release[arc.target]))
-
-
-def big_m_completion(i: int, windows: TimeWindows, travel: np.ndarray) -> float:
-    """Deactivation constant for the completion link of carrier node i."""
-    return float(windows.deadline[i] + travel[i, 0])
-
-
-def big_m_shift(arc: Arc, windows: TimeWindows, travel: np.ndarray) -> float:
-    """Deactivation constant for elapsed-shift propagation along a movement arc.
-
-    Nonnegative for preprocessed windows; a negative value signals a window
-    preprocessing should have flagged as empty.
-    """
-    if arc.kind is ArcKind.DEPOT:
-        raise ValueError("shift big-M is defined only between points of care")
-    return float(windows.deadline[arc.target] - travel[0, arc.target])
+        model = self._model
+        codes, rhs = model.row_senses()
+        ptr = model.matrix.indptr.tolist()
+        cols = model.matrix.indices.tolist()
+        vals = model.matrix.data.tolist()
+        for r, (name, code, b) in enumerate(
+            zip(model.row_names().tolist(), codes.tolist(), rhs.tolist())
+        ):
+            lo, hi = ptr[r], ptr[r + 1]
+            yield Row(name, dict(zip(cols[lo:hi], vals[lo:hi])), SENSES[code], b)
 
 
 def _dense_rows(cols: list, vals: list):
@@ -319,8 +253,9 @@ def build_model(
     By default the window, carry-start and shift-cap clauses become variable
     bounds/fixings (mathematically identical, smaller model); with
     explicit_bounds=True they are emitted as rows for one-to-one audits.
-    Big-M constants are the values of big_m_visit, big_m_completion and
-    big_m_shift, computed for all arcs at once.
+    Big-M constants are the tightest the preprocessed windows allow,
+    computed for all arcs at once; the per-arc reference formulas that the
+    tests compare them with live in ``tests/views.py``.
     """
     n = graph.n
     windows = graph.windows

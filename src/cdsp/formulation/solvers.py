@@ -32,7 +32,7 @@ class SolveStatus(str, enum.Enum):
 
 
 class SolverConfigError(RuntimeError):
-    """No usable adapter is registered/configured."""
+    """An adapter is configured with an unknown model or solution format."""
 
 
 @dataclass(frozen=True)
@@ -175,18 +175,21 @@ class FileSolverAdapter:
     name: str = "file"
 
     def __post_init__(self):
-        if self.model_format.lower() not in MODEL_FORMATS:
+        # stored lower-cased: external solvers pick their reader by extension
+        fmt = self.model_format.lower()
+        if fmt not in MODEL_FORMATS:
             raise SolverConfigError(
                 f"unknown model format {self.model_format!r} (known: {list(MODEL_FORMATS)})"
             )
-        if self.solution_format not in _SOLUTION_PARSERS:
+        object.__setattr__(self, "model_format", fmt)
+        if self.solution_format not in SOLUTION_PARSERS:
             raise SolverConfigError(
                 f"unknown solution format {self.solution_format!r} "
-                f"(known: {sorted(_SOLUTION_PARSERS)})"
+                f"(known: {sorted(SOLUTION_PARSERS)})"
             )
 
     def solve(self, model: MipModel, limits: SolveLimits) -> SolveOutcome:
-        parser = _SOLUTION_PARSERS[self.solution_format]
+        parser = SOLUTION_PARSERS[self.solution_format]
         start = time.perf_counter()
         with tempfile.TemporaryDirectory(prefix="cdsp-solve-") as tmp:
             model_path = Path(tmp) / f"model.{self.model_format}"
@@ -393,49 +396,21 @@ def _parse_cbc(text: str) -> _ParsedSolution:
     return out
 
 
-_SOLUTION_PARSERS: dict[str, Callable[[str], _ParsedSolution]] = {
+SOLUTION_PARSERS: dict[str, Callable[[str], _ParsedSolution]] = {
     "plain": _parse_plain,
     "highs": _parse_highs,
     "cbc": _parse_cbc,
 }
-
-_ADAPTERS: dict[str, Callable[[], SolverAdapter]] = {
-    "scipy": ScipyMilpAdapter,
-}
-
-
-def register_adapter(name: str, factory: Callable[[], SolverAdapter]):
-    _ADAPTERS[name] = factory
-
-
-def make_adapter(name: str) -> SolverAdapter:
-    factory = _ADAPTERS.get(name)
-    if factory is None:
-        raise SolverConfigError(
-            f"no solver adapter named {name!r}; registered: {sorted(_ADAPTERS)}"
-        )
-    return factory()
-
-
-def default_adapter() -> SolverAdapter:
-    try:
-        import scipy.optimize  # noqa: F401
-    except ImportError as exc:  # pragma: no cover - scipy is a hard dependency
-        raise SolverConfigError("no MILP backend available: scipy missing") from exc
-    return ScipyMilpAdapter()
-
 
 def solve(
     model: MipModel, limits: SolveLimits | None = None, adapter: SolverAdapter | None = None
 ) -> SolveOutcome:
     """Solve a built model through an adapter (bundled backend by default).
 
-    Adapter crashes become an error outcome with the diagnostic attached;
-    a missing/unresolvable adapter raises SolverConfigError instead.
+    Adapter crashes become an error outcome with the diagnostic attached.
     """
     limits = limits or SolveLimits()
-    if adapter is None:
-        adapter = default_adapter()
+    adapter = adapter or ScipyMilpAdapter()
     try:
         return adapter.solve(model, limits)
     except Exception as exc:  # adapter bug or backend crash

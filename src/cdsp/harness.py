@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .formulation import (
     INTEGRALITY_TOL,
+    ScipyMilpAdapter,
     SolveLimits,
     SolveStatus,
     SolverAdapter,
@@ -173,6 +174,7 @@ def run_instance(
     """
     cfg = cfg or InstanceConfig()
     limits = limits or SolveLimits()
+    adapter = adapter or ScipyMilpAdapter()
     path = Path(path)
     label = path.stem
 
@@ -222,9 +224,7 @@ def run_instance(
         if out_dir is not None:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            fingerprint = config_fingerprint(
-                cfg, limits, getattr(adapter, "name", "scipy-highs"), raw_release
-            )
+            fingerprint = config_fingerprint(cfg, limits, adapter.name, raw_release)
             payload = solution_to_json(sol, fingerprint)
             payload["status"] = outcome.status.value
             (out / f"{label}.solution.json").write_text(json.dumps(payload, indent=2))
@@ -296,6 +296,7 @@ def run_suite(
     """
     cfg = cfg or InstanceConfig()
     limits = limits or SolveLimits()
+    adapter = adapter or ScipyMilpAdapter()
     entries = manifest if isinstance(manifest, list) else load_manifest(manifest)
     solutions_dir = Path(out_dir) / "solutions" if out_dir is not None else None
 
@@ -308,9 +309,7 @@ def run_suite(
     else:
         records = [_run_entry(a) for a in args]
 
-    fingerprint = config_fingerprint(
-        cfg, limits, getattr(adapter, "name", "scipy-highs"), raw_release
-    )
+    fingerprint = config_fingerprint(cfg, limits, adapter.name, raw_release)
     report = BenchmarkReport(records=records, fingerprint=fingerprint)
     if out_dir is not None:
         write_report(report, out_dir)

@@ -81,6 +81,11 @@ class Multigraph:
     windows: TimeWindows
 
     def __post_init__(self):
+        # Only tests read these tables, but they stay: without the lists freed
+        # here, a small buffer that numpy caches during the n = 100 MPS write
+        # lands on top of the heap and keeps malloc from returning the writer's
+        # ~100 MB, which the benchmark's emit-large peak RSS shows in about
+        # half of its runs.
         out: list[list[int]] = [[] for _ in range(self.n + 1)]
         inc: list[list[int]] = [[] for _ in range(self.n + 1)]
         for arc in self.arcs:
@@ -94,14 +99,6 @@ class Multigraph:
 
     def in_arcs(self, node: int) -> tuple[int, ...]:
         return self._in[node]
-
-    def arcs_of_kind(self, kind: ArcKind) -> tuple[Arc, ...]:
-        return tuple(a for a in self.arcs if a.kind is kind)
-
-    @property
-    def movement_arcs(self) -> tuple[Arc, ...]:
-        """Arcs between points of care (inter + replenishment), in id order."""
-        return tuple(a for a in self.arcs if a.kind is not ArcKind.DEPOT)
 
     def cost_from_depot(self, j: int) -> float:
         """Cost of the depot leg 0 -> j (arc ids 0..n-1 by construction)."""

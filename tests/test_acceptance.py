@@ -27,6 +27,7 @@ from cdsp.instances import InstanceConfig, triangle_violations
 from cdsp.harness import run_suite, load_manifest
 from cdsp.oracle import exact_solve_tiny
 
+import views
 from conftest import make_tiny2
 from gen import random_instance
 
@@ -101,12 +102,12 @@ def test_structural_counts():
         for n in range(1, 31):
             inst = random_instance(rng, n, int(rng.integers(1, 4)))
             model = build_model(build_multigraph(inst), inst)
-            assert model.count_binary() == 3 * n * n
-            assert model.count_continuous() == 3 * n
-            assert len(model.rows_by_family("tprop")) == 2 * n * (n - 1)
-            assert len(model.rows_by_family("carry")) == n * (n - 1) ** 2
-            assert len(model.rows_by_family("compl")) == n * n
-            assert len(model.rows_by_family("sprop")) == 2 * n * (n - 1)
+            assert views.count_binary(model) == 3 * n * n
+            assert views.count_continuous(model) == 3 * n
+            assert len(views.rows_by_family(model, "tprop")) == 2 * n * (n - 1)
+            assert len(views.rows_by_family(model, "carry")) == n * (n - 1) ** 2
+            assert len(views.rows_by_family(model, "compl")) == n * n
+            assert len(views.rows_by_family(model, "sprop")) == 2 * n * (n - 1)
 
 
 def test_round_trip_incumbents(equivalence_sweep):

@@ -11,11 +11,11 @@ from cdsp import (
     solve,
     validate_solution,
 )
-from cdsp.formulation import solution_column_values
 from cdsp.oracle import exact_solve_tiny
 
 from conftest import make_tiny2
 from gen import random_instance
+from views import solution_column_values
 
 
 @pytest.fixture
@@ -79,13 +79,6 @@ class TestExtract:
         values[model.layout.x(extra)] = 1.0
         with pytest.raises(ModelDecodeError):
             extract_solution(model, values, g)
-
-    def test_dict_values_accepted(self, tiny2_built):
-        inst, g, model = tiny2_built
-        outcome = solve(model, SolveLimits(time_limit_s=60))
-        as_dict = {i: float(v) for i, v in enumerate(outcome.values) if v != 0.0}
-        sol = extract_solution(model, as_dict, g)
-        assert sol.total_completion == pytest.approx(20.0, abs=1e-9)
 
     def test_two_vehicles_decode(self):
         inst = make_tiny2(fleet_size=2)

@@ -5,18 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdsp import ArcKind, build_model, build_multigraph, preprocess_time_windows
-from cdsp.formulation import (
-    SENSE_EQ,
-    SENSE_LE,
-    big_m_completion,
-    big_m_shift,
-    big_m_visit,
-    solution_column_values,
-)
+from cdsp.formulation import SENSE_EQ, SENSE_LE
 from cdsp.network import Arc, TimeWindows
 from cdsp.oracle import exact_solve_tiny
 
+import views
 from gen import random_instance
+from views import big_m_completion, big_m_shift, big_m_visit, solution_column_values
 
 
 def _windows(release, deadline):
@@ -84,40 +79,40 @@ class TestBigM:
 class TestBuildModel:
     def test_tiny2_carry_rows(self, tiny2):
         model = build_model(build_multigraph(tiny2), tiny2)
-        assert len(model.rows_by_family("carry")) == 2
+        assert len(views.rows_by_family(model, "carry")) == 2
 
     def test_variable_counts_n25(self):
         rng = np.random.default_rng(3)
         inst = random_instance(rng, 25, 10)
         model = build_model(build_multigraph(inst), inst)
-        assert model.count_binary() == 1875
-        assert model.count_continuous() == 75
+        assert views.count_binary(model) == 1875
+        assert views.count_continuous(model) == 75
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_row_count_formulas(self, n):
         rng = np.random.default_rng(n)
         inst = random_instance(rng, n, 2)
         model = build_model(build_multigraph(inst), inst)
-        assert model.count_binary() == 3 * n * n
-        assert model.count_continuous() == 3 * n
-        assert len(model.rows_by_family("tprop")) == 2 * n * (n - 1)
-        assert len(model.rows_by_family("carry")) == n * (n - 1) ** 2
-        assert len(model.rows_by_family("compl")) == n * n
-        assert len(model.rows_by_family("sprop")) == 2 * n * (n - 1)
-        assert len(model.rows_by_family("visit_out")) == n
-        assert len(model.rows_by_family("visit_in")) == n
-        assert len(model.rows_by_family("depot_balance")) == 0  # exact-name row
+        assert views.count_binary(model) == 3 * n * n
+        assert views.count_continuous(model) == 3 * n
+        assert len(views.rows_by_family(model, "tprop")) == 2 * n * (n - 1)
+        assert len(views.rows_by_family(model, "carry")) == n * (n - 1) ** 2
+        assert len(views.rows_by_family(model, "compl")) == n * n
+        assert len(views.rows_by_family(model, "sprop")) == 2 * n * (n - 1)
+        assert len(views.rows_by_family(model, "visit_out")) == n
+        assert len(views.rows_by_family(model, "visit_in")) == n
+        assert len(views.rows_by_family(model, "depot_balance")) == 0  # exact-name row
         assert sum(1 for c in model.constraints if c.name == "depot_balance") == 1
         assert sum(1 for c in model.constraints if c.name == "fleet_cap") == 1
 
     def test_objective_touches_exactly_completion_columns(self, tiny2):
         model = build_model(build_multigraph(tiny2), tiny2)
         lay = model.layout
-        assert model.objective == {lay.completion(1): 1.0, lay.completion(2): 1.0}
+        assert views.objective(model) == {lay.completion(1): 1.0, lay.completion(2): 1.0}
 
     def test_bounds_embed_windows_and_shift(self, tiny2):
         model = build_model(build_multigraph(tiny2), tiny2)
-        by_name = {v.name: v for v in model.variables}
+        by_name = {v.name: v for v in views.variables(model)}
         assert (by_name["z_1"].lower, by_name["z_1"].upper) == (3.0, 10.0)
         assert (by_name["z_2"].lower, by_name["z_2"].upper) == (4.0, 10.0)
         assert (by_name["tau_1"].lower, by_name["tau_1"].upper) == (3.0, 27.0)
@@ -128,12 +123,12 @@ class TestBuildModel:
     def test_explicit_rows_mode(self, tiny2):
         model = build_model(build_multigraph(tiny2), tiny2, explicit_bounds=True)
         n = 2
-        assert len(model.rows_by_family("window_lo")) == n
-        assert len(model.rows_by_family("window_hi")) == n
-        assert len(model.rows_by_family("collect")) == n
-        assert len(model.rows_by_family("shift_lo")) == n
-        assert len(model.rows_by_family("shift_cap")) == n
-        by_name = {v.name: v for v in model.variables}
+        assert len(views.rows_by_family(model, "window_lo")) == n
+        assert len(views.rows_by_family(model, "window_hi")) == n
+        assert len(views.rows_by_family(model, "collect")) == n
+        assert len(views.rows_by_family(model, "shift_lo")) == n
+        assert len(views.rows_by_family(model, "shift_cap")) == n
+        by_name = {v.name: v for v in views.variables(model)}
         assert (by_name["z_1"].lower, by_name["z_1"].upper) == (0.0, math.inf)
         assert (by_name["y_1_1"].lower, by_name["y_1_1"].upper) == (0.0, 1.0)
         collect = next(c for c in model.constraints if c.name == "collect_1")
@@ -163,7 +158,7 @@ class TestBuildModel:
         model = build_model(build_multigraph(inst), inst)
         names = [c.name for c in model.constraints]
         assert len(set(names)) == len(names)
-        assert [v.column for v in model.variables] == list(range(model.num_columns))
+        assert [v.column for v in views.variables(model)] == list(range(model.num_columns))
 
     @pytest.mark.parametrize("n", [1, 2, 8])
     @pytest.mark.parametrize("explicit", [False, True])
@@ -186,7 +181,8 @@ class TestBuildModel:
         assert list(names) == want
         assert [row.name for row in model.constraints] == want
         tprop = next(fam for fam in model.families if fam.name == "tprop")
-        assert [row.name for row in model.rows_by_family("tprop")] == [want[r] for r in tprop.rows]
+        tprop_names = [row.name for row in views.rows_by_family(model, "tprop")]
+        assert tprop_names == [want[r] for r in tprop.rows]
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -199,17 +195,17 @@ class TestBuildModel:
         model = build_model(g, inst)
         lay = model.layout
         arc_by_id = {a.id: a for a in g.arcs}
-        for row in model.rows_by_family("tprop"):
+        for row in views.rows_by_family(model, "tprop"):
             arc = arc_by_id[int(row.name.split("_")[1])]
             m = big_m_visit(arc, g.windows)
             assert row.coeffs.get(lay.x(arc.id), 0.0) == m
             assert row.rhs == m - arc.cost
-        for row in model.rows_by_family("sprop"):
+        for row in views.rows_by_family(model, "sprop"):
             arc = arc_by_id[int(row.name.split("_")[1])]
             m = big_m_shift(arc, g.windows, inst.travel)
             assert row.coeffs.get(lay.x(arc.id), 0.0) == m
             assert row.rhs == m
-        for row in model.rows_by_family("compl"):
+        for row in views.rows_by_family(model, "compl"):
             _, i, j = row.name.split("_")
             m = big_m_completion(int(i), g.windows, inst.travel)
             assert row.coeffs.get(lay.y(int(i), int(j)), 0.0) == m
@@ -228,7 +224,7 @@ class TestModelAdmitsOracleSolutions:
         assert result.solution is not None
         vec = solution_column_values(result.solution, model, g)
         tol = 1e-7
-        for var in model.variables:
+        for var in views.variables(model):
             assert var.lower - tol <= vec[var.column] <= var.upper + tol, var.name
         for row in model.constraints:
             lhs = sum(coef * vec[col] for col, coef in row.coeffs.items())
@@ -238,5 +234,5 @@ class TestModelAdmitsOracleSolutions:
                 assert lhs == pytest.approx(row.rhs, abs=tol), row.name
             else:
                 assert lhs >= row.rhs - tol, row.name
-        objective = sum(vec[col] * coef for col, coef in model.objective.items())
+        objective = sum(vec[col] * coef for col, coef in views.objective(model).items())
         assert objective == pytest.approx(result.best_total, abs=1e-6)

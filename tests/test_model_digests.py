@@ -18,8 +18,9 @@ import pytest
 import scipy.sparse as sp
 
 from cdsp import build_model, build_multigraph, emit_model
-from cdsp.formulation import BINARY, SENSE_EQ, SENSE_GE, SENSE_LE, model_to_arrays, writers
+from cdsp.formulation import SENSE_EQ, SENSE_GE, SENSE_LE, model_to_arrays, writers
 
+import views
 from gen import random_instance
 
 # (n, explicit_bounds) -> (LP sha256, MPS sha256, solver-arrays sha256)
@@ -142,11 +143,12 @@ def test_row_and_column_views_agree_with_arrays(explicit):
     assert (rebuilt != sp.csr_matrix(matrix)).nnz == 0
     assert np.array_equal(lo, row_lb) and np.array_equal(hi, row_ub)
 
-    assert [v.column for v in model.variables] == list(range(model.num_columns))
-    assert np.array_equal([v.lower for v in model.variables], lb)
-    assert np.array_equal([v.upper for v in model.variables], ub)
-    assert np.array_equal([v.kind == BINARY for v in model.variables], integrality == 1)
+    columns = views.variables(model)
+    assert [v.column for v in columns] == list(range(model.num_columns))
+    assert np.array_equal([v.lower for v in columns], lb)
+    assert np.array_equal([v.upper for v in columns], ub)
+    assert np.array_equal([v.kind == views.BINARY for v in columns], integrality == 1)
     want_c = np.zeros(model.num_columns)
-    for col, val in model.objective.items():
+    for col, val in views.objective(model).items():
         want_c[col] = val
     assert np.array_equal(want_c, c)

@@ -17,6 +17,10 @@ from conftest import make_tiny2
 from gen import random_instance
 
 
+def arcs_of_kind(graph: Multigraph, kind: ArcKind) -> list:
+    return [a for a in graph.arcs if a.kind is kind]
+
+
 def arcs_to_csv(graph: Multigraph) -> str:
     """The arc list as CSV, for comparing graphs."""
     lines = ["id,kind,source,target,cost"]
@@ -79,9 +83,9 @@ class TestMultigraph:
     def test_arc_counts_n2(self, tiny2):
         g = build_multigraph(tiny2)
         assert len(g.arcs) == 8
-        assert len(g.arcs_of_kind(ArcKind.DEPOT)) == 4
-        assert len(g.arcs_of_kind(ArcKind.INTER)) == 2
-        assert len(g.arcs_of_kind(ArcKind.REPLENISH)) == 2
+        assert len(arcs_of_kind(g, ArcKind.DEPOT)) == 4
+        assert len(arcs_of_kind(g, ArcKind.INTER)) == 2
+        assert len(arcs_of_kind(g, ArcKind.REPLENISH)) == 2
 
     def test_replenishment_cost_tiny2(self, tiny2):
         g = build_multigraph(tiny2)
@@ -102,16 +106,16 @@ class TestMultigraph:
         inst = random_instance(rng, n, int(rng.integers(1, 4)))
         g = build_multigraph(inst)
         assert len(g.arcs) == 2 * n * n
-        assert len(g.arcs_of_kind(ArcKind.DEPOT)) == 2 * n
-        assert len(g.arcs_of_kind(ArcKind.INTER)) == n * (n - 1)
-        assert len(g.arcs_of_kind(ArcKind.REPLENISH)) == n * (n - 1)
+        assert len(arcs_of_kind(g, ArcKind.DEPOT)) == 2 * n
+        assert len(arcs_of_kind(g, ArcKind.INTER)) == n * (n - 1)
+        assert len(arcs_of_kind(g, ArcKind.REPLENISH)) == n * (n - 1)
 
     def test_exactly_one_arc_per_kind_and_pair(self):
         rng = np.random.default_rng(2)
         inst = random_instance(rng, 6, 2)
         g = build_multigraph(inst)
         for kind in (ArcKind.INTER, ArcKind.REPLENISH):
-            pairs = [(a.source, a.target) for a in g.arcs_of_kind(kind)]
+            pairs = [(a.source, a.target) for a in arcs_of_kind(g, kind)]
             assert sorted(pairs) == sorted(
                 (i, j) for i in range(1, 7) for j in range(1, 7) if i != j
             )
@@ -130,8 +134,8 @@ class TestMultigraph:
         for _ in range(20):
             inst = random_instance(rng, int(rng.integers(2, 9)), 2)
             g = build_multigraph(inst)
-            inter = {(a.source, a.target): a.cost for a in g.arcs_of_kind(ArcKind.INTER)}
-            for arc in g.arcs_of_kind(ArcKind.REPLENISH):
+            inter = {(a.source, a.target): a.cost for a in arcs_of_kind(g, ArcKind.INTER)}
+            for arc in arcs_of_kind(g, ArcKind.REPLENISH):
                 assert arc.cost >= inter[(arc.source, arc.target)] - 1e-9
 
     def test_deterministic_arc_order(self, tiny2):

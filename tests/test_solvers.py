@@ -14,7 +14,7 @@ from cdsp import (
     preprocess_time_windows,
     solve,
 )
-from cdsp.formulation import FileSolverAdapter, ScipyMilpAdapter, make_adapter
+from cdsp.formulation import FileSolverAdapter
 from cdsp.formulation.solvers import _parse_cbc, _parse_highs, _parse_plain
 from cdsp.network import TimeWindows
 
@@ -83,19 +83,6 @@ class TestScipyAdapter:
         outcome = solve(tiny2_model, SolveLimits(time_limit_s=1), adapter=Exploding())
         assert outcome.status is SolveStatus.ERROR
         assert "boom" in outcome.message
-
-    def test_missing_adapter_is_config_error(self):
-        with pytest.raises(SolverConfigError, match="no solver adapter"):
-            make_adapter("nonexistent")
-
-    def test_registry_default(self):
-        assert isinstance(make_adapter("scipy"), ScipyMilpAdapter)
-
-    def test_backend_name_is_not_an_adapter_name(self):
-        # "scipy-highs" names the backend in fingerprints; the adapter is "scipy"
-        assert ScipyMilpAdapter.name == "scipy-highs"
-        with pytest.raises(SolverConfigError, match=r"registered: \[.*'scipy'"):
-            make_adapter("scipy-highs")
 
 
 class TestFileAdapter:
@@ -185,6 +172,26 @@ class TestFileAdapter:
         outcome = solve(tiny2_model, SolveLimits(time_limit_s=10), adapter=adapter)
         assert outcome.status is SolveStatus.INFEASIBLE
         assert copy.read_bytes() == emit_model(tiny2_model, "mps").encode()
+
+    def test_model_file_extension_is_lower_case(self, tiny2_model, tmp_path):
+        # solvers pick their reader by the extension; the solver records the
+        # path it was given, then reports infeasible
+        seen = tmp_path / "path.txt"
+        adapter = FileSolverAdapter(
+            command=(
+                sys.executable,
+                "-c",
+                "import sys; open(sys.argv[3], 'w').write(sys.argv[1]);"
+                "open(sys.argv[2], 'w').write('status infeasible')",
+                "{model}",
+                "{solution}",
+                str(seen),
+            ),
+            model_format="MPS",
+        )
+        outcome = solve(tiny2_model, SolveLimits(time_limit_s=10), adapter=adapter)
+        assert outcome.status is SolveStatus.INFEASIBLE
+        assert Path(seen.read_text()).name == "model.mps"
 
     def test_no_solution_file_is_error(self, tiny2_model):
         adapter = FileSolverAdapter(command=(sys.executable, "-c", "pass"))

@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 from cdsp import build_model, build_multigraph, emit_model
-from cdsp.formulation import BINARY, write_lp, write_mps, writers
+from cdsp.formulation import write_lp, write_mps, writers
 
+import views
 from gen import random_instance
 from readers import read_lp, read_mps
 
 
 def _parsed_matches_model(parsed, model):
-    names = {v.column: v.name for v in model.variables}
+    names = {v.column: v.name for v in views.variables(model)}
     # objective: exactly the completion columns with coefficient 1
-    want_obj = {names[col]: val for col, val in model.objective.items()}
+    want_obj = {names[col]: val for col, val in views.objective(model).items()}
     assert parsed.objective == want_obj
     # constraints: identical counts, coefficients, senses, right-hand sides
     assert len(parsed.constraints) == len(model.constraints)
@@ -26,12 +27,12 @@ def _parsed_matches_model(parsed, model):
         assert coeffs == {names[col]: val for col, val in row.coeffs.items()}
     # variables: every column present with identical bounds and integrality
     parsed_names = set(parsed.variable_names())
-    for var in model.variables:
+    for var in views.variables(model):
         assert var.name in parsed_names
         lo, up = parsed.bound(var.name)
         assert lo == var.lower
         assert up == var.upper or (up == math.inf and var.upper == math.inf)
-        assert (var.name in parsed.integers) == (var.kind == BINARY)
+        assert (var.name in parsed.integers) == (var.kind == views.BINARY)
 
 
 @pytest.fixture
