@@ -28,6 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cdsp",
         description="Exact multi-trip specimen-collection routing toolkit",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -70,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fprime-raw-release", action="store_true")
         p.add_argument("--out", default=None, help="output directory")
 
-    p_solve = sub.add_parser("solve", help="solve one instance file")
+    p_solve = sub.add_parser("solve", help="solve one instance file", allow_abbrev=False)
     p_solve.add_argument("instance")
     add_instance_flags(p_solve)
     add_solver_flags(p_solve)
@@ -80,13 +81,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check the optimum against the exhaustive oracle (n <= 7)",
     )
 
-    p_suite = sub.add_parser("suite", help="run a benchmark manifest")
+    p_suite = sub.add_parser("suite", help="run a benchmark manifest", allow_abbrev=False)
     p_suite.add_argument("manifest")
     add_instance_flags(p_suite)
     add_solver_flags(p_suite)
     p_suite.add_argument("--workers", type=int, default=1, help="parallel instances")
 
-    p_emit = sub.add_parser("emit", help="write the model file for an instance")
+    p_emit = sub.add_parser(
+        "emit", help="write the model file for an instance", allow_abbrev=False
+    )
     p_emit.add_argument("instance")
     p_emit.add_argument("--format", choices=MODEL_FORMATS, required=True)
     p_emit.add_argument(
@@ -97,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_instance_flags(p_emit)
     p_emit.add_argument("--out", default=None, help="output directory (stdout if omitted)")
 
-    p_oracle = sub.add_parser("oracle", help="exhaustive exact solve (tiny instances)")
+    p_oracle = sub.add_parser(
+        "oracle", help="exhaustive exact solve (tiny instances)", allow_abbrev=False
+    )
     p_oracle.add_argument("instance")
     add_instance_flags(p_oracle)
     p_oracle.add_argument("--limit", type=int, default=DEFAULT_LIMIT, help="max points of care")

@@ -9,9 +9,10 @@ from the preprocessed windows.
 The model is stored as arrays only: one CSR constraint matrix, row and
 column bound vectors, an integrality vector, the objective vector and a
 family table giving each constraint family its row range. Row and column
-names are built on access. The per-arc big-M formulas that the build
-vectorizes are kept, one arc at a time, as the reference in
-``tests/views.py``.
+names are built on access; a row name is a code into a small table of
+family heads and one into a table of trailing keys. The per-arc big-M
+formulas that the build vectorizes are kept, one arc at a time, as the
+reference in ``tests/views.py``.
 """
 
 from __future__ import annotations
@@ -94,21 +95,20 @@ class RowFamily:
     rows: range
     keys: np.ndarray  # (len(rows), 0..2) integer name suffixes
 
-    def names(self) -> np.ndarray:
-        """Row names as an object array, built from one string per value of
-        the trailing key and, for two keys, one per value of the leading key."""
-        width = self.keys.shape[1]
-        if not width:
-            return np.full(len(self.rows), self.name, dtype=object)
-        last = self.keys[:, -1]
-        stem = f"{self.name}_" if width == 1 else ""
-        tails = [f"{stem}{b}" for b in range(last.max(initial=0) + 1)]
-        names = np.array(tails, dtype=object)[last]
-        if width == 2:
-            lead = self.keys[:, 0]
-            heads = [f"{self.name}_{a}_" for a in range(lead.max(initial=0) + 1)]
-            names = np.array(heads, dtype=object)[lead] + names
-        return names
+
+class RowNames(NamedTuple):
+    """Row names as codes into two small tables: row r is named
+    ``heads[head_code[r]] + tails[tail_code[r]]``.
+
+    A head is a family name with its leading key and separator
+    (``carry_<a>_``, ``tprop_``, ``fleet_cap``), a tail a trailing key
+    (``<b>``) or "". The tables hold O(n^2) strings, not one per row.
+    """
+
+    heads: list[str]
+    tails: list[str]  # tails[b + 1] == str(b); tails[0] == ""
+    head_code: np.ndarray  # int32, one per row
+    tail_code: np.ndarray  # int32, one per row
 
 
 @dataclass(eq=False)
@@ -137,13 +137,32 @@ class MipModel:
     def num_columns(self) -> int:
         return self.matrix.shape[1]
 
-    def row_names(self) -> np.ndarray:
-        """Constraint names in row order as an object array, built from the
-        family table."""
-        names = np.empty(self.num_rows, dtype=object)
+    def row_name_codes(self) -> RowNames:
+        """The row names as head and tail codes, built from the family table."""
+        head_code = np.empty(self.num_rows, dtype=np.int32)
+        tail_code = np.empty(self.num_rows, dtype=np.int32)
+        heads: list[str] = []
+        keyed = [fam.keys[:, -1] for fam in self.families if fam.keys.shape[1]]
+        last = max((int(keys.max(initial=0)) for keys in keyed), default=-1)
         for fam in self.families:
-            names[fam.rows.start : fam.rows.stop : fam.rows.step] = fam.names()
-        return names
+            rows = slice(fam.rows.start, fam.rows.stop, fam.rows.step)
+            width = fam.keys.shape[1]
+            tail_code[rows] = fam.keys[:, -1] + 1 if width else 0
+            if width == 2:
+                lead = fam.keys[:, 0]
+                first, stop = (int(lead.min()), int(lead.max()) + 1) if len(lead) else (0, 0)
+                head_code[rows] = lead - (first - len(heads))
+                heads += [f"{fam.name}_{a}_" for a in range(first, stop)]
+            else:
+                head_code[rows] = len(heads)
+                heads.append(f"{fam.name}_" if width else fam.name)
+        return RowNames(heads, [""] + [str(b) for b in range(last + 1)], head_code, tail_code)
+
+    def row_names(self) -> np.ndarray:
+        """Constraint names in row order as an object array, for the row
+        view and tests; the writers read `row_name_codes` instead."""
+        heads, tails, head_code, tail_code = self.row_name_codes()
+        return np.array(heads, dtype=object)[head_code] + np.array(tails, dtype=object)[tail_code]
 
     def row_senses(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-row index into SENSES, and the finite right-hand side."""

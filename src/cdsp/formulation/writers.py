@@ -10,20 +10,29 @@ stream into one str. `str.join` drains the generator before it allocates
 the result, so the writer's arrays are freed by then. `write_model` writes
 the stream to an open text file block by block, so the whole text is never
 held at once. The arrays a section builds are freed when it ends; the MPS
-row names, which three sections share, are dropped after the last of them.
+row-name codes, which three sections share, are dropped after the last of
+them.
 
 The text is assembled from small token tables: the column names, the row
-names, and each distinct coefficient, right-hand side and value formatted
-once. A row or a nonzero picks its tokens by index. Rows are gathered in
-consecutive blocks of about _BLOCK_PIECES pieces, and each block is joined
-into one string. LP line lengths are summed from the token lengths, block
-by block; that also gives each line's place in its block. A line longer
-than the line width is broken inside the joined block, at the spaces
-`_wrap` would pick, so no line is joined on its own.
+name heads and tails (`MipModel.row_name_codes`: two int32 codes per row
+into O(n^2) strings), and each distinct coefficient, right-hand side and
+value formatted once. Constant text is folded into its neighbour where that
+saves a piece per row (" " + head, tail + ":", an MPS sense tag + head,
+tail + newline). Each section concatenates its tables into one object
+table. Rows are gathered in consecutive blocks of about _BLOCK_PIECES
+pieces: a block's table ids are placed in an integer array by index
+arithmetic, taken from the table at once and joined into one string. Every
+array a block uses is a view of a buffer allocated once per section and at
+least 1 KiB long, so no block leaves a small buffer in numpy's cache on top
+of the heap. LP line lengths are summed from the lengths of the taken
+pieces; that also gives each line's place in its block. A line longer than
+the line width is broken inside the joined block, at the spaces `_wrap`
+would pick, so no line is joined on its own.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from typing import Iterator, TextIO
@@ -36,6 +45,10 @@ MODEL_FORMATS = ("lp", "mps")
 
 _LINE_WIDTH = 78
 _BLOCK_PIECES = 1 << 16
+#: Bytes of the smallest scratch buffer. numpy keeps freed data buffers
+#: under 1 KiB in a cache; one made while a writer grows the heap can stay
+#: on top of it and keep malloc from trimming the memory freed below.
+_MIN_BYTES = 1024
 
 
 def emit_model(model: MipModel, fmt: str) -> str:
@@ -121,80 +134,152 @@ def _distinct(values: np.ndarray) -> tuple[list[float], np.ndarray]:
     return [1.0, -1.0] + distinct.tolist(), code
 
 
-def _text(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray]:
-    """fmt of each distinct value, and each entry's index into that table."""
+def _text(values: np.ndarray, fmt) -> tuple[list[str], np.ndarray]:
+    """fmt of each distinct value, and each entry's index into that list."""
     distinct, code = _distinct(values)
-    return np.array([fmt(v) for v in distinct], dtype=object), code
+    return [fmt(v) for v in distinct], code
 
 
 def _lengths(table) -> np.ndarray:
-    return np.fromiter(map(len, table), dtype=np.int32, count=len(table))
+    return np.fromiter(map(len, table), dtype=np.intp, count=len(table))
 
 
-def _concat_rows(ptr: np.ndarray, head=(), items=(), tail=(), finish=None) -> Iterator[str]:
-    """Yield, for every row r, the head pieces, then the pieces of its items
-    ptr[r]:ptr[r+1] in order, then the tail pieces.
+def _table(*parts) -> tuple[np.ndarray, list[int]]:
+    """One object array of the str sequences ``parts``, and each one's offset
+    in it."""
+    offsets = list(itertools.accumulate(map(len, parts), initial=0))
+    return np.array(list(itertools.chain(*parts)), dtype=object), offsets[:-1]
 
-    A head or tail piece is one str for all rows, or a (table, index) pair
-    with one index per row (index None: one table entry per row). An item
-    piece is a (table, index) pair with one index per item (index None: the
-    item's row's entry). Rows are taken in consecutive blocks of about
-    _BLOCK_PIECES pieces; each block's pieces are placed by index
-    arithmetic and joined. The block of rows r0:r1 is yielded as
-    finish(block, r0, r1) if finish is given, else as it is.
+
+def _scratch(size: int, dtype=np.intp) -> np.ndarray:
+    dtype = np.dtype(dtype)
+    return np.empty(max(size, _MIN_BYTES // dtype.itemsize), dtype=dtype)
+
+
+def _concat_rows(table, ptr, head=(), items=(), tail=(), wrap=False) -> Iterator[str]:
+    """Yield the text of every row r: its head pieces, then the pieces of its
+    items ptr[r]:ptr[r+1] in order, then its tail pieces.
+
+    A piece stands for one entry of ``table`` per row (or per item): a
+    constant table id, or (offset, codes) for the id offset + codes[k] of
+    row (item) k, or offset + the row itself with codes None, or, for an
+    item, (offset, codes, via) for offset + codes[via[k]] with int32 codes.
+    Every row has a head or tail piece.
+
+    Rows are taken in consecutive blocks of about _BLOCK_PIECES pieces. A
+    block's ids are placed by integer arithmetic, gathered from the table
+    by one take and joined. Every array a block uses is a view of a buffer
+    allocated once for the section, at least _MIN_BYTES long (the takes use
+    mode "clip": under "raise" numpy takes into a temporary). With wrap,
+    a line longer than the line width is broken at the spaces `_breaks`
+    picks, its head pieces kept whole; line lengths are summed from the
+    lengths of the table entries.
     """
     num_rows = len(ptr) - 1
-    per_item = len(items)
-    per_row = len(head) + len(tail)
-    total = per_item * int(ptr[-1]) + per_row * num_rows
-    cuts = [0, num_rows]
-    if total > _BLOCK_PIECES:
-        before = per_item * ptr + per_row * np.arange(num_rows + 1)
-        cuts = np.searchsorted(before, np.arange(0, total, _BLOCK_PIECES)).tolist() + [num_rows]
-    for r0, r1 in zip(cuts, cuts[1:]):
-        if r0 == r1:
-            continue
-        p = ptr[r0 : r1 + 1]
-        i0, i1 = int(p[0]), int(p[-1])
-        if i0:
-            p = p - i0
-        counts = np.diff(p)
-        row = np.arange(r1 - r0)
-        pieces = np.empty(per_item * (i1 - i0) + per_row * (r1 - r0), dtype=object)
-        start = per_item * p[:-1] + per_row * row
-        for k, piece in enumerate(head):
-            pieces[start + k] = _gather(piece, r0, r1)
-        if per_item:
-            first = per_item * np.arange(i1 - i0) + np.repeat(len(head) + per_row * row, counts)
-            for k, (table, index) in enumerate(items):
-                if index is None:
-                    pieces[first + k] = np.repeat(table[r0:r1], counts)
-                else:
-                    pieces[first + k] = table[index[i0:i1]]
-        end = start + len(head) + per_item * counts
-        for k, piece in enumerate(tail):
-            pieces[end + k] = _gather(piece, r0, r1)
-        block = "".join(pieces.tolist())
-        del pieces
-        yield block if finish is None else finish(block, r0, r1)
+    h, q = len(head), len(items)
+    w = h + len(tail)
+    before = np.arange(num_rows + 1, dtype=np.int64) * w  # each row's first piece
+    if q:
+        before += np.multiply(ptr, q, dtype=np.int64)
+    cuts = [0]
+    while cuts[-1] < num_rows:
+        r0 = cuts[-1]
+        r1 = int(np.searchsorted(before, before[r0] + _BLOCK_PIECES, "right")) - 1
+        cuts.append(max(r0 + 1, r1))
+    bounds = list(zip(cuts, cuts[1:]))
+    most_pieces = max((int(before[r1] - before[r0]) for r0, r1 in bounds), default=0)
+    most_rows = max((r1 - r0 for r0, r1 in bounds), default=0)
+    most_items = max((int(ptr[r1] - ptr[r0]) for r0, r1 in bounds), default=0) if q else 0
+    ids, objs = _scratch(most_pieces), _scratch(most_pieces, object)
+    at, row_ids = _scratch(most_rows + 1), _scratch(most_rows + 1)
+    iota = np.arange(max(most_rows, most_items, _MIN_BYTES // 8))
+    if q:
+        row_of, item_at = _scratch(most_items + 1), _scratch(most_items)
+        item_ids, via = _scratch(most_items), _scratch(most_items)
+        picked = _scratch(most_items, np.int32)
+        item_first = iota * q + h
+    if wrap:
+        lengths = _lengths(table)
+        chars, line_end = _scratch(most_pieces + 1), _scratch(most_rows)
+        line_keep, long = _scratch(most_rows), _scratch(most_rows, bool)
+        chars[0] = 0
+
+    def fill(piece, lo, hi, own, out, where):
+        """Write the piece's ids for the rows or items lo:hi, which sit in
+        the block's rows ``own`` (0 being row r0), to ids[where], and step
+        ``where`` to the next piece."""
+        if isinstance(piece, int):
+            ids[where] = piece
+        else:
+            offset, codes, *index = piece
+            if codes is None:
+                np.add(own, offset + r0, out=out)
+            elif index:
+                np.copyto(via[: hi - lo], index[0][lo:hi])
+                np.take(codes, via[: hi - lo], out=picked[: hi - lo], mode="clip")
+                np.add(picked[: hi - lo], offset, out=out)
+            else:
+                np.add(codes[lo:hi], offset, out=out)
+            ids[where] = out
+        where += 1
+
+    for r0, r1 in bounds:
+        num = r1 - r0
+        size = int(before[r1] - before[r0])
+        row_at = at[:num]
+        np.subtract(before[r0:r1], before[r0], out=row_at)
+        for piece in head:
+            fill(piece, r0, r1, iota[:num], row_ids[:num], row_at)
+        if q:
+            i0, i1 = int(ptr[r0]), int(ptr[r1])
+            count = i1 - i0
+            own = row_of[: count + 1]
+            own.fill(0)
+            np.subtract(ptr[r0 + 1 : r1], i0, out=row_ids[: num - 1])
+            np.add.at(own, row_ids[: num - 1], 1)
+            own = np.cumsum(own[:count], out=own[:count])  # each item's row in the block
+            pos = item_at[:count]
+            np.multiply(own, w, out=pos)
+            pos += item_first[:count]
+            for piece in items:
+                fill(piece, i0, i1, own, item_ids[:count], pos)
+        np.subtract(before[r0 + 1 : r1 + 1], before[r0] + len(tail), out=row_at)
+        for piece in tail:
+            fill(piece, r0, r1, iota[:num], row_ids[:num], row_at)
+        block_ids = ids[:size]
+        block = "".join(np.take(table, block_ids, out=objs[:size], mode="clip").tolist())
+        if wrap:
+            ends = chars[1 : size + 1]
+            np.take(lengths, block_ids, out=ends, mode="clip")
+            np.cumsum(ends, out=ends)  # chars[k]: where piece k starts
+            np.subtract(before[r0 : r1 + 1], before[r0], out=at[: num + 1])
+            starts = np.take(chars, at[:num], out=row_ids[:num], mode="clip")
+            np.take(chars, at[1 : num + 1], out=line_end[:num], mode="clip")
+            line_end[:num] -= 1  # without the newline
+            at[:num] += h
+            np.take(chars, at[:num], out=line_keep[:num], mode="clip")
+            line_keep[:num] -= starts
+            np.subtract(line_end[:num], starts, out=at[:num])
+            flags = np.greater(at[:num], _LINE_WIDTH, out=long[:num]).tobytes()
+            breaks = []
+            r = flags.find(1)
+            while r >= 0:
+                breaks += _breaks(block, int(starts[r]), int(line_keep[r]), int(line_end[r]))
+                r = flags.find(1, r + 1)
+            if breaks:
+                block = _split_at(block, breaks)
+        yield block
 
 
-def _gather(piece, r0: int, r1: int):
-    if isinstance(piece, str):
-        return piece
-    table, index = piece
-    return table[r0:r1] if index is None else table[index[r0:r1]]
-
-
-def _lp_rows(ptr, indices, data, columns, labels, senses=None, rhs=None) -> Iterator[str]:
+def _lp_rows(ptr, indices, data, names, labels, senses=None, rhs=None) -> Iterator[str]:
     """Yield one LP line per CSR row: " <label>:", signed terms, then
     " <sense> <rhs>" (if senses are given) and the newline.
 
-    ``columns`` is the (names, lengths) table of the columns, ``labels``
-    one name per row. Line lengths are summed from the token lengths; a
-    line longer than the line width is broken in its joined block, the
-    " <label>:" kept whole.
+    ``names`` are the column names, ``labels`` the rows' names as
+    (heads, tails, head_code, tail_code) (see `MipModel.row_name_codes`).
+    A line longer than the line width is broken, the " <label>:" kept whole.
     """
+    heads, tails, head_code, tail_code = labels
     distinct, code = _distinct(data)
     terms = [
         (" - " if v < 0 else " + ") + ("" if abs(v) == 1.0 else _num(abs(v)) + " ")
@@ -202,42 +287,23 @@ def _lp_rows(ptr, indices, data, columns, labels, senses=None, rhs=None) -> Iter
     ]
     leads = [t if v < 0 else " " + t[3:] for t, v in zip(terms, distinct)]
     code[ptr[:-1][np.diff(ptr) > 0]] += len(distinct)
-    prefixes = np.array(terms + leads, dtype=object)
-    prefix_len = _lengths(prefixes)
     if senses is None:
-        ends, end_code = np.array(["\n"], dtype=object), np.zeros(len(ptr) - 1, dtype=int)
+        ends = ["\n"]
     else:
         distinct_rhs, rhs_code = _distinct(rhs)
         rhs_text = [_num(v) for v in distinct_rhs]
-        ends = np.array([f" {s} {t}\n" for s in SENSES for t in rhs_text], dtype=object)
-        end_code = senses * len(rhs_text) + rhs_code
-    end_len = _lengths(ends) - 1  # without the newline
-    names, name_len = columns
-
-    def wrap(block, r0, r1):
-        p = ptr[r0 : r1 + 1]
-        i0, i1 = int(p[0]), int(p[-1])
-        item_len = np.take(prefix_len, code[i0:i1]) + np.take(name_len, indices[i0:i1])
-        at = np.concatenate(([0], np.cumsum(item_len)))
-        keep = 2 + _lengths(labels[r0:r1])
-        line_len = keep + np.diff(at[p - i0]) + np.take(end_len, end_code[r0:r1])
-        rows = np.flatnonzero(line_len > _LINE_WIDTH)
-        if not len(rows):
-            return block
-        line_at = np.cumsum(line_len + 1) - (line_len + 1)
-        cuts = []
-        for start, kept, end in zip(
-            line_at[rows].tolist(), keep[rows].tolist(), (line_at + line_len)[rows].tolist()
-        ):
-            cuts += _breaks(block, start, kept, end)
-        return _split_at(block, cuts)
-
+        ends = [f" {s} {t}\n" for s in SENSES for t in rhs_text]
+    table, (head_at, tail_at, term_at, name_at, end_at) = _table(
+        [" " + head for head in heads], [tail + ":" for tail in tails], terms + leads, names, ends
+    )
+    end = end_at if senses is None else (end_at, senses * len(rhs_text) + rhs_code)
     yield from _concat_rows(
+        table,
         ptr,
-        [" ", (labels, None), ":"],
-        [(prefixes, code), (names, indices)],
-        [(ends, end_code)],
-        wrap,
+        [(head_at, head_code), (tail_at, tail_code)],
+        [(term_at, code), (name_at, indices)],
+        [end],
+        wrap=True,
     )
 
 
@@ -245,16 +311,14 @@ def _lp_stream(model: MipModel) -> Iterator[str]:
     label = model.metadata.get("label", "")
     yield f"\\ cdsp model  label={label}  n={model.n}  K={model.fleet_size}\nMinimize\n"
     names = model.layout.names()
-    columns = (np.array(names, dtype=object), _lengths(names))
     costed = np.flatnonzero(model.c)
-    one_row = np.array([0, len(costed)])
-    yield from _lp_rows(one_row, costed, model.c[costed], columns, np.array(["obj"], dtype=object))
+    objective = (["obj"], [""], np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32))
+    yield from _lp_rows(np.array([0, len(costed)]), costed, model.c[costed], names, objective)
     yield "Subject To\n"
     matrix = model.matrix
     yield from _lp_rows(
-        matrix.indptr, matrix.indices, matrix.data, columns, model.row_names(), *model.row_senses()
+        matrix.indptr, matrix.indices, matrix.data, names, model.row_name_codes(), *model.row_senses()
     )
-    del columns
     lines = ["Bounds\n"]
     for name, integer, lo, up in zip(
         names, model.integrality.tolist(), model.col_lower.tolist(), model.col_upper.tolist()
@@ -281,19 +345,27 @@ def _mps_stream(model: MipModel) -> Iterator[str]:
     safe = re.sub(r"[^A-Za-z0-9_.-]", "_", label)
     yield f"NAME {safe}\nROWS\n N obj\n"
     names = model.layout.names()
-    row_names = model.row_names()
-    codes, rhs = model.row_senses()
-    one_line_per_row = np.zeros(model.num_rows + 1, dtype=np.int64)  # rows without items
+    heads, tails, head_code, tail_code = model.row_name_codes()
+    senses, rhs = model.row_senses()
+    rhs_text, rhs_code = _text(rhs, lambda v: f"  {_num(v)}\n")
+    del rhs
+    no_items = np.broadcast_to(0, model.num_rows + 1)
     tag = {SENSE_LE: " L ", SENSE_EQ: " E ", SENSE_GE: " G "}
-    tags = np.array([tag[s] for s in SENSES], dtype=object)
-    yield from _concat_rows(one_line_per_row, [(tags, codes), (row_names, None), "\n"])
-    del codes
+    table, (head_at, tail_at) = _table(
+        [tag[s] + head for s in SENSES for head in heads], [tail + "\n" for tail in tails]
+    )
+    yield from _concat_rows(
+        table, no_items, [(head_at, senses * len(heads) + head_code), (tail_at, tail_code)]
+    )
+    del table, senses
     yield "COLUMNS\n"
-    yield from _mps_columns(model, names, row_names)
+    yield from _mps_columns(model, names, heads, tails, head_code, tail_code)
     yield "RHS\n"
-    rhs_text = _text(rhs, lambda v: f"  {_num(v)}\n")
-    yield from _concat_rows(one_line_per_row, ["    RHS  ", (row_names, None), rhs_text])
-    del row_names, rhs, rhs_text, one_line_per_row
+    table, (head_at, tail_at, rhs_at) = _table(["    RHS  " + head for head in heads], tails, rhs_text)
+    yield from _concat_rows(
+        table, no_items, [(head_at, head_code), (tail_at, tail_code), (rhs_at, rhs_code)]
+    )
+    del table, head_code, tail_code, rhs_code
     lines = ["BOUNDS\n"]
     for name, integer, lo, up in zip(
         names, model.integrality.tolist(), model.col_lower.tolist(), model.col_upper.tolist()
@@ -311,33 +383,38 @@ def _mps_stream(model: MipModel) -> Iterator[str]:
     yield "".join(lines)
 
 
-def _mps_columns(model: MipModel, names: list[str], row_names: np.ndarray) -> Iterator[str]:
+def _mps_columns(model: MipModel, names, heads, tails, head_code, tail_code) -> Iterator[str]:
     """The COLUMNS section: each column's nonzeros in row order, with the
     integer columns between MARKER lines."""
     csc = model.matrix.tocsc()
     csc.sort_indices()
     ptr, rows = csc.indptr, csc.indices
-    values = _text(csc.data, lambda v: f"  {_num(v)}\n")
+    values, value_code = _text(csc.data, lambda v: f"  {_num(v)}\n")
     del csc  # the values are coded
-    heads = []
+    starts = []
     in_integer = False
     for name, integer, cost, cells in zip(
         names, model.integrality.tolist(), model.c.tolist(), np.diff(ptr).tolist()
     ):
-        head = ""
+        start = ""
         if integer and not in_integer:
-            head = "    MARKER    'MARKER'    'INTORG'\n"
+            start = "    MARKER    'MARKER'    'INTORG'\n"
         elif not integer and in_integer:
-            head = "    MARKER    'MARKER'    'INTEND'\n"
+            start = "    MARKER    'MARKER'    'INTEND'\n"
         in_integer = bool(integer)
         if cost != 0.0 or not cells:  # an otherwise-empty column is declared with obj 0
-            head += f"    {name}  obj  {_num(cost)}\n"
-        heads.append(head)
+            start += f"    {name}  obj  {_num(cost)}\n"
+        starts.append(start)
+    table, (start_at, name_at, head_at, tail_at, value_at) = _table(
+        starts, [f"    {name}  " for name in names], heads, tails, values
+    )
+    del starts, values
     cells = [
-        (np.array([f"    {name}  " for name in names], dtype=object), None),
-        (row_names, rows),
-        values,
+        (name_at, None),
+        (head_at, head_code, rows),
+        (tail_at, tail_code, rows),
+        (value_at, value_code),
     ]
-    yield from _concat_rows(ptr, [(np.array(heads, dtype=object), None)], cells)
+    yield from _concat_rows(table, ptr, [(start_at, None)], cells)
     if in_integer:
         yield "    MARKER    'MARKER'    'INTEND'\n"

@@ -184,6 +184,21 @@ class TestBuildModel:
         tprop_names = [row.name for row in views.rows_by_family(model, "tprop")]
         assert tprop_names == [want[r] for r in tprop.rows]
 
+    @pytest.mark.parametrize("n", [1, 30])
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_row_name_tables_stay_small(self, n, explicit):
+        # two int32 codes per row into O(n^2) strings, not one string per
+        # row; n = 1 has families with no rows and with zero-width keys
+        inst = random_instance(np.random.default_rng(n), n, max(1, n // 4))
+        model = build_model(build_multigraph(inst), inst, explicit_bounds=explicit)
+        heads, tails, head_code, tail_code = model.row_name_codes()
+        assert len(heads) + len(tails) <= 4 * n * n + 20
+        for codes, table in ((head_code, heads), (tail_code, tails)):
+            assert codes.dtype == np.int32
+            assert codes.shape == (model.num_rows,)
+            assert 0 <= codes.min() and codes.max() < len(table)
+        assert all(type(name) is str for name in heads + tails)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_big_m_coefficients_are_tightest(self, seed):

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import json
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from cdsp.harness import (
 from gen import random_instance
 
 LIMITS = SolveLimits(time_limit_s=60.0)
+GEN20 = Path(__file__).parent / "data" / "gen20.txt"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -325,12 +328,14 @@ class TestCli:
         assert "ENDATA" in out
 
     @pytest.mark.parametrize("fmt", ["lp", "mps"])
-    @pytest.mark.parametrize("which", ["tiny2", "n8"])
+    @pytest.mark.parametrize("which", ["tiny2", "n8", "gen20"])
     def test_emit_bytes_equal_emit_model(self, tmp_path, tiny2_file, capsysbinary, fmt, which):
         from cdsp import build_instance, build_model, build_multigraph, emit_model, parse_solomon
         from cdsp.cli import main
 
         path, flags, cfg = tiny2_file, ["--fleet", "file"], InstanceConfig(fleet_size="file")
+        if which == "gen20":
+            path = GEN20  # several row blocks per section
         if which == "n8":
             inst = random_instance(np.random.default_rng(8), 8, 2)
             raw = RawInstance("gen-n8", inst.fleet_size, 200.0, inst.sites, (0.0,) * 9)
@@ -346,6 +351,27 @@ class TestCli:
         out_dir = tmp_path / "out"
         assert main(["emit", str(path), "--format", fmt, *flags, "--out", str(out_dir)]) == 0
         assert (out_dir / f"{path.stem}.{fmt}").read_bytes() == want
+
+    def test_gen20_is_seeded_and_spans_row_blocks(self):
+        # the n = 20 file that CI's console-script check emits: seed 20 of
+        # gen.random_instance, written by write_solomon; its LP and MPS
+        # sections take more than one row block each
+        from cdsp import build_instance, build_model, build_multigraph, parse_solomon
+        from cdsp.formulation import writers
+
+        inst = random_instance(np.random.default_rng(20), 20, 5)
+        raw = RawInstance("gen20", inst.fleet_size, 200.0, inst.sites, (0.0,) * 21)
+        assert GEN20.read_text() == write_solomon(raw)
+        cfg = InstanceConfig(fleet_size="file")
+        inst = build_instance(parse_solomon(GEN20.read_text()), cfg, label="gen20")
+        model = build_model(build_multigraph(inst), inst)
+        for fmt in ("lp", "mps"):
+            blocked, whole = [], []
+            writers.write_model(model, fmt, SimpleNamespace(write=blocked.append))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(writers, "_BLOCK_PIECES", 1 << 40)
+                writers.write_model(model, fmt, SimpleNamespace(write=whole.append))
+            assert len(blocked) > len(whole)
 
     def test_oracle_subcommand(self, tiny2_file, capsys):
         from cdsp.cli import main

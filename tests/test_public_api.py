@@ -66,7 +66,9 @@ def test_solve_without_solver_flag_uses_bundled_backend(tmp_path, capsys):
 
 
 def test_solver_flag_is_gone(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", str(TINY2), "--fleet", "file", "--solver", "scipy"])
-    assert exc.value.code == 2
-    assert "error: ambiguous option: --solver" in capsys.readouterr().err
+    # no flag is matched by a prefix: --solver-c is not --solver-cmd
+    for flag, value in (("--solver", "scipy"), ("--solver-c", "echo")):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(TINY2), "--fleet", "file", flag, value])
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err

@@ -201,8 +201,9 @@ class _Sink:
 
 def test_write_model_never_holds_the_text(tmp_path):
     # write_mps holds its blocks and the joined text at once: two texts. A
-    # stream holds one block besides the writer's own arrays, which come
-    # to about one text here (the row names alone take ~70 bytes a row).
+    # stream holds one block besides the writer's own arrays: the CSC index,
+    # the value codes and two int32 row-name codes per row, with O(n^2)
+    # strings in their tables. Together they stay under 0.8 texts here.
     inst = random_instance(np.random.default_rng(50), 50, 12)
     model = build_model(build_multigraph(inst), inst)
     path = tmp_path / "model.mps"
@@ -220,6 +221,7 @@ def test_write_model_never_holds_the_text(tmp_path):
     assert path.stat().st_size == size
     assert sink.largest < size / 10
     assert streamed < joined - size / 2, (streamed, joined, size)
+    assert streamed < 0.8 * size, (streamed, size)
 
 
 def test_write_model_rejects_unknown_format_before_writing(tiny2_model):

@@ -69,6 +69,7 @@ def rows_by_family(model: MipModel, family: str) -> list[Row]:
         return []
     codes, rhs = model.row_senses()
     ptr, cols, vals = model.matrix.indptr, model.matrix.indices, model.matrix.data
+    names = model.row_names()[fam.rows.start : fam.rows.stop : fam.rows.step]
     return [
         Row(
             name,
@@ -76,7 +77,7 @@ def rows_by_family(model: MipModel, family: str) -> list[Row]:
             SENSES[codes[r]],
             float(rhs[r]),
         )
-        for r, name in zip(fam.rows, fam.names().tolist())
+        for r, name in zip(fam.rows, names.tolist())
     ]
 
 
