@@ -46,7 +46,6 @@ from .instances import (
     write_solomon,
 )
 from .network import (
-    Arc,
     ArcKind,
     InfeasibleWindowError,
     Multigraph,
@@ -72,7 +71,6 @@ from .routes import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc",
     "ArcKind",
     "BenchmarkReport",
     "EvaluatedSolution",

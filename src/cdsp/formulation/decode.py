@@ -38,71 +38,73 @@ def extract_solution(
     lay = model.layout
     n = model.n
 
-    traversed: list[int] = []
-    for arc in graph.arcs:
-        val = vec[lay.x(arc.id)]
-        if abs(val - round(val)) > integrality_tol:
-            raise ModelDecodeError(f"fractional arc value x_{arc.id} = {val!r}")
-        if round(val) == 1:
-            traversed.append(arc.id)
-        elif round(val) != 0:
-            raise ModelDecodeError(f"arc value x_{arc.id} = {val!r} outside {{0,1}}")
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            val = vec[lay.y(i, j)]
-            if abs(val - round(val)) > integrality_tol:
-                raise ModelDecodeError(f"fractional carry value y_{i}_{j} = {val!r}")
+    x = vec[: lay.num_arcs]  # lay.x is the identity on arc ids
+    rounded = np.round(x)
+    fractional = np.abs(x - rounded) > integrality_tol
+    bad = fractional | ((rounded != 0) & (rounded != 1))
+    if bad.any():
+        a = int(np.argmax(bad))
+        if fractional[a]:
+            raise ModelDecodeError(f"fractional arc value x_{a} = {vec[a]!r}")
+        raise ModelDecodeError(f"arc value x_{a} = {vec[a]!r} outside {{0,1}}")
+    y = vec[lay.y(1, 1) : lay.y(n, n) + 1]
+    bad = np.abs(y - np.round(y)) > integrality_tol
+    if bad.any():
+        k = int(np.argmax(bad))
+        i, j = divmod(k, n)
+        raise ModelDecodeError(f"fractional carry value y_{i + 1}_{j + 1} = {y[k]!r}")
 
-    arc_by_id = {a.id: a for a in graph.arcs}
-    out_next: dict[int, int] = {}
-    depot_starts: list[int] = []
-    in_count = {j: 0 for j in range(0, n + 1)}
-    for arc_id in traversed:
-        arc = arc_by_id[arc_id]
-        if arc.source == 0:
-            depot_starts.append(arc_id)
-        else:
-            if arc.source in out_next:
-                raise ModelDecodeError(f"node {arc.source} has out-degree > 1")
-            out_next[arc.source] = arc_id
-        in_count[arc.target] += 1
-
-    for j in range(1, n + 1):
-        outs = 1 if j in out_next else 0
-        if outs != 1 or in_count[j] != 1:
-            raise ModelDecodeError(
-                f"node {j} has out-degree {outs}, in-degree {in_count[j]} (must be 1/1)"
-            )
-    if len(depot_starts) != in_count[0]:
+    # the traversed arcs, in id order; positions below index into them
+    traversed = np.flatnonzero(rounded == 1)
+    table = graph.arcs[traversed]
+    src, tgt = table["source"], table["target"]
+    leaves = np.flatnonzero(src > 0)
+    _, first = np.unique(src[leaves], return_index=True)
+    repeated = np.ones(len(leaves), dtype=bool)
+    repeated[first] = False
+    if repeated.any():
+        node = src[leaves[np.argmax(repeated)]]
+        raise ModelDecodeError(f"node {node} has out-degree > 1")
+    out_deg = np.bincount(src, minlength=n + 1)
+    in_deg = np.bincount(tgt, minlength=n + 1)
+    bad = (out_deg[1:] != 1) | (in_deg[1:] != 1)
+    if bad.any():
+        j = int(np.argmax(bad)) + 1
         raise ModelDecodeError(
-            f"depot out-degree {len(depot_starts)} != in-degree {in_count[0]}"
+            f"node {j} has out-degree {out_deg[j]}, in-degree {in_deg[j]} (must be 1/1)"
         )
-    if len(depot_starts) > model.fleet_size:
+    if out_deg[0] != in_deg[0]:
+        raise ModelDecodeError(f"depot out-degree {out_deg[0]} != in-degree {in_deg[0]}")
+    if out_deg[0] > model.fleet_size:
         raise ModelDecodeError(
-            f"{len(depot_starts)} vehicles leave the depot, fleet size {model.fleet_size}"
+            f"{out_deg[0]} vehicles leave the depot, fleet size {model.fleet_size}"
         )
 
-    visit = {j: float(vec[lay.z(j)]) for j in range(1, n + 1)}
+    succ = np.full(n + 1, -1)
+    succ[src[leaves]] = leaves
+    succ, targets, kinds = succ.tolist(), tgt.tolist(), table["kind"].tolist()
+    depot, replenish = ArcKind.DEPOT.code, ArcKind.REPLENISH.code
+    visit = dict(zip(range(1, n + 1), vec[lay.z(1) : lay.z(n) + 1].tolist()))
     tours: list[Tour] = []
     deliveries: list[tuple[float, ...]] = []
     completion: dict[int, float] = {}
     used = 0
-    for vehicle, start_arc in enumerate(sorted(depot_starts), start=1):
-        trips: list[list[int]] = [[arc_by_id[start_arc].target]]
-        current = arc_by_id[start_arc].target
+    for vehicle, start in enumerate(np.flatnonzero(src == 0).tolist(), start=1):
+        current = targets[start]
+        trips: list[list[int]] = [[current]]
         used += 1
         for _ in range(n + 1):
-            arc = arc_by_id[out_next[current]] if current in out_next else None
-            if arc is None:
+            pos = succ[current]
+            if pos < 0:
                 raise ModelDecodeError(f"walk stranded at node {current}")
             used += 1
-            if arc.kind is ArcKind.DEPOT:
+            if kinds[pos] == depot:
                 break
-            if arc.kind is ArcKind.REPLENISH:
-                trips.append([arc.target])
+            current = targets[pos]
+            if kinds[pos] == replenish:
+                trips.append([current])
             else:
-                trips[-1].append(arc.target)
-            current = arc.target
+                trips[-1].append(current)
         else:
             raise ModelDecodeError("vehicle walk never returns to the depot")
         trip_objs = tuple(Trip(tuple(t)) for t in trips)

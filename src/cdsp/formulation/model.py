@@ -286,13 +286,9 @@ def build_model(
     no_keys = np.empty((1, 0), dtype=np.int64)  # for a single named row
 
     arcs = graph.arcs
-    arc_id = np.fromiter((a.id for a in arcs), np.int64, len(arcs))
-    assert np.array_equal(arc_id, np.arange(lay.num_arcs)), "arcs must come in id order"
-    src = np.fromiter((a.source for a in arcs), np.int64, len(arcs))
-    tgt = np.fromiter((a.target for a in arcs), np.int64, len(arcs))
-    cost = np.fromiter((a.cost for a in arcs), float, len(arcs))
-    is_depot = np.fromiter((a.kind is ArcKind.DEPOT for a in arcs), bool, len(arcs))
-    is_inter = np.fromiter((a.kind is ArcKind.INTER for a in arcs), bool, len(arcs))
+    src, tgt, cost = arcs["source"], arcs["target"], arcs["cost"]
+    is_depot = arcs["kind"] == ArcKind.DEPOT.code
+    is_inter = arcs["kind"] == ArcKind.INTER.code
 
     col_lower = np.zeros(lay.num_columns)
     col_upper = np.ones(lay.num_columns)

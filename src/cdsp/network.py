@@ -6,6 +6,9 @@ care carries one replenishment arc whose traversal hides an intermediate
 depot visit; its cost is the sum of the two depot legs. Time windows are
 tightened at build time: a site cannot be visited before the depot leg in,
 nor so late that the vehicle misses the depot deadline on the way back.
+
+The 2n^2 arcs are one read-only numpy table (``ARC_DTYPE``): the arc id is
+the row index, and the ``kind`` field holds ``ArcKind.code``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,16 @@ class ArcKind(enum.Enum):
     INTER = "inter"  # direct leg between two points of care
     REPLENISH = "replenish"  # hidden depot visit between two points of care
 
+    @property
+    def code(self) -> int:
+        """This kind's value in the arc table's ``kind`` field."""
+        return tuple(ArcKind).index(self)
+
+
+ARC_DTYPE = np.dtype(
+    [("source", np.int64), ("target", np.int64), ("kind", np.int8), ("cost", np.float64)]
+)
+
 
 class InfeasibleWindowError(ValueError):
     """A tightened window is empty: the node cannot be served at all."""
@@ -36,77 +49,38 @@ class InfeasibleWindowError(ValueError):
 
 
 @dataclass(frozen=True)
-class Arc:
-    id: int
-    source: int
-    target: int
-    kind: ArcKind
-    cost: float
-
-    def __post_init__(self):
-        if self.cost < 0:
-            raise ValueError(f"arc {self.id}: negative cost")
-        if self.kind is ArcKind.DEPOT:
-            if (self.source == 0) == (self.target == 0):
-                raise ValueError(f"arc {self.id}: depot arc must touch the depot exactly once")
-        else:
-            if self.source == 0 or self.target == 0 or self.source == self.target:
-                raise ValueError(
-                    f"arc {self.id}: {self.kind.value} arc must join two distinct points of care"
-                )
-
-
-@dataclass(frozen=True)
 class TimeWindows:
-    """Per-node [release, deadline] arrays, index 0 = depot."""
+    """Per-node [release, deadline] arrays, index 0 = depot; read-only
+    copies of the arrays given."""
 
     release: np.ndarray
     deadline: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.release, dtype=float)
-        d = np.asarray(self.deadline, dtype=float)
+        r = np.array(self.release, dtype=float)
+        d = np.array(self.deadline, dtype=float)
         r.setflags(write=False)
         d.setflags(write=False)
         object.__setattr__(self, "release", r)
         object.__setattr__(self, "deadline", d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Multigraph:
-    """Immutable arc-indexed multigraph with preprocessed windows."""
+    """Immutable multigraph: a read-only ``ARC_DTYPE`` table of 2n^2 arcs
+    indexed by arc id, and the preprocessed windows."""
 
     n: int  # points of care; node set is 0..n
-    arcs: tuple[Arc, ...]
+    arcs: np.ndarray
     windows: TimeWindows
-
-    def __post_init__(self):
-        # Only tests read these tables, but they stay: without the lists freed
-        # here, a small buffer that numpy caches during the n = 100 MPS write
-        # lands on top of the heap and keeps malloc from returning the writer's
-        # ~100 MB, which the benchmark's emit-large peak RSS shows in about
-        # half of its runs.
-        out: list[list[int]] = [[] for _ in range(self.n + 1)]
-        inc: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for arc in self.arcs:
-            out[arc.source].append(arc.id)
-            inc[arc.target].append(arc.id)
-        object.__setattr__(self, "_out", tuple(tuple(a) for a in out))
-        object.__setattr__(self, "_in", tuple(tuple(a) for a in inc))
-
-    def out_arcs(self, node: int) -> tuple[int, ...]:
-        return self._out[node]
-
-    def in_arcs(self, node: int) -> tuple[int, ...]:
-        return self._in[node]
 
     def cost_from_depot(self, j: int) -> float:
         """Cost of the depot leg 0 -> j (arc ids 0..n-1 by construction)."""
-        return self.arcs[j - 1].cost
+        return float(self.arcs["cost"][j - 1])
 
     def cost_to_depot(self, j: int) -> float:
         """Cost of the depot leg j -> 0 (arc ids n..2n-1 by construction)."""
-        return self.arcs[self.n + j - 1].cost
+        return float(self.arcs["cost"][self.n + j - 1])
 
 
 def preprocess_time_windows(inst: Instance) -> TimeWindows:
@@ -128,34 +102,36 @@ def preprocess_time_windows(inst: Instance) -> TimeWindows:
 
 
 def build_multigraph(inst: Instance, windows: TimeWindows | None = None) -> Multigraph:
-    """Enumerate all arcs in deterministic order and attach tightened windows.
+    """Build the arc table in deterministic order and attach tightened windows.
 
-    Order: depot-adjacent, then inter, then replenishment, each block in
+    Order: depot-out, depot-in, inter, then replenishment, each block in
     lexicographic (source, target) order, so emitted model files are
     byte-stable across runs. Window preprocessing runs here unless tightened
-    windows are supplied.
+    windows are supplied; their arrays must have shape (n + 1,).
     """
     n = inst.n
     if windows is None:
         windows = preprocess_time_windows(inst)
+    for name in ("release", "deadline"):
+        shape = getattr(windows, name).shape
+        if shape != (n + 1,):
+            raise ValueError(f"windows.{name} has shape {shape}, expected ({n + 1},)")
     travel = inst.travel
-    arcs: list[Arc] = []
-
-    def add(source: int, target: int, kind: ArcKind, cost: float):
-        arcs.append(Arc(id=len(arcs), source=source, target=target, kind=kind, cost=cost))
-
-    for j in range(1, n + 1):
-        add(0, j, ArcKind.DEPOT, float(travel[0, j]))
-    for j in range(1, n + 1):
-        add(j, 0, ArcKind.DEPOT, float(travel[j, 0]))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                add(i, j, ArcKind.INTER, float(travel[i, j]))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                add(i, j, ArcKind.REPLENISH, float(travel[i, 0] + travel[0, j]))
-
-    assert len(arcs) == 2 * n * n
-    return Multigraph(n=n, arcs=tuple(arcs), windows=windows)
+    nodes = np.arange(1, n + 1)
+    # ordered pairs of distinct points of care, in lexicographic order
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    i += 1
+    j += 1
+    depot = np.zeros(n, dtype=np.int64)
+    arcs = np.empty(2 * n * n, dtype=ARC_DTYPE)
+    arcs["source"] = np.concatenate((depot, nodes, i, i))
+    arcs["target"] = np.concatenate((nodes, depot, j, j))
+    arcs["kind"] = np.repeat(
+        [ArcKind.DEPOT.code, ArcKind.INTER.code, ArcKind.REPLENISH.code],
+        [2 * n, len(i), len(i)],
+    )
+    arcs["cost"] = np.concatenate(
+        (travel[0, nodes], travel[nodes, 0], travel[i, j], travel[i, 0] + travel[0, j])
+    )
+    arcs.setflags(write=False)
+    return Multigraph(n=n, arcs=arcs, windows=windows)

@@ -141,10 +141,9 @@ def test_preprocessing_and_graph_invariants():
                 assert windows.deadline[j] <= inst.sites[j].deadline
             graph = build_multigraph(inst, windows)
             assert len(graph.arcs) == 2 * n * n
-            inter = {
-                (a.source, a.target): a.cost for a in graph.arcs if a.kind is ArcKind.INTER
-            }
-            for arc in graph.arcs:
+            arcs = views.arc_list(graph)
+            inter = {(a.source, a.target): a.cost for a in arcs if a.kind is ArcKind.INTER}
+            for arc in arcs:
                 if arc.kind is ArcKind.REPLENISH:
                     assert arc.cost >= inter[(arc.source, arc.target)] - 1e-9
             assert triangle_violations(inst.travel) == []

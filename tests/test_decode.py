@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cdsp import (
+    ArcKind,
     ModelDecodeError,
     SolveLimits,
     build_model,
@@ -15,7 +16,9 @@ from cdsp.oracle import exact_solve_tiny
 
 from conftest import make_tiny2
 from gen import random_instance
-from views import solution_column_values
+from views import arc_list, solution_column_values
+
+DEPOT, INTER, REPLENISH = ArcKind.DEPOT, ArcKind.INTER, ArcKind.REPLENISH
 
 
 @pytest.fixture
@@ -73,7 +76,7 @@ class TestExtract:
         # add a second outgoing arc from node 1
         extra = next(
             a.id
-            for a in g.arcs
+            for a in arc_list(g)
             if a.source == 1 and values[model.layout.x(a.id)] < 0.5
         )
         values[model.layout.x(extra)] = 1.0
@@ -89,6 +92,104 @@ class TestExtract:
         assert sol.total_completion == pytest.approx(14.0, abs=1e-6)  # 6 + 8
         assert len(sol.tours) == 2
         assert validate_solution(sol, inst, g.windows).ok
+
+
+def routing_vector(model, graph, arcs):
+    """Column values with the given (kind, source, target) arcs traversed and
+    every y_jj set, everything else 0."""
+    ids = {(a.kind, a.source, a.target): a.id for a in arc_list(graph)}
+    vec = np.zeros(model.num_columns)
+    vec[[model.layout.x(ids[arc]) for arc in arcs]] = 1.0
+    for j in range(1, model.n + 1):
+        vec[model.layout.y(j, j)] = 1.0
+    return vec
+
+
+# tiny2's optimum: 0 -> 1, replenish 1 -> 2, 2 -> 0 (arc ids 0, 7, 3)
+TINY2_ROUTE = [(DEPOT, 0, 1), (REPLENISH, 1, 2), (DEPOT, 2, 0)]
+
+
+class TestDecodeErrors:
+    """Each message names the arc or node the first failing check meets, in
+    arc id or node order."""
+
+    def test_route_decodes(self, tiny2_built):
+        _, g, model = tiny2_built
+        sol = extract_solution(model, routing_vector(model, g, TINY2_ROUTE), g)
+        assert sol.trips_by_vehicle == (((1,), (2,)),)
+
+    def test_lowest_fractional_arc_is_named(self, tiny2_built):
+        _, g, model = tiny2_built
+        vec = routing_vector(model, g, TINY2_ROUTE)
+        vec[5], vec[3] = 0.6, 0.4
+        with pytest.raises(ModelDecodeError) as err:
+            extract_solution(model, vec, g)
+        assert str(err.value) == f"fractional arc value x_3 = {np.float64(0.4)!r}"
+
+    def test_integral_value_outside_binary(self, tiny2_built):
+        _, g, model = tiny2_built
+        vec = routing_vector(model, g, TINY2_ROUTE)
+        vec[5], vec[6] = 2.0, 0.5
+        with pytest.raises(ModelDecodeError) as err:
+            extract_solution(model, vec, g)
+        assert str(err.value) == f"arc value x_5 = {np.float64(2.0)!r} outside {{0,1}}"
+
+    def test_lowest_fractional_carry_is_named(self, tiny2_built):
+        _, g, model = tiny2_built
+        vec = routing_vector(model, g, TINY2_ROUTE)
+        vec[model.layout.y(2, 1)] = vec[model.layout.y(1, 2)] = 0.3
+        with pytest.raises(ModelDecodeError) as err:
+            extract_solution(model, vec, g)
+        assert str(err.value) == f"fractional carry value y_1_2 = {np.float64(0.3)!r}"
+
+    def test_second_out_arc(self, tiny2_built):
+        _, g, model = tiny2_built
+        vec = routing_vector(model, g, TINY2_ROUTE + [(INTER, 1, 2)])
+        with pytest.raises(ModelDecodeError) as err:
+            extract_solution(model, vec, g)
+        assert str(err.value) == "node 1 has out-degree > 1"
+
+    def test_first_repeated_source_in_id_order_is_named(self):
+        inst = random_instance(np.random.default_rng(3), 3, 2)
+        g = build_multigraph(inst)
+        model = build_model(g, inst)
+        # node 3's second out-arc (replenish 3 -> 1) comes after node 2's
+        # (inter 2 -> 1) in id order
+        route = [(DEPOT, 0, 1), (DEPOT, 1, 0), (INTER, 2, 3), (INTER, 3, 2)]
+        vec = routing_vector(model, g, route + [(REPLENISH, 3, 1), (INTER, 2, 1)])
+        with pytest.raises(ModelDecodeError) as err:
+            extract_solution(model, vec, g)
+        assert str(err.value) == "node 2 has out-degree > 1"
+
+    def test_in_degree_two(self, tiny2_built):
+        _, g, model = tiny2_built
+        vec = routing_vector(model, g, TINY2_ROUTE + [(DEPOT, 0, 2)])
+        with pytest.raises(ModelDecodeError) as err:
+            extract_solution(model, vec, g)
+        assert str(err.value) == "node 2 has out-degree 1, in-degree 2 (must be 1/1)"
+
+    def test_more_vehicles_than_the_fleet(self, tiny2_built):
+        _, g, model = tiny2_built
+        route = [(DEPOT, 0, 1), (DEPOT, 0, 2), (DEPOT, 1, 0), (DEPOT, 2, 0)]
+        with pytest.raises(ModelDecodeError) as err:
+            extract_solution(model, routing_vector(model, g, route), g)
+        assert str(err.value) == "2 vehicles leave the depot, fleet size 1"
+
+    def test_unreachable_cycle(self):
+        inst = random_instance(np.random.default_rng(3), 3, 2)
+        g = build_multigraph(inst)
+        model = build_model(g, inst)
+        route = [(DEPOT, 0, 1), (DEPOT, 1, 0), (INTER, 2, 3), (REPLENISH, 3, 2)]
+        with pytest.raises(ModelDecodeError) as err:
+            extract_solution(model, routing_vector(model, g, route), g)
+        assert str(err.value) == "2 traversed arcs unreachable from the depot"
+
+    def test_nan_arc_value_is_a_decode_error(self, tiny2_built):
+        _, g, model = tiny2_built
+        vec = routing_vector(model, g, TINY2_ROUTE)
+        vec[0] = np.nan
+        with pytest.raises(ModelDecodeError, match="outside"):
+            extract_solution(model, vec, g)
 
 
 class TestEmbedDecodeConsistency:

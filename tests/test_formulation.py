@@ -6,12 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from cdsp import ArcKind, build_model, build_multigraph, preprocess_time_windows
 from cdsp.formulation import SENSE_EQ, SENSE_LE
-from cdsp.network import Arc, TimeWindows
+from cdsp.network import TimeWindows
 from cdsp.oracle import exact_solve_tiny
 
 import views
 from gen import random_instance
-from views import big_m_completion, big_m_shift, big_m_visit, solution_column_values
+from views import (
+    Arc,
+    arc_list,
+    big_m_completion,
+    big_m_shift,
+    big_m_visit,
+    solution_column_values,
+)
 
 
 def _windows(release, deadline):
@@ -31,13 +38,13 @@ class TestBigM:
 
     def test_visit_tiny2_replenishment(self, tiny2):
         g = build_multigraph(tiny2)
-        arc = next(a for a in g.arcs if a.kind is ArcKind.REPLENISH and a.source == 1)
+        arc = next(a for a in arc_list(g) if a.kind is ArcKind.REPLENISH and a.source == 1)
         assert big_m_visit(arc, g.windows) == 13.0
 
     def test_visit_rejects_depot_arc(self, tiny2):
         g = build_multigraph(tiny2)
         with pytest.raises(ValueError, match="points of care"):
-            big_m_visit(g.arcs[0], g.windows)
+            big_m_visit(arc_list(g)[0], g.windows)
 
     def test_completion_direct(self):
         w = _windows([0, 0], [30, 10])
@@ -67,13 +74,13 @@ class TestBigM:
 
     def test_shift_tiny2(self, tiny2):
         g = build_multigraph(tiny2)
-        arc = next(a for a in g.arcs if a.kind is ArcKind.INTER and a.target == 2)
+        arc = next(a for a in arc_list(g) if a.kind is ArcKind.INTER and a.target == 2)
         assert big_m_shift(arc, g.windows, tiny2.travel) == 6.0
 
     def test_shift_rejects_depot_arc(self, tiny2):
         g = build_multigraph(tiny2)
         with pytest.raises(ValueError, match="points of care"):
-            big_m_shift(g.arcs[0], g.windows, tiny2.travel)
+            big_m_shift(arc_list(g)[0], g.windows, tiny2.travel)
 
 
 class TestBuildModel:
@@ -209,7 +216,7 @@ class TestBuildModel:
         g = build_multigraph(inst)
         model = build_model(g, inst)
         lay = model.layout
-        arc_by_id = {a.id: a for a in g.arcs}
+        arc_by_id = {a.id: a for a in arc_list(g)}
         for row in views.rows_by_family(model, "tprop"):
             arc = arc_by_id[int(row.name.split("_")[1])]
             m = big_m_visit(arc, g.windows)

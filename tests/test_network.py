@@ -11,20 +11,21 @@ from cdsp import (
     preprocess_time_windows,
 )
 from cdsp.instances import triangle_violations
-from cdsp.network import Multigraph
+from cdsp.network import ARC_DTYPE, Multigraph, TimeWindows
 
 from conftest import make_tiny2
 from gen import random_instance
+from views import arc_list, reference_arcs
 
 
 def arcs_of_kind(graph: Multigraph, kind: ArcKind) -> list:
-    return [a for a in graph.arcs if a.kind is kind]
+    return [a for a in arc_list(graph) if a.kind is kind]
 
 
 def arcs_to_csv(graph: Multigraph) -> str:
     """The arc list as CSV, for comparing graphs."""
     lines = ["id,kind,source,target,cost"]
-    lines += [f"{a.id},{a.kind.value},{a.source},{a.target},{a.cost!r}" for a in graph.arcs]
+    lines += [f"{a.id},{a.kind.value},{a.source},{a.target},{a.cost!r}" for a in arc_list(graph)]
     return "\n".join(lines) + "\n"
 
 
@@ -90,7 +91,9 @@ class TestMultigraph:
     def test_replenishment_cost_tiny2(self, tiny2):
         g = build_multigraph(tiny2)
         arc = next(
-            a for a in g.arcs if a.kind is ArcKind.REPLENISH and a.source == 1 and a.target == 2
+            a
+            for a in arc_list(g)
+            if a.kind is ArcKind.REPLENISH and a.source == 1 and a.target == 2
         )
         assert arc.cost == 7.0  # 3 back to the depot + 4 out to site 2
 
@@ -122,12 +125,15 @@ class TestMultigraph:
 
     def test_degree_sets_partition_arcs(self):
         rng = np.random.default_rng(3)
-        inst = random_instance(rng, 5, 2)
+        n = 5
+        inst = random_instance(rng, n, 2)
         g = build_multigraph(inst)
-        out_all = [a for node in range(6) for a in g.out_arcs(node)]
-        in_all = [a for node in range(6) for a in g.in_arcs(node)]
-        assert sorted(out_all) == list(range(len(g.arcs)))
-        assert sorted(in_all) == list(range(len(g.arcs)))
+        # every site: n - 1 inter + n - 1 replenish + 1 depot arc each way;
+        # the depot: one arc to and from every site
+        expected = np.array([n] + [2 * (n - 1) + 1] * n)
+        for field in ("source", "target"):
+            degree = np.bincount(g.arcs[field], minlength=n + 1)
+            assert np.array_equal(degree, expected), field
 
     def test_replenishment_never_cheaper_than_inter(self):
         rng = np.random.default_rng(4)
@@ -140,8 +146,8 @@ class TestMultigraph:
 
     def test_deterministic_arc_order(self, tiny2):
         g1, g2 = build_multigraph(tiny2), build_multigraph(tiny2)
-        assert [(a.id, a.source, a.target, a.kind, a.cost) for a in g1.arcs] == [
-            (a.id, a.source, a.target, a.kind, a.cost) for a in g2.arcs
+        assert [(a.id, a.source, a.target, a.kind, a.cost) for a in arc_list(g1)] == [
+            (a.id, a.source, a.target, a.kind, a.cost) for a in arc_list(g2)
         ]
         assert arcs_to_csv(g1) == arcs_to_csv(g2)
 
@@ -154,6 +160,40 @@ class TestMultigraph:
         lines = arcs_to_csv(build_multigraph(tiny2)).strip().splitlines()
         assert lines[0] == "id,kind,source,target,cost"
         assert len(lines) == 9
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 25])
+    @pytest.mark.parametrize("supplied", [False, True], ids=["own-windows", "supplied-windows"])
+    def test_table_equals_reference_arcs(self, n, supplied):
+        inst = random_instance(np.random.default_rng(100 + n), n, 2)
+        g = build_multigraph(inst, preprocess_time_windows(inst) if supplied else None)
+        assert g.arcs.dtype == ARC_DTYPE
+        assert len(g.arcs) == 2 * n * n
+        assert arc_list(g) == reference_arcs(inst)
+        # bit-identical costs, not only equal ones
+        ref_costs = np.array([a.cost for a in reference_arcs(inst)])
+        assert g.arcs["cost"].tobytes() == ref_costs.tobytes()
+
+    def test_table_and_windows_are_read_only(self, tiny2):
+        g = build_multigraph(tiny2)
+        for array in (g.arcs, g.arcs["cost"], g.windows.release, g.windows.deadline):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+        # the windows hold copies: the caller's arrays stay theirs
+        release = np.zeros(3)
+        w = TimeWindows(release=release, deadline=np.ones(3))
+        release[1] = 5.0
+        assert release.flags.writeable and w.release[1] == 0.0
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_windows_of_the_wrong_size_are_rejected(self, tiny2, size):
+        good = preprocess_time_windows(tiny2)
+        for bad in (
+            TimeWindows(release=np.zeros(size), deadline=good.deadline),
+            TimeWindows(release=good.release, deadline=np.full(size, 30.0)),
+        ):
+            with pytest.raises(ValueError, match=r"shape \(\d,\), expected \(3,\)"):
+                build_multigraph(tiny2, bad)
 
 
 class TestCheckTriangle:

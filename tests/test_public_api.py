@@ -14,6 +14,7 @@ TINY2 = Path(__file__).parent / "data" / "tiny2.txt"
 
 # names that only tests used, now in tests/views.py or deleted
 REMOVED_FORMULATION = (
+    "Arc",
     "BINARY",
     "CONTINUOUS",
     "Variable",
@@ -32,7 +33,7 @@ REMOVED_MODEL_ATTRIBUTES = (
     "rows_by_family",
     "variables",
 )
-REMOVED_GRAPH_ATTRIBUTES = ("arcs_of_kind", "movement_arcs")
+REMOVED_GRAPH_ATTRIBUTES = ("arcs_of_kind", "in_arcs", "movement_arcs", "out_arcs")
 
 
 @pytest.mark.parametrize("module", [cdsp, cdsp.formulation], ids=lambda m: m.__name__)
@@ -54,6 +55,7 @@ def test_removed_model_and_graph_views():
         assert not hasattr(cdsp.MipModel, name), name
     for name in REMOVED_GRAPH_ATTRIBUTES:
         assert not hasattr(cdsp.network.Multigraph, name), name
+    assert not hasattr(cdsp.network, "Arc")  # the arcs are one table
 
 
 def test_solve_without_solver_flag_uses_bundled_backend(tmp_path, capsys):

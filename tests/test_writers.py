@@ -229,3 +229,16 @@ def test_write_model_rejects_unknown_format_before_writing(tiny2_model):
     with pytest.raises(ValueError, match="unknown model format 'gms'"):
         writers.write_model(tiny2_model, "gms", sink)
     assert sink.getvalue() == ""
+
+
+@pytest.mark.parametrize("limit, calls", [(None, 0), (0, 2)], ids=["short", "long"])
+def test_long_joined_text_hands_heap_back(tiny2_model, monkeypatch, limit, calls):
+    # past _TRIM_CHARS the joined writers call malloc_trim once each, and
+    # the text does not change
+    texts = write_lp(tiny2_model), write_mps(tiny2_model)
+    trims = []
+    monkeypatch.setattr(writers, "_malloc_trim", trims.append)
+    if limit is not None:
+        monkeypatch.setattr(writers, "_TRIM_CHARS", limit)
+    assert (write_lp(tiny2_model), write_mps(tiny2_model)) == texts
+    assert trims == [0] * calls

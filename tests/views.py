@@ -6,14 +6,20 @@ pictures tests assert on from the public arrays (`integrality`, `c`,
 `row_senses()`): column views, the objective as a dict, variable counts,
 one family's rows, the per-arc big-M reference formulas that `build_model`
 vectorizes, and the column values that embed a routed solution.
+
+The graph's arc table gets the same treatment: `Arc` is one validated arc,
+`reference_arcs` the per-arc enumeration that `build_multigraph` vectorizes,
+and `arc_list` the table as `Arc`s.
 """
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from cdsp.formulation.model import SENSES, MipModel, Row
-from cdsp.network import Arc, ArcKind, Multigraph, TimeWindows
+from cdsp.instances import Instance
+from cdsp.network import ArcKind, Multigraph, TimeWindows
 from cdsp.routes import EvaluatedSolution
 
 BINARY = "binary"
@@ -81,6 +87,58 @@ def rows_by_family(model: MipModel, family: str) -> list[Row]:
     ]
 
 
+@dataclass(frozen=True)
+class Arc:
+    id: int
+    source: int
+    target: int
+    kind: ArcKind
+    cost: float
+
+    def __post_init__(self):
+        if self.cost < 0:
+            raise ValueError(f"arc {self.id}: negative cost")
+        if self.kind is ArcKind.DEPOT:
+            if (self.source == 0) == (self.target == 0):
+                raise ValueError(f"arc {self.id}: depot arc must touch the depot exactly once")
+        else:
+            if self.source == 0 or self.target == 0 or self.source == self.target:
+                raise ValueError(
+                    f"arc {self.id}: {self.kind.value} arc must join two distinct points of care"
+                )
+
+
+def reference_arcs(inst: Instance) -> list[Arc]:
+    """The arcs one at a time, in id order: depot-out, depot-in, inter, then
+    replenishment, each block in lexicographic (source, target) order."""
+    n = inst.n
+    travel = inst.travel
+    arcs: list[Arc] = []
+
+    def add(source: int, target: int, kind: ArcKind, cost: float):
+        arcs.append(Arc(id=len(arcs), source=source, target=target, kind=kind, cost=cost))
+
+    for j in range(1, n + 1):
+        add(0, j, ArcKind.DEPOT, float(travel[0, j]))
+    for j in range(1, n + 1):
+        add(j, 0, ArcKind.DEPOT, float(travel[j, 0]))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                add(i, j, ArcKind.INTER, float(travel[i, j]))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                add(i, j, ArcKind.REPLENISH, float(travel[i, 0] + travel[0, j]))
+    return arcs
+
+
+def arc_list(graph: Multigraph) -> list[Arc]:
+    """The graph's arc table as validated `Arc`s, in id order."""
+    kinds = tuple(ArcKind)
+    return [Arc(a, s, t, kinds[k], c) for a, (s, t, k, c) in enumerate(graph.arcs.tolist())]
+
+
 def big_m_visit(arc: Arc, windows: TimeWindows) -> float:
     """Deactivation constant for time propagation along a movement arc."""
     if arc.kind is ArcKind.DEPOT:
@@ -116,8 +174,9 @@ def solution_column_values(
     n = model.n
     vec = np.zeros(model.num_columns)
 
-    inter = {(a.source, a.target): a.id for a in graph.arcs if a.kind is ArcKind.INTER}
-    replenish = {(a.source, a.target): a.id for a in graph.arcs if a.kind is ArcKind.REPLENISH}
+    arcs = arc_list(graph)
+    inter = {(a.source, a.target): a.id for a in arcs if a.kind is ArcKind.INTER}
+    replenish = {(a.source, a.target): a.id for a in arcs if a.kind is ArcKind.REPLENISH}
 
     for tour in sol.tours:
         first = tour.trips[0].nodes[0]
