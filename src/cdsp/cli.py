@@ -12,6 +12,7 @@ from .formulation import FileSolverAdapter, SolveLimits, SolveStatus, build_mode
 from .formulation.solvers import SOLUTION_PARSERS
 from .formulation.writers import MODEL_FORMATS
 from .harness import (
+    OBJECTIVE_MATCH_TOL,
     config_fingerprint,
     load_manifest,
     report_table,
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--oracle",
         action="store_true",
-        help="cross-check the optimum against the exhaustive oracle (n <= 7)",
+        help=f"cross-check the optimum against the exhaustive oracle (n <= {DEFAULT_LIMIT})",
     )
 
     p_suite = sub.add_parser("suite", help="run a benchmark manifest", allow_abbrev=False)
@@ -179,7 +180,7 @@ def main(argv=None) -> int:
                 print(f"  oracle check skipped: {exc}")
             else:
                 if record.status == SolveStatus.OPTIMAL.value:
-                    if abs(result.best_total - record.total) > 1e-6:
+                    if abs(result.best_total - record.total) > OBJECTIVE_MATCH_TOL:
                         print(
                             f"  oracle check FAILED: oracle F = {result.best_total!r} "
                             f"!= solver F = {record.total!r}"

@@ -73,8 +73,6 @@ def extract_solution(
         raise ModelDecodeError(
             f"node {j} has out-degree {out_deg[j]}, in-degree {in_deg[j]} (must be 1/1)"
         )
-    if out_deg[0] != in_deg[0]:
-        raise ModelDecodeError(f"depot out-degree {out_deg[0]} != in-degree {in_deg[0]}")
     if out_deg[0] > model.fleet_size:
         raise ModelDecodeError(
             f"{out_deg[0]} vehicles leave the depot, fleet size {model.fleet_size}"
@@ -89,24 +87,21 @@ def extract_solution(
     deliveries: list[tuple[float, ...]] = []
     completion: dict[int, float] = {}
     used = 0
+    # every point of care has one arc in and one out, so the depot's two
+    # degrees are equal and each walk is a simple path back to the depot: a
+    # repeated node would have in-degree 2
     for vehicle, start in enumerate(np.flatnonzero(src == 0).tolist(), start=1):
         current = targets[start]
         trips: list[list[int]] = [[current]]
-        used += 1
-        for _ in range(n + 1):
-            pos = succ[current]
-            if pos < 0:
-                raise ModelDecodeError(f"walk stranded at node {current}")
-            used += 1
-            if kinds[pos] == depot:
-                break
+        pos = succ[current]
+        while kinds[pos] != depot:
             current = targets[pos]
             if kinds[pos] == replenish:
                 trips.append([current])
             else:
                 trips[-1].append(current)
-        else:
-            raise ModelDecodeError("vehicle walk never returns to the depot")
+            pos = succ[current]
+        used += sum(map(len, trips)) + 1
         trip_objs = tuple(Trip(tuple(t)) for t in trips)
         first = trip_objs[0].nodes[0]
         departure = visit[first] - graph.cost_from_depot(first)

@@ -1,5 +1,9 @@
+import functools
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdsp import (
     ArcKind,
@@ -40,7 +44,7 @@ class TestExtract:
 
     def test_all_zero_vector_is_decode_error(self, tiny2_built):
         _, g, model = tiny2_built
-        with pytest.raises(ModelDecodeError, match="out-degree 0|never"):
+        with pytest.raises(ModelDecodeError, match="out-degree 0"):
             extract_solution(model, np.zeros(model.num_columns), g)
 
     def test_single_request_single_trip(self):
@@ -190,6 +194,73 @@ class TestDecodeErrors:
         vec[0] = np.nan
         with pytest.raises(ModelDecodeError, match="outside"):
             extract_solution(model, vec, g)
+
+
+# every message a 0/1 arc vector with integral carries can meet
+STRUCTURE_MESSAGES = re.compile(
+    r"node \d+ has out-degree > 1"
+    r"|node \d+ has out-degree \d+, in-degree \d+ \(must be 1/1\)"
+    r"|\d+ vehicles leave the depot, fleet size \d+"
+    r"|\d+ traversed arcs unreachable from the depot"
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _fleet_of_two(n):
+    inst = random_instance(np.random.default_rng(n), n, 2)
+    g = build_multigraph(inst)
+    return g, build_model(g, inst)
+
+
+@st.composite
+def near_routings(draw):
+    """A routing of all n nodes, as trips cut by replenishment or by a return
+    to the depot, with up to three arc values then flipped."""
+    n = draw(st.integers(2, 5))
+    g, model = _fleet_of_two(n)
+    order = draw(st.permutations(range(1, n + 1)))
+    cut_kinds = st.sampled_from((INTER, REPLENISH, DEPOT))
+    cuts = draw(st.lists(cut_kinds, min_size=n - 1, max_size=n - 1))
+    route = [(DEPOT, 0, order[0]), (DEPOT, order[-1], 0)]
+    tours = [[[order[0]]]]
+    for u, v, cut in zip(order, order[1:], cuts):
+        if cut is DEPOT:
+            route += [(DEPOT, u, 0), (DEPOT, 0, v)]
+            tours.append([[v]])
+        else:
+            route.append((cut, u, v))
+            if cut is REPLENISH:
+                tours[-1].append([v])
+            else:
+                tours[-1][-1].append(v)
+    vec = routing_vector(model, g, route)
+    flips = draw(st.lists(st.integers(0, model.layout.num_arcs - 1), max_size=3))
+    for a in flips:
+        vec[a] = 1.0 - vec[a]
+    lay = model.layout
+    vec[lay.y(1, 1) : lay.y(n, n) + 1] = draw(
+        st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n)
+    )
+    vec[lay.z(1) : lay.z(n) + 1] = draw(st.lists(st.integers(0, 500), min_size=n, max_size=n))
+    return g, model, vec, None if flips else tours
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_routings())
+def test_binary_vectors_decode_or_name_a_structural_fault(case):
+    g, model, vec, tours = case
+    try:
+        sol = extract_solution(model, vec, g)
+    except ModelDecodeError as err:
+        assert STRUCTURE_MESSAGES.fullmatch(str(err)), str(err)
+        assert tours is None or len(tours) > model.fleet_size
+        return
+    visited = [node for tour in sol.tours for trip in tour.trips for node in trip.nodes]
+    assert sorted(visited) == list(range(1, model.n + 1))
+    assert len(sol.tours) <= model.fleet_size
+    if tours is not None:
+        want = sorted(tuple(tuple(trip) for trip in tour) for tour in tours)
+        assert sorted(sol.trips_by_vehicle) == want
 
 
 class TestEmbedDecodeConsistency:

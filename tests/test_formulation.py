@@ -182,7 +182,7 @@ class TestBuildModel:
                     want[r] = f"{fam.name}_{key[0]}"
                 else:
                     want[r] = fam.name
-        names = model.row_names()
+        names = views.row_names(model)
         assert len(names) == model.num_rows
         assert all(type(name) is str for name in names)
         assert list(names) == want
@@ -190,6 +190,19 @@ class TestBuildModel:
         tprop = next(fam for fam in model.families if fam.name == "tprop")
         tprop_names = [row.name for row in views.rows_by_family(model, "tprop")]
         assert tprop_names == [want[r] for r in tprop.rows]
+
+        # CSR invariants: columns strictly increase within each row, no
+        # stored zeros, and the family ranges tile the rows once each
+        matrix = model.matrix
+        assert matrix.format == "csr" and matrix.shape == (model.num_rows, model.num_columns)
+        row_of = np.repeat(np.arange(model.num_rows), np.diff(matrix.indptr))
+        assert (np.diff(row_of * model.num_columns + matrix.indices) > 0).all()
+        assert (matrix.data != 0).all()
+        covered = np.zeros(model.num_rows, dtype=int)
+        for fam in model.families:
+            assert len(fam.keys) == len(fam.rows)
+            covered[fam.rows.start : fam.rows.stop : fam.rows.step] += 1
+        assert (covered == 1).all()
 
     @pytest.mark.parametrize("n", [1, 30])
     @pytest.mark.parametrize("explicit", [False, True])

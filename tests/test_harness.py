@@ -391,3 +391,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "oracle check: OK" in out
+
+    def test_solve_oracle_cross_check_reads_the_shared_limits(
+        self, tiny2_file, capsys, monkeypatch
+    ):
+        # the objective tolerance and the help's size limit come from
+        # harness.OBJECTIVE_MATCH_TOL and oracle.DEFAULT_LIMIT
+        from cdsp import cli
+
+        monkeypatch.setattr(cli, "OBJECTIVE_MATCH_TOL", -1.0)
+        code = cli.main(
+            ["solve", str(tiny2_file), "--fleet", "file", "--time-limit", "60", "--oracle"]
+        )
+        assert code == 1
+        assert "oracle check FAILED: oracle F = 20.0" in capsys.readouterr().out
+        monkeypatch.setattr(cli, "DEFAULT_LIMIT", 9)
+        with pytest.raises(SystemExit):
+            cli.main(["solve", "--help"])
+        assert "(n <= 9)" in " ".join(capsys.readouterr().out.split())

@@ -30,6 +30,7 @@ REMOVED_MODEL_ATTRIBUTES = (
     "count_binary",
     "count_continuous",
     "objective",
+    "row_names",
     "rows_by_family",
     "variables",
 )

@@ -2,10 +2,11 @@
 
 The library stores a model as arrays only. These helpers rebuild the
 pictures tests assert on from the public arrays (`integrality`, `c`,
-`col_lower`/`col_upper`, `layout.names()`, `families`, `matrix` and
-`row_senses()`): column views, the objective as a dict, variable counts,
-one family's rows, the per-arc big-M reference formulas that `build_model`
-vectorizes, and the column values that embed a routed solution.
+`col_lower`/`col_upper`, `layout.names()`, `families`, `matrix`,
+`row_name_codes()` and `row_senses()`): column views, the objective as a
+dict, variable counts, the joined row names, one family's rows, the per-arc
+big-M reference formulas that `build_model` vectorizes, and the column
+values that embed a routed solution.
 
 The graph's arc table gets the same treatment: `Arc` is one validated arc,
 `reference_arcs` the per-arc enumeration that `build_multigraph` vectorizes,
@@ -65,6 +66,13 @@ def count_continuous(model: MipModel) -> int:
     return model.num_columns - count_binary(model)
 
 
+def row_names(model: MipModel) -> np.ndarray:
+    """Constraint names in row order as an object array, joined from the
+    head and tail codes of `MipModel.row_name_codes`."""
+    heads, tails, head_code, tail_code = model.row_name_codes()
+    return np.array(heads, dtype=object)[head_code] + np.array(tails, dtype=object)[tail_code]
+
+
 def rows_by_family(model: MipModel, family: str) -> list[Row]:
     """Rows named ``<family>_<key>[_<key>]``, in row order; none for a family
     of one row named ``<family>`` (depot_balance, fleet_cap)."""
@@ -75,7 +83,7 @@ def rows_by_family(model: MipModel, family: str) -> list[Row]:
         return []
     codes, rhs = model.row_senses()
     ptr, cols, vals = model.matrix.indptr, model.matrix.indices, model.matrix.data
-    names = model.row_names()[fam.rows.start : fam.rows.stop : fam.rows.step]
+    names = row_names(model)[fam.rows.start : fam.rows.stop : fam.rows.step]
     return [
         Row(
             name,
