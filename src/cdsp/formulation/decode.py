@@ -22,17 +22,12 @@ class ModelDecodeError(ValueError):
     """Incumbent values do not encode a structurally valid routing."""
 
 
-def extract_solution(
-    model: MipModel,
-    values,
-    graph: Multigraph,
-    integrality_tol: float = INTEGRALITY_TOL,
-) -> EvaluatedSolution:
+def extract_solution(model: MipModel, values, graph: Multigraph) -> EvaluatedSolution:
     """Rebuild at most K vehicle tours from incumbent column values.
 
-    Raises ModelDecodeError on fractional binaries beyond tolerance or on
-    arc degrees violating the flow clauses (both signal solver-tolerance or
-    model bugs rather than recoverable outcomes).
+    Raises ModelDecodeError on binaries more than INTEGRALITY_TOL from an
+    integer or on arc degrees violating the flow clauses (both signal
+    solver-tolerance or model bugs rather than recoverable outcomes).
     """
     vec = _as_vector(model, values)
     lay = model.layout
@@ -40,7 +35,7 @@ def extract_solution(
 
     x = vec[: lay.num_arcs]  # lay.x is the identity on arc ids
     rounded = np.round(x)
-    fractional = np.abs(x - rounded) > integrality_tol
+    fractional = np.abs(x - rounded) > INTEGRALITY_TOL
     bad = fractional | ((rounded != 0) & (rounded != 1))
     if bad.any():
         a = int(np.argmax(bad))
@@ -48,7 +43,7 @@ def extract_solution(
             raise ModelDecodeError(f"fractional arc value x_{a} = {vec[a]!r}")
         raise ModelDecodeError(f"arc value x_{a} = {vec[a]!r} outside {{0,1}}")
     y = vec[lay.y(1, 1) : lay.y(n, n) + 1]
-    bad = np.abs(y - np.round(y)) > integrality_tol
+    bad = np.abs(y - np.round(y)) > INTEGRALITY_TOL
     if bad.any():
         k = int(np.argmax(bad))
         i, j = divmod(k, n)

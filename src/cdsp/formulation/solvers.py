@@ -23,6 +23,10 @@ from .model import MipModel
 from .writers import MODEL_FORMATS, write_model
 
 
+#: HiGHS's MIP and primal feasibility tolerances in `ScipyMilpAdapter`.
+FEASIBILITY_TOL = 1e-9
+
+
 class SolveStatus(str, enum.Enum):
     OPTIMAL = "optimal"
     FEASIBLE_TIME_LIMIT = "feasible-time-limit"
@@ -91,13 +95,12 @@ class ScipyMilpAdapter:
     Runs single-threaded (scipy does not expose a thread option), which
     never exceeds the configured cap. Deterministic for fixed inputs.
 
-    Feasibility tolerances default to 1e-9, well below HiGHS's 1e-6 MIP
-    default: incumbents may shave binding constraints by up to that
+    Feasibility tolerances are FEASIBILITY_TOL (1e-9), well below HiGHS's
+    1e-6 MIP default: incumbents may shave binding constraints by up to that
     tolerance, which would blur objective comparisons at the 1e-6 level.
     """
 
     name: str = "scipy-highs"
-    feasibility_tol: float = 1e-9
 
     def solve(self, model: MipModel, limits: SolveLimits) -> SolveOutcome:
         import warnings
@@ -118,8 +121,8 @@ class ScipyMilpAdapter:
                 options={
                     "time_limit": limits.time_limit_s,
                     "mip_rel_gap": limits.gap_target,
-                    "mip_feasibility_tolerance": self.feasibility_tol,
-                    "primal_feasibility_tolerance": self.feasibility_tol,
+                    "mip_feasibility_tolerance": FEASIBILITY_TOL,
+                    "primal_feasibility_tolerance": FEASIBILITY_TOL,
                 },
             )
         wall = time.perf_counter() - start

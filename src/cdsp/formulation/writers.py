@@ -23,13 +23,11 @@ saves a piece per row (" " + head, tail + ":", an MPS sense tag + head,
 tail + newline). Each section concatenates its tables into one object
 table. Rows are gathered in consecutive blocks of about _BLOCK_PIECES
 pieces: a block's table ids are placed in an integer array by index
-arithmetic, taken from the table at once and joined into one string. Every
-array a block uses is a view of a buffer allocated once per section and at
-least 1 KiB long, so no block leaves a small buffer in numpy's cache on top
-of the heap. LP line lengths are summed from the lengths of the taken
-pieces; that also gives each line's place in its block. A line longer than
-the line width is broken inside the joined block, at the spaces `_wrap`
-would pick, so no line is joined on its own.
+arithmetic, taken from the table at once and joined into one string. LP
+line lengths are summed from the lengths of the taken pieces; that also
+gives each line's place in its block. A line longer than the line width is
+broken inside the joined block, at the spaces `_wrap` would pick, so no
+line is joined on its own.
 """
 
 from __future__ import annotations
@@ -48,10 +46,6 @@ MODEL_FORMATS = ("lp", "mps")
 
 _LINE_WIDTH = 78
 _BLOCK_PIECES = 1 << 16
-#: Bytes of the smallest scratch buffer. numpy keeps freed data buffers
-#: under 1 KiB in a cache; one made while a writer grows the heap can stay
-#: on top of it and keep malloc from trimming the memory freed below.
-_MIN_BYTES = 1024
 #: Length of joined text past which `write_lp`/`write_mps` call glibc's
 #: malloc_trim. Until the join, the blocks sit on the malloc heap, which
 #: they grow by about the text's size. glibc gives that memory back only when
@@ -181,29 +175,32 @@ def _table(*parts) -> tuple[np.ndarray, list[int]]:
     return np.array(list(itertools.chain(*parts)), dtype=object), offsets[:-1]
 
 
-def _scratch(size: int, dtype=np.intp) -> np.ndarray:
-    dtype = np.dtype(dtype)
-    return np.empty(max(size, _MIN_BYTES // dtype.itemsize), dtype=dtype)
+def _piece_ids(piece, lo: int, hi: int, rows: np.ndarray) -> np.ndarray:
+    """The table ids of a piece for the rows or items lo:hi, which belong to
+    the rows ``rows``."""
+    offset, codes, *via = piece
+    if codes is None:
+        return rows + offset
+    if via:
+        return codes[via[0][lo:hi]] + offset
+    return codes[lo:hi] + offset
 
 
 def _concat_rows(table, ptr, head=(), items=(), tail=(), wrap=False) -> Iterator[str]:
     """Yield the text of every row r: its head pieces, then the pieces of its
     items ptr[r]:ptr[r+1] in order, then its tail pieces.
 
-    A piece stands for one entry of ``table`` per row (or per item): a
-    constant table id, or (offset, codes) for the id offset + codes[k] of
-    row (item) k, or offset + the row itself with codes None, or, for an
-    item, (offset, codes, via) for offset + codes[via[k]] with int32 codes.
-    Every row has a head or tail piece.
+    A piece stands for one entry of ``table`` per row (or per item):
+    (offset, codes) for the id offset + codes[k] of row (item) k, or
+    (offset, None) for offset + the row itself, or, for an item,
+    (offset, codes, via) for offset + codes[via[k]]. Every row has a head or
+    tail piece.
 
     Rows are taken in consecutive blocks of about _BLOCK_PIECES pieces. A
-    block's ids are placed by integer arithmetic, gathered from the table
-    by one take and joined. Every array a block uses is a view of a buffer
-    allocated once for the section, at least _MIN_BYTES long (the takes use
-    mode "clip": under "raise" numpy takes into a temporary). With wrap,
-    a line longer than the line width is broken at the spaces `_breaks`
-    picks, its head pieces kept whole; line lengths are summed from the
-    lengths of the table entries.
+    block's ids are placed by index arithmetic, gathered from the table by
+    one take and joined. With wrap, a line longer than the line width is
+    broken at the spaces `_breaks` picks, its head pieces kept whole; line
+    lengths are summed from the lengths of the taken entries.
     """
     num_rows = len(ptr) - 1
     h, q = len(head), len(items)
@@ -211,94 +208,38 @@ def _concat_rows(table, ptr, head=(), items=(), tail=(), wrap=False) -> Iterator
     before = np.arange(num_rows + 1, dtype=np.int64) * w  # each row's first piece
     if q:
         before += np.multiply(ptr, q, dtype=np.int64)
-    cuts = [0]
-    while cuts[-1] < num_rows:
-        r0 = cuts[-1]
-        r1 = int(np.searchsorted(before, before[r0] + _BLOCK_PIECES, "right")) - 1
-        cuts.append(max(r0 + 1, r1))
-    bounds = list(zip(cuts, cuts[1:]))
-    most_pieces = max((int(before[r1] - before[r0]) for r0, r1 in bounds), default=0)
-    most_rows = max((r1 - r0 for r0, r1 in bounds), default=0)
-    most_items = max((int(ptr[r1] - ptr[r0]) for r0, r1 in bounds), default=0) if q else 0
-    ids, objs = _scratch(most_pieces), _scratch(most_pieces, object)
-    at, row_ids = _scratch(most_rows + 1), _scratch(most_rows + 1)
-    iota = np.arange(max(most_rows, most_items, _MIN_BYTES // 8))
-    if q:
-        row_of, item_at = _scratch(most_items + 1), _scratch(most_items)
-        item_ids, via = _scratch(most_items), _scratch(most_items)
-        picked = _scratch(most_items, np.int32)
-        item_first = iota * q + h
     if wrap:
         lengths = _lengths(table)
-        chars, line_end = _scratch(most_pieces + 1), _scratch(most_rows)
-        line_keep, long = _scratch(most_rows), _scratch(most_rows, bool)
-        chars[0] = 0
-
-    def fill(piece, lo, hi, own, out, where):
-        """Write the piece's ids for the rows or items lo:hi, which sit in
-        the block's rows ``own`` (0 being row r0), to ids[where], and step
-        ``where`` to the next piece."""
-        if isinstance(piece, int):
-            ids[where] = piece
-        else:
-            offset, codes, *index = piece
-            if codes is None:
-                np.add(own, offset + r0, out=out)
-            elif index:
-                np.copyto(via[: hi - lo], index[0][lo:hi])
-                np.take(codes, via[: hi - lo], out=picked[: hi - lo], mode="clip")
-                np.add(picked[: hi - lo], offset, out=out)
-            else:
-                np.add(codes[lo:hi], offset, out=out)
-            ids[where] = out
-        where += 1
-
-    for r0, r1 in bounds:
-        num = r1 - r0
-        size = int(before[r1] - before[r0])
-        row_at = at[:num]
-        np.subtract(before[r0:r1], before[r0], out=row_at)
-        for piece in head:
-            fill(piece, r0, r1, iota[:num], row_ids[:num], row_at)
+    r0 = 0
+    while r0 < num_rows:
+        r1 = int(np.searchsorted(before, before[r0] + _BLOCK_PIECES, "right")) - 1
+        r1 = max(r0 + 1, r1)
+        at = before[r0 : r1 + 1] - before[r0]  # each row's first piece in the block
+        ids = np.empty(int(at[-1]), dtype=np.intp)
+        rows = np.arange(r0, r1)
+        for k, piece in enumerate(head):
+            ids[at[:-1] + k] = _piece_ids(piece, r0, r1, rows)
         if q:
             i0, i1 = int(ptr[r0]), int(ptr[r1])
-            count = i1 - i0
-            own = row_of[: count + 1]
-            own.fill(0)
-            np.subtract(ptr[r0 + 1 : r1], i0, out=row_ids[: num - 1])
-            np.add.at(own, row_ids[: num - 1], 1)
-            own = np.cumsum(own[:count], out=own[:count])  # each item's row in the block
-            pos = item_at[:count]
-            np.multiply(own, w, out=pos)
-            pos += item_first[:count]
-            for piece in items:
-                fill(piece, i0, i1, own, item_ids[:count], pos)
-        np.subtract(before[r0 + 1 : r1 + 1], before[r0] + len(tail), out=row_at)
-        for piece in tail:
-            fill(piece, r0, r1, iota[:num], row_ids[:num], row_at)
-        block_ids = ids[:size]
-        block = "".join(np.take(table, block_ids, out=objs[:size], mode="clip").tolist())
+            item_row = np.repeat(rows, np.diff(ptr[r0 : r1 + 1]))
+            item_at = (item_row - r0) * w + np.arange(i1 - i0) * q + h
+            for k, piece in enumerate(items):
+                ids[item_at + k] = _piece_ids(piece, i0, i1, item_row)
+        for k, piece in enumerate(tail, -len(tail)):
+            ids[at[1:] + k] = _piece_ids(piece, r0, r1, rows)
+        block = "".join(table.take(ids).tolist())
         if wrap:
-            ends = chars[1 : size + 1]
-            np.take(lengths, block_ids, out=ends, mode="clip")
-            np.cumsum(ends, out=ends)  # chars[k]: where piece k starts
-            np.subtract(before[r0 : r1 + 1], before[r0], out=at[: num + 1])
-            starts = np.take(chars, at[:num], out=row_ids[:num], mode="clip")
-            np.take(chars, at[1 : num + 1], out=line_end[:num], mode="clip")
-            line_end[:num] -= 1  # without the newline
-            at[:num] += h
-            np.take(chars, at[:num], out=line_keep[:num], mode="clip")
-            line_keep[:num] -= starts
-            np.subtract(line_end[:num], starts, out=at[:num])
-            flags = np.greater(at[:num], _LINE_WIDTH, out=long[:num]).tobytes()
+            chars = np.concatenate(([0], np.cumsum(lengths.take(ids))))  # where piece k starts
+            starts, ends = chars[at[:-1]], chars[at[1:]] - 1  # without the newline
+            keep = chars[at[:-1] + h] - starts
+            long = np.flatnonzero(ends - starts > _LINE_WIDTH)
             breaks = []
-            r = flags.find(1)
-            while r >= 0:
-                breaks += _breaks(block, int(starts[r]), int(line_keep[r]), int(line_end[r]))
-                r = flags.find(1, r + 1)
+            for start, kept, end in zip(*(a[long].tolist() for a in (starts, keep, ends))):
+                breaks += _breaks(block, start, kept, end)
             if breaks:
                 block = _split_at(block, breaks)
         yield block
+        r0 = r1
 
 
 def _lp_rows(ptr, indices, data, names, labels, senses=None, rhs=None) -> Iterator[str]:
@@ -318,21 +259,21 @@ def _lp_rows(ptr, indices, data, names, labels, senses=None, rhs=None) -> Iterat
     leads = [t if v < 0 else " " + t[3:] for t, v in zip(terms, distinct)]
     code[ptr[:-1][np.diff(ptr) > 0]] += len(distinct)
     if senses is None:
-        ends = ["\n"]
+        ends, end_code = ["\n"], np.zeros(len(ptr) - 1, dtype=np.int32)
     else:
         distinct_rhs, rhs_code = _distinct(rhs)
         rhs_text = [_num(v) for v in distinct_rhs]
         ends = [f" {s} {t}\n" for s in SENSES for t in rhs_text]
+        end_code = senses * len(rhs_text) + rhs_code
     table, (head_at, tail_at, term_at, name_at, end_at) = _table(
         [" " + head for head in heads], [tail + ":" for tail in tails], terms + leads, names, ends
     )
-    end = end_at if senses is None else (end_at, senses * len(rhs_text) + rhs_code)
     yield from _concat_rows(
         table,
         ptr,
         [(head_at, head_code), (tail_at, tail_code)],
         [(term_at, code), (name_at, indices)],
-        [end],
+        [(end_at, end_code)],
         wrap=True,
     )
 

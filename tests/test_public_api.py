@@ -1,5 +1,7 @@
 """The exported names of `cdsp` and `cdsp.formulation`, and the CLI's solver flags."""
 
+import dataclasses
+import inspect
 import json
 from pathlib import Path
 
@@ -57,6 +59,15 @@ def test_removed_model_and_graph_views():
     for name in REMOVED_GRAPH_ATTRIBUTES:
         assert not hasattr(cdsp.network.Multigraph, name), name
     assert not hasattr(cdsp.network, "Arc")  # the arcs are one table
+
+
+def test_tolerances_are_module_constants():
+    # no caller set them, so neither is a knob
+    from cdsp.formulation import solvers
+
+    assert solvers.FEASIBILITY_TOL == 1e-9
+    assert "feasibility_tol" not in {f.name for f in dataclasses.fields(cdsp.ScipyMilpAdapter)}
+    assert list(inspect.signature(cdsp.extract_solution).parameters) == ["model", "values", "graph"]
 
 
 def test_solve_without_solver_flag_uses_bundled_backend(tmp_path, capsys):

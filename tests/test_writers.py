@@ -132,6 +132,87 @@ def test_row_blocks_do_not_change_bytes(monkeypatch, n, explicit):
     assert write_mps(model) == mps
 
 
+def _words(rng, count, end=""):
+    """count random table entries of one to three space-led words."""
+    return [
+        "".join(" " + "abcxyz"[: int(k)] * int(m) for k, m in rng.integers(1, 7, (int(j), 2))) + end
+        for j in rng.integers(1, 4, count)
+    ]
+
+
+def _random_gather(rng, wrap):
+    """A random table, ragged ptr and head, item and tail pieces for
+    `_concat_rows`, using every piece form; with wrap, each row ends in one
+    tail piece that ends in a newline."""
+    num_rows = int(rng.integers(0, 30))
+    counts = rng.integers(0, 40, num_rows) * (rng.random(num_rows) < 0.6)
+    ptr = np.concatenate(([0], np.cumsum(counts)))
+    num_items = int(ptr[-1])
+    segments = [_words(rng, int(rng.integers(1, 20))) for _ in range(3)]
+    segments += [_words(rng, max(num_rows, 1)), _words(rng, int(rng.integers(1, 9)), "\n")]
+    offsets = np.cumsum([0] + [len(segment) for segment in segments]).tolist()
+    table = np.array(sum(segments, []), dtype=object)
+
+    def codes(segment, count, dtype=np.int64):
+        return rng.integers(0, len(segments[segment]), count).astype(dtype)
+
+    row_forms = [(offsets[0], codes(0, num_rows)), (offsets[3], None)]
+    item_forms = [
+        (offsets[1], codes(1, num_items, np.int32)),
+        (offsets[3], None),
+        (offsets[2], codes(2, 25, np.int32), rng.integers(0, 25, num_items)),
+    ]
+    head = [row_forms[k] for k in rng.integers(0, 2, int(rng.integers(0, 3)))]
+    items = [item_forms[k] for k in rng.permutation(3)[: int(rng.integers(0, 4))]]
+    tail = [(offsets[4], codes(4, num_rows))]
+    if not wrap:
+        tail = [row_forms[k] for k in rng.integers(0, 2, int(rng.integers(not head, 3)))]
+    return table, ptr, head, items, tail
+
+
+def _reference_rows(table, ptr, head, items, tail):
+    """Each row's head text and whole text, one row and one piece at a time."""
+
+    def text(piece, k, row):
+        offset, codes, *via = piece
+        if codes is None:
+            return table[offset + row]
+        return table[offset + int(codes[int(via[0][k]) if via else k])]
+
+    rows = []
+    for r in range(len(ptr) - 1):
+        first = "".join(text(piece, r, r) for piece in head)
+        middle = "".join(
+            text(piece, i, r) for i in range(ptr[r], ptr[r + 1]) for piece in items
+        )
+        rows.append((first, first + middle + "".join(text(piece, r, r) for piece in tail)))
+    return rows
+
+
+@pytest.mark.parametrize("wrap", [False, True], ids=["plain", "wrap"])
+@pytest.mark.parametrize("pieces", [1, 3, 7, 1 << 16])
+def test_concat_rows_matches_a_per_row_join(monkeypatch, pieces, wrap):
+    # a block holds the rows whose pieces fit in _BLOCK_PIECES, or one
+    # longer row; with wrap each row is broken as `_wrap` breaks it alone
+    monkeypatch.setattr(writers, "_BLOCK_PIECES", pieces)
+    rng = np.random.default_rng(pieces + wrap)
+    for _ in range(60):
+        table, ptr, head, items, tail = _random_gather(rng, wrap)
+        rows = _reference_rows(table, ptr, head, items, tail)
+        if wrap:
+            rows = [(first, writers._wrap(line[:-1], len(first)) + "\n") for first, line in rows]
+        want, size = [], pieces
+        for r, (_, line) in enumerate(rows):
+            count = len(head) + len(tail) + len(items) * int(ptr[r + 1] - ptr[r])
+            if size + count > pieces:
+                want.append("")
+                size = 0
+            want[-1] += line
+            size += count
+        blocks = list(writers._concat_rows(table, ptr, head, items, tail, wrap=wrap))
+        assert blocks == want
+
+
 def _token_wrap(prefix, tokens):
     """The LP wrapping rule token by token: a token joins the current line
     if the line stays within 78 characters, else it starts a new line with
