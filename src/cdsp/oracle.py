@@ -10,11 +10,10 @@ because appending stops leaves the prefix's earliest times as they are and
 no timing visits earlier than those. Every return to the depot closes a
 complete tour of the set visited so far. When delaying its departure by the
 minimum accumulated waiting meets the shift cap, its total is read off the
-pass; otherwise `schedule_tour` times it with its LP. The best tour per set
-is then combined over every partition of the requests into at most K
-blocks. Exponential in n; refuses instances beyond a small size. An n = 7
-instance takes milliseconds, up to about half a second when a tight shift
-cap sends many tours through the LP.
+pass; otherwise `schedule_tour` times it from the smallest departure that
+meets the cap. The best tour per set is then combined over every partition
+of the requests into at most K blocks. Exponential in n; refuses instances
+beyond a small size. An n = 7 instance takes milliseconds.
 """
 
 from __future__ import annotations

@@ -114,12 +114,25 @@ def schedule_tour(
 ) -> TourTiming:
     """Optimal timing of a fixed tour: minimize the sum of trip return times.
 
-    A forward pass computes earliest visit times (wait when early). If the
-    resulting shift fits the cap, the departure is delayed by the largest
-    amount that leaves every visit and delivery unchanged (the minimum
-    accumulated waiting), shortening the shift for free. Otherwise the exact
-    timing relaxation, a small LP over visit times and the departure, is
-    solved. Raises InfeasibleTourError when no timing exists.
+    A forward pass from departure 0 computes earliest visit times (wait when
+    early). If the resulting shift fits the cap, the departure is delayed by
+    the largest amount that leaves every visit and delivery unchanged (the
+    minimum accumulated waiting), shortening the shift for free. Otherwise
+    the tour leaves at t* = D0 - cap, D0 being the first pass's last return,
+    and a second pass gives the earliest schedule from there. That is exact
+    (the forward time slack argument, Savelsbergh 1992):
+
+    - From departure t >= 0 each earliest visit is max(t + travel to it, its
+      departure-0 time), so the last return is max(t + L, D0), L being the
+      tour's travel time: no departure below t* meets the cap.
+    - Earliest visits and deliveries are non-decreasing in t, and no timing
+      is earlier than the earliest schedule from its own departure. So the
+      schedule from t* has every delivery as early as any feasible timing
+      has it, whatever the weights; if it misses a deadline, or L > cap, no
+      timing exists.
+
+    Raises InfeasibleTourError when no timing exists, naming the node whose
+    deadline is missed, or None when travel alone busts the cap.
     """
     trips = _trip_lists(tour)
     if windows is None:
@@ -131,10 +144,14 @@ def schedule_tour(
     visit, deliveries, min_cum_wait = _forward_pass(trips, inst, windows, departure=0.0)
     # Delaying by the minimum accumulated waiting keeps every visit and
     # delivery in place, so it is free; take it whenever it already meets
-    # the cap, otherwise visits must move and the LP decides how.
+    # the cap, otherwise leave at the smallest departure that meets it.
     if deliveries[-1] - min_cum_wait <= inst.shift_cap + TIME_TOL:
         return TourTiming(departure=min_cum_wait, visit=visit, deliveries=tuple(deliveries))
-    return _schedule_lp(trips, inst, windows)
+    departure = deliveries[-1] - inst.shift_cap
+    visit, deliveries, _ = _forward_pass(trips, inst, windows, departure)
+    if deliveries[-1] - departure > inst.shift_cap + TIME_TOL:
+        raise InfeasibleTourError(None, "no timing satisfies the shift cap")
+    return TourTiming(departure=departure, visit=visit, deliveries=tuple(deliveries))
 
 
 def _trip_lists(tour) -> list[list[int]]:
@@ -182,56 +199,6 @@ def _forward_pass(trips, inst, windows, departure):
         deliveries.append(clock)
         at = 0
     return visit, deliveries, min_cum_wait
-
-
-def _schedule_lp(trips, inst, windows) -> TourTiming:
-    """Exact timing relaxation when the earliest schedule busts the shift cap.
-
-    min sum of trip returns s.t. leg precedences, windows, shift cap;
-    variables are the departure and one visit time per node.
-    """
-    from scipy.optimize import linprog
-
-    travel = inst.travel
-    release, deadline = windows.release, windows.deadline
-    order = [node for trip in trips for node in trip]
-    col = {node: i + 1 for i, node in enumerate(order)}  # column 0 = departure
-
-    ncols = len(order) + 1
-    c = np.zeros(ncols)
-    rows, rhs = [], []
-
-    def leg(u_col: int, v_col: int, cost: float):
-        row = np.zeros(ncols)
-        row[u_col], row[v_col] = 1.0, -1.0
-        rows.append(row)
-        rhs.append(-cost)
-
-    last_node = None
-    for trip in trips:
-        if last_node is None:
-            leg(0, col[trip[0]], travel[0, trip[0]])
-        else:
-            # depot pass-through: return leg plus outbound leg of the next trip
-            leg(col[last_node], col[trip[0]], travel[last_node, 0] + travel[0, trip[0]])
-        for u, v in zip(trip, trip[1:]):
-            leg(col[u], col[v], travel[u, v])
-        last_node = trip[-1]
-        c[col[last_node]] = 1.0
-    # shift cap: z_last + return leg - departure <= cap
-    row = np.zeros(ncols)
-    row[col[last_node]], row[0] = 1.0, -1.0
-    rows.append(row)
-    rhs.append(inst.shift_cap - travel[last_node, 0])
-
-    bounds = [(0.0, None)] + [(release[node], deadline[node]) for node in order]
-    res = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds, method="highs")
-    if not res.success:
-        raise InfeasibleTourError(None, "no timing satisfies the shift cap")
-    x = res.x
-    visit = {node: float(x[col[node]]) for node in order}
-    deliveries = tuple(float(x[col[trip[-1]]] + travel[trip[-1], 0]) for trip in trips)
-    return TourTiming(departure=float(x[0]), visit=visit, deliveries=deliveries)
 
 
 def assemble_solution(

@@ -22,6 +22,7 @@ from cdsp.harness import (
     write_report,
 )
 
+from conftest import DATA_DIR
 from gen import random_instance
 
 LIMITS = SolveLimits(time_limit_s=60.0)
@@ -391,6 +392,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "oracle check: OK" in out
+
+    @pytest.mark.parametrize("cap, total", [("40", 25.0), ("16", 28.0), ("15.5", 28.5)])
+    def test_solve_oracle_cross_check_shift_capped(self, cap, total, capsys):
+        # capped2: sites 1 and 2 are 3 and 4 from the depot with windows
+        # [0, 8] and [15, 25]; serving 1, then 2 returns at 6 and 19. A cap
+        # below 19 delays the departure to 19 - cap, which moves site 1's
+        # return to 25 - cap and leaves site 2 waiting for its release, so
+        # F = 44 - cap.
+        from cdsp.cli import main
+
+        path = DATA_DIR / "capped2.txt"
+        code = main(["solve", str(path), "--fleet", "file", "--shift-cap", cap, "--oracle"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"oracle check: OK (F = {total:.6f})" in out
 
     def test_solve_oracle_cross_check_reads_the_shared_limits(
         self, tiny2_file, capsys, monkeypatch

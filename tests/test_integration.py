@@ -1,4 +1,4 @@
-"""Cross-module sweeps: scheduling LP path, config modes, harness statuses."""
+"""Cross-module sweeps: shift-capped tour timing, config modes, harness statuses."""
 
 import dataclasses
 import math
@@ -55,9 +55,9 @@ def _min_shift_curve(trips, inst, windows):
 
 class TestTimingRelaxationIsExact:
     def test_lp_path_matches_parametric_optimum(self):
-        # force the LP path by picking a cap between the tightest shift any
-        # departure reaches and the shift the free delay reaches, then check
-        # the LP result against the minimal-feasible-departure schedule
+        # force the capped timing by picking a cap between the tightest shift
+        # any departure reaches and the shift the free delay reaches, then
+        # check it against the minimal feasible departure found by bisection
         rng = np.random.default_rng(77)
         exercised = 0
         for trial in range(400):
@@ -73,7 +73,7 @@ class TestTimingRelaxationIsExact:
             except InfeasibleTourError:
                 continue
             if shift0 - min_wait <= shift_min + 1e-6:
-                continue  # no room to force the LP path
+                continue  # no room to force the capped timing
             cap = float(rng.uniform(shift_min + 1e-4, shift0 - min_wait - 1e-4))
             capped = dataclasses.replace(inst, shift_cap=cap)
             timing = schedule_tour(trips, capped, windows)

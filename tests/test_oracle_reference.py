@@ -64,8 +64,8 @@ def reference_solve(inst, windows):
 
 def _cases(fleet_size, count=40):
     """Seeded instances with n <= 5; every third one has its shift cap scaled
-    by U(0.5, 1.0), which sends tours through the LP timing and leaves some
-    instances infeasible."""
+    by U(0.5, 1.0), which makes tours leave late to meet the cap and leaves
+    some instances infeasible."""
     rng = np.random.default_rng(100 + fleet_size)
     for i in range(count):
         inst = random_instance(rng, int(rng.integers(1, 6)), fleet_size)

@@ -16,10 +16,11 @@ from cdsp import (
     solution_to_json,
     validate_solution,
 )
-from cdsp.routes import _forward_pass
+from cdsp.routes import TIME_TOL, _forward_pass
 
 from conftest import make_tiny2
 from gen import random_instance, split_bits
+from timing_lp import schedule_lp
 
 
 class TestScheduleTour:
@@ -59,11 +60,21 @@ class TestScheduleTour:
 
     def test_shift_cap_infeasible_despite_delay(self):
         # first stop pinned at its release, second released far out: the
-        # waiting cannot be absorbed and the shift busts the cap
+        # waiting cannot be absorbed, and the smallest departure that meets
+        # the cap, 104 - 50 = 54, reaches site 1 at 57, past its deadline 3
         inst = _cap_instance(first_deadline=3.0)
         w = preprocess_time_windows(inst)
-        with pytest.raises(InfeasibleTourError):
+        with pytest.raises(InfeasibleTourError) as err:
             schedule_tour([[1], [2]], inst, w)
+        assert err.value.node == 1
+
+    def test_shift_cap_below_travel_time(self):
+        # the tour's legs alone take 3 + 3 + 4 + 4 = 14 > 13
+        inst = dataclasses.replace(_cap_instance(first_deadline=150.0), shift_cap=13.0)
+        w = preprocess_time_windows(inst)
+        with pytest.raises(InfeasibleTourError, match="no timing satisfies the shift cap") as err:
+            schedule_tour([[1], [2]], inst, w)
+        assert err.value.node is None
 
     def test_shift_cap_solved_by_timing_relaxation(self):
         inst = _cap_instance(first_deadline=150.0)
@@ -125,6 +136,53 @@ class TestScheduleTour:
         if t is not None:
             # scheduled timing itself must be feasible
             assert t.shift <= inst.shift_cap + 1e-6
+
+    def test_capped_timing_matches_linear_program(self):
+        # tours whose free delay cannot meet the cap, timed in closed form
+        # and by the timing LP the closed form replaced
+        rng = np.random.default_rng(2024)
+        feasible = infeasible = 0
+        while feasible + infeasible < 300:
+            n = int(rng.integers(1, 9))
+            slack = (2.0, 40.0) if rng.random() < 0.5 else (40.0, 400.0)
+            inst = random_instance(
+                rng, n, 1, release_fwd=float(rng.uniform(20.0, 120.0)), deadline_slack=slack
+            )
+            w = preprocess_time_windows(inst)
+            for _ in range(4):  # tours per instance
+                nodes = [int(x) for x in rng.permutation(np.arange(1, n + 1))]
+                trips = split_bits(nodes, int(rng.integers(0, 1 << (n - 1))))
+                try:
+                    _, deliveries, min_cum_wait = _forward_pass(trips, inst, w, departure=0.0)
+                except InfeasibleTourError:
+                    continue
+                legs = [0] + [node for trip in trips for node in (*trip, 0)]
+                travel = float(sum(inst.travel[u, v] for u, v in zip(legs, legs[1:])))
+                free = deliveries[-1] - min_cum_wait
+                if free - 1e-3 <= 0.95 * travel:
+                    continue
+                cap = float(rng.uniform(0.95 * travel, free - 1e-3))
+                capped = dataclasses.replace(inst, shift_cap=cap)
+                try:
+                    ref = schedule_lp(trips, capped, w)
+                except InfeasibleTourError:
+                    ref = None
+                try:
+                    t = schedule_tour(trips, capped, w)
+                except InfeasibleTourError:
+                    t = None
+                assert (t is None) == (ref is None), trips
+                if t is None:
+                    infeasible += 1
+                    continue
+                feasible += 1
+                weights = [len(trip) for trip in trips]
+                total = sum(k * d for k, d in zip(weights, t.deliveries))
+                ref_total = sum(k * d for k, d in zip(weights, ref.deliveries))
+                assert total == pytest.approx(ref_total, rel=1e-9)
+                assert all(d <= r + 1e-6 for d, r in zip(t.deliveries, ref.deliveries))
+                assert t.shift <= cap + TIME_TOL
+        assert feasible >= 25 and infeasible >= 100
 
 
 class TestValidateAndEvaluate:
