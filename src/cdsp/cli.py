@@ -170,6 +170,8 @@ def main(argv=None) -> int:
             print(f"  gap = {record.gap_pct:.4f} %")
         if record.wall_s is not None:
             print(f"  T = {record.wall_s:.2f} s (model build {record.build_s:.2f} s)")
+        if record.nodes is not None:
+            print(f"  nodes = {record.nodes}")
         if record.message:
             print(f"  note: {record.message}")
         if args.oracle:

@@ -116,8 +116,8 @@ class RowNames(NamedTuple):
 
 @dataclass(eq=False)
 class MipModel:
-    """The model's arrays and family table; names and the row view are
-    derived on access."""
+    """The model's arrays and family table, and the graph it was built from;
+    names and the row view are derived on access."""
 
     n: int
     fleet_size: int
@@ -130,6 +130,7 @@ class MipModel:
     integrality: np.ndarray  # 1 on binary columns, 0 on continuous ones
     c: np.ndarray  # objective costs; 1 on every completion column
     families: tuple[RowFamily, ...]  # in order of their first row
+    graph: Multigraph  # arc table and windows the rows were built from
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -398,6 +399,7 @@ def build_model(
         integrality=integrality,
         c=c,
         families=families,
+        graph=graph,
         metadata={
             "label": inst.label,
             "n": n,

@@ -2,9 +2,11 @@
 
 Adapters take a built model plus limits and return a SolveOutcome carrying
 status, incumbent values, the solver-reported dual bound and wall time.
-Two implementations ship: the bundled HiGHS backend (scipy.optimize.milp)
-and a file-based adapter that writes the model, invokes an arbitrary
-external solver executable and parses its solution file.
+Two implementations ship: the bundled HiGHS backend (scipy.optimize.milp),
+which adds the degree-weighted time-bound rows of `time_bound_rows` to the
+model's rows, and a file-based adapter that writes the model as built,
+invokes an arbitrary external solver executable and parses its solution
+file.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 import numpy as np
+import scipy.sparse as sp
 
+from ..network import ArcKind
 from .model import MipModel
 from .writers import MODEL_FORMATS, write_model
 
@@ -62,6 +66,7 @@ class SolveOutcome:
     values: np.ndarray | None = None
     wall_s: float = 0.0
     message: str = ""
+    nodes: int | None = None  # branch-and-bound nodes, where the solver reports them
 
     @property
     def has_incumbent(self) -> bool:
@@ -88,6 +93,68 @@ def model_to_arrays(model: MipModel):
     )
 
 
+def time_bound_rows(model: MipModel) -> sp.csr_matrix:
+    """The 3n degree-weighted time-bound rows, each ``row @ columns >= 0``,
+    that the bundled solve stacks under the model's rows.
+
+    With r' the preprocessed release (r'_0 = 0), c_a the arc cost and t_k0
+    the cost of k's depot-in arc, for each request j (rows j - 1, n + j - 1
+    and 2n + j - 1):
+
+    - (P)  z_j - sum_{a into j} (r'_{src a} + c_a) x_a >= 0
+    - (S1) C_j - z_j - sum_{inter a = j->k} (c_a + t_k0) x_a
+      - sum_{other a out of j} t_j0 x_a >= 0
+    - (S2) C_j - sum_{inter a = j->k} (r'_k + t_k0) x_a
+      - sum_{other a out of j} (r'_j + t_j0) x_a >= 0
+
+    Validity: in an integer solution exactly one arc enters and one leaves
+    j (visit_in, visit_out), so each row reduces to one per-arc bound. (P)
+    is ``tprop`` (z_j >= z_i + c_a) with z_i >= r'_i; on a depot-out arc it
+    is z_j >= t_0j, which the preprocessed release r'_j >= t_0j implies.
+    Through an inter arc j->k the carry rows force y_kj = 1 (y_jj = 1 by
+    its bound or the ``collect`` row), and ``compl`` then gives
+    C_j >= z_k + t_k0 >= z_j + c_a + t_k0 and >= r'_k + t_k0. Through any
+    other arc out of j, the trip ends at j and ``compl`` with y_jj = 1
+    gives C_j >= z_j + t_j0 >= r'_j + t_j0. So the rows cut off no integer
+    solution and change no optimum. In the LP relaxation the big-M rows
+    switch off under fractional x and y; these rows average the same
+    per-arc bounds over the degree equalities with no big-M, which lifts
+    the root bound above the direct-trip bound. The lifting is the one
+    Desrochers & Laporte (1991) and Kara, Laporte & Bektas (2004) apply to
+    MTZ rows.
+    """
+    n, lay = model.n, model.layout
+    arcs = model.graph.arcs
+    src, tgt, cost = arcs["source"], arcs["target"], arcs["cost"]
+    release = np.concatenate(([0.0], model.graph.windows.release[1:]))
+    home = np.flatnonzero(tgt == 0)
+    to_depot = np.zeros(n + 1)
+    to_depot[src[home]] = cost[home]
+
+    nodes = np.arange(1, n + 1)
+    enters, leaves = np.flatnonzero(tgt > 0), np.flatnonzero(src > 0)
+    j, k = src[leaves], tgt[leaves]
+    inter = arcs["kind"][leaves] == ArcKind.INTER.code
+    through = np.where(inter, cost[leaves] + to_depot[k], to_depot[j])
+    earliest = np.where(inter, release[k] + to_depot[k], release[j] + to_depot[j])
+    pieces = (  # (row, column, value) per term
+        (nodes - 1, lay.z(nodes), 1.0),  # (P)
+        (tgt[enters] - 1, lay.x(enters), -(release[src[enters]] + cost[enters])),
+        (n + nodes - 1, lay.completion(nodes), 1.0),  # (S1)
+        (n + nodes - 1, lay.z(nodes), -1.0),
+        (n + j - 1, lay.x(leaves), -through),
+        (2 * n + nodes - 1, lay.completion(nodes), 1.0),  # (S2)
+        (2 * n + j - 1, lay.x(leaves), -earliest),
+    )
+    rows, cols, vals = (
+        np.concatenate([np.broadcast_to(piece[part], piece[0].shape) for piece in pieces])
+        for part in range(3)
+    )
+    rows_matrix = sp.csr_matrix((vals, (rows, cols)), shape=(3 * n, model.num_columns))
+    rows_matrix.eliminate_zeros()
+    return rows_matrix
+
+
 @dataclass(frozen=True)
 class ScipyMilpAdapter:
     """Bundled backend: HiGHS through scipy.optimize.milp.
@@ -95,9 +162,16 @@ class ScipyMilpAdapter:
     Runs single-threaded (scipy does not expose a thread option), which
     never exceeds the configured cap. Deterministic for fixed inputs.
 
+    HiGHS gets the model's rows plus `time_bound_rows`, built here on each
+    call: valid rows that give the LP relaxation a bound above the
+    direct-trip bound, so far fewer branch-and-bound nodes. The model, its
+    files and its arrays stay the paper's.
+
     Feasibility tolerances are FEASIBILITY_TOL (1e-9), well below HiGHS's
     1e-6 MIP default: incumbents may shave binding constraints by up to that
     tolerance, which would blur objective comparisons at the 1e-6 level.
+    A HiGHS solve error is retried once without presolve, within the time
+    left; the outcome's message says so.
     """
 
     name: str = "scipy-highs"
@@ -109,22 +183,36 @@ class ScipyMilpAdapter:
 
         c, matrix, row_lb, row_ub, lb, ub, integrality = model_to_arrays(model)
         start = time.perf_counter()
+        problem = dict(
+            c=c,
+            constraints=[
+                LinearConstraint(matrix, row_lb, row_ub),
+                LinearConstraint(time_bound_rows(model), 0.0, np.inf),
+            ],
+            integrality=integrality,
+            bounds=Bounds(lb, ub),
+        )
+        options = {
+            "time_limit": limits.time_limit_s,
+            "mip_rel_gap": limits.gap_target,
+            "mip_feasibility_tolerance": FEASIBILITY_TOL,
+            "primal_feasibility_tolerance": FEASIBILITY_TOL,
+        }
+        note = ""
         with warnings.catch_warnings():
             # scipy warns about non-scipy option names but forwards them to
             # HiGHS, which is exactly what the tolerance options need
             warnings.filterwarnings("ignore", message="Unrecognized options detected")
-            res = milp(
-                c,
-                constraints=[LinearConstraint(matrix, row_lb, row_ub)] if len(row_lb) else None,
-                integrality=integrality,
-                bounds=Bounds(lb, ub),
-                options={
-                    "time_limit": limits.time_limit_s,
-                    "mip_rel_gap": limits.gap_target,
-                    "mip_feasibility_tolerance": FEASIBILITY_TOL,
-                    "primal_feasibility_tolerance": FEASIBILITY_TOL,
-                },
-            )
+            res = milp(**problem, options=options)
+            remaining = limits.time_limit_s - (time.perf_counter() - start)
+            if res.status == 4 and remaining > 0:
+                # HiGHS checks the optimum it accepted on the presolved model
+                # again on the original one, and reports a solve error when
+                # postsolve round-off leaves it a hair over the tolerance
+                # there ("MIP solver claims optimality, but with ...
+                # infeasibilities"). Without presolve there is no round trip.
+                note = f" (re-solved without presolve after: {res.message})"
+                res = milp(**problem, options={**options, "presolve": False, "time_limit": remaining})
         wall = time.perf_counter() - start
         bound = getattr(res, "mip_dual_bound", None)
         bound = float(bound) if bound is not None else None
@@ -150,7 +238,8 @@ class ScipyMilpAdapter:
             bound=bound,
             values=values,
             wall_s=wall,
-            message=str(res.message),
+            message=str(res.message) + note,
+            nodes=getattr(res, "mip_node_count", None),
         )
 
 

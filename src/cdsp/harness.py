@@ -66,6 +66,7 @@ class RunRecord:
     gap_pct: float | None = None
     wall_s: float | None = None
     build_s: float | None = None
+    nodes: int | None = None  # branch-and-bound nodes, where the solver reports them
     message: str = ""
 
     def setting_key(self) -> tuple:
@@ -238,6 +239,7 @@ def run_instance(
         gap_pct=gap,
         wall_s=outcome.wall_s,
         build_s=build_s,
+        nodes=outcome.nodes,
         message=outcome.message,
     )
 
@@ -404,6 +406,7 @@ def report_json(report: BenchmarkReport) -> dict:
                 "gap_pct": r.gap_pct,
                 "wall_s": r.wall_s,
                 "build_s": r.build_s,
+                "nodes": r.nodes,
                 "message": r.message,
             }
             for r in report.records

@@ -7,6 +7,7 @@ routing, so the reference stays feasible after window preprocessing.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -93,3 +94,16 @@ def random_instance(
         depot_deadline=depot_deadline,
         label=f"rand-n{n}",
     )
+
+
+def varied_instance(rng: np.random.Generator, n: int) -> Instance:
+    """A `random_instance` of n requests and 1-3 vehicles, drawn across the
+    settings the model must hold under: a third with wide windows (deadline
+    slack in the hundreds), and half with the shift cap scaled by U(0.6, 1),
+    which can make the instance infeasible."""
+    fleet = int(rng.integers(1, 4))
+    slack = (100.0, 400.0) if rng.random() < 1 / 3 else (2.0, 40.0)
+    inst = random_instance(rng, n, fleet, deadline_slack=slack)
+    if rng.random() < 0.5:
+        inst = dataclasses.replace(inst, shift_cap=inst.shift_cap * float(rng.uniform(0.6, 1.0)))
+    return inst

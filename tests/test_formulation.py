@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cdsp import ArcKind, build_model, build_multigraph, preprocess_time_windows
 from cdsp.formulation import SENSE_EQ, SENSE_LE
+from cdsp.formulation.solvers import time_bound_rows
 from cdsp.network import TimeWindows
 from cdsp.oracle import exact_solve_tiny
 
 import views
-from gen import random_instance
+from gen import random_instance, varied_instance
 from views import (
     Arc,
     arc_list,
@@ -247,16 +248,16 @@ class TestBuildModel:
 
 
 class TestModelAdmitsOracleSolutions:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_oracle_solution_satisfies_every_constraint(self, seed):
         rng = np.random.default_rng(seed)
-        inst = random_instance(rng, int(rng.integers(1, 6)), int(rng.integers(1, 3)))
+        inst = varied_instance(rng, int(rng.integers(1, 6)))
         w = preprocess_time_windows(inst)
         g = build_multigraph(inst, w)
-        model = build_model(g, inst)
+        model = build_model(g, inst, explicit_bounds=bool(rng.random() < 0.25))
         result = exact_solve_tiny(inst, w)
-        assert result.solution is not None
+        assume(result.solution is not None)  # a scaled shift cap may leave no routing
         vec = solution_column_values(result.solution, model, g)
         tol = 1e-7
         for var in views.variables(model):
@@ -269,5 +270,9 @@ class TestModelAdmitsOracleSolutions:
                 assert lhs == pytest.approx(row.rhs, abs=tol), row.name
             else:
                 assert lhs >= row.rhs - tol, row.name
+        # the rows the bundled solve adds must admit every routing too
+        slack = time_bound_rows(model) @ vec
+        assert slack.shape == (3 * inst.n,)
+        assert np.all(slack >= -tol), np.flatnonzero(slack < -tol)
         objective = sum(vec[col] * coef for col, coef in views.objective(model).items())
         assert objective == pytest.approx(result.best_total, abs=1e-6)

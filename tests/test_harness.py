@@ -64,6 +64,13 @@ class TestRunInstance:
         assert record.net == pytest.approx(13.0, abs=1e-6)
         assert record.gap_pct is not None and record.gap_pct <= 1e-4
         assert record.build_s is not None and record.wall_s is not None
+        assert isinstance(record.nodes, int) and record.nodes >= 0
+
+    def test_gen20_optimum(self):
+        # the n = 20 solve in CI's console-script step
+        record = run_instance(GEN20, InstanceConfig(fleet_size="file"), LIMITS)
+        assert record.status == "optimal"
+        assert record.total == pytest.approx(3653.0084620646, rel=1e-9)
 
     def test_empty_window_is_infeasible_status(self, tmp_path):
         path = tmp_path / "badwin.txt"
@@ -261,7 +268,9 @@ class TestReporting:
         assert rows[0].index("avg_fprime") == 5
 
     def test_json_report_carries_fingerprint(self, tmp_path):
-        records = [RunRecord("a", Setting(25, "C", "tight"), "optimal", 33.0, 13.0, 0.0, 0.4, 0.1)]
+        records = [
+            RunRecord("a", Setting(25, "C", "tight"), "optimal", 33.0, 13.0, 0.0, 0.4, 0.1, 7)
+        ]
         report = self._report(records)
         write_report(report, tmp_path)
         payload = json.loads((tmp_path / "report.json").read_text())
@@ -269,6 +278,7 @@ class TestReporting:
         assert payload["fingerprint"]["gap_convention"] == "(incumbent - bound) / incumbent * 100"
         assert payload["fingerprint"]["service_mode"] == "ignore"
         assert payload["records"][0]["F_prime"] == 13.0
+        assert payload["records"][0]["nodes"] == 7
 
 
 class TestCli:
@@ -280,6 +290,7 @@ class TestCli:
         assert code == 0
         assert "optimal" in out
         assert "F' = 13" in out
+        assert "nodes = " in out
 
     def test_solve_error_exit_code(self, tmp_path, capsys):
         from cdsp.cli import main

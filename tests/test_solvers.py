@@ -1,8 +1,10 @@
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from cdsp import (
     SolveLimits,
@@ -11,14 +13,17 @@ from cdsp import (
     build_model,
     build_multigraph,
     emit_model,
+    exact_solve_tiny,
+    extract_solution,
     preprocess_time_windows,
     solve,
+    validate_solution,
 )
-from cdsp.formulation import FileSolverAdapter
-from cdsp.formulation.solvers import _parse_cbc, _parse_highs, _parse_plain
+from cdsp.formulation import FileSolverAdapter, model_to_arrays
+from cdsp.formulation.solvers import FEASIBILITY_TOL, _parse_cbc, _parse_highs, _parse_plain
 from cdsp.network import TimeWindows
 
-from gen import random_instance
+from gen import random_instance, varied_instance
 
 FAKE_SOLVER = Path(__file__).parent / "fake_solver.py"
 
@@ -50,6 +55,7 @@ class TestScipyAdapter:
         assert outcome.objective == pytest.approx(20.0, abs=1e-6)
         assert outcome.bound == pytest.approx(20.0, abs=1e-6)
         assert outcome.values is not None
+        assert isinstance(outcome.nodes, int) and outcome.nodes >= 0
 
     def test_empty_window_model_is_infeasible(self, tiny2):
         # doctored windows that preprocessing would have rejected
@@ -73,6 +79,27 @@ class TestScipyAdapter:
             SolveStatus.NO_SOLUTION_TIME_LIMIT,
         )
 
+    def test_solve_error_is_retried_without_presolve(self, tiny2_model, monkeypatch):
+        import scipy.optimize
+
+        real_milp = scipy.optimize.milp
+        calls = []
+
+        def first_call_fails(*args, options, **kwargs):
+            calls.append(options)
+            if len(calls) == 1:
+                return scipy.optimize.OptimizeResult(status=4, message="Solve error", x=None)
+            return real_milp(*args, options=options, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "milp", first_call_fails)
+        outcome = solve(tiny2_model, SolveLimits(time_limit_s=60))
+        assert outcome.status is SolveStatus.OPTIMAL
+        assert outcome.objective == pytest.approx(20.0, abs=1e-6)
+        assert "presolve" not in calls[0]
+        assert calls[1]["presolve"] is False
+        assert 0 < calls[1]["time_limit"] <= 60
+        assert "re-solved without presolve after: Solve error" in outcome.message
+
     def test_adapter_crash_becomes_error_outcome(self, tiny2_model):
         class Exploding:
             name = "exploding"
@@ -83,6 +110,88 @@ class TestScipyAdapter:
         outcome = solve(tiny2_model, SolveLimits(time_limit_s=1), adapter=Exploding())
         assert outcome.status is SolveStatus.ERROR
         assert "boom" in outcome.message
+
+
+def _solve_paper_model(model):
+    """scipy's milp on the model's own arrays with the bundled adapter's
+    options: the paper model alone, without the time-bound rows."""
+    c, matrix, row_lb, row_ub, lb, ub, integrality = model_to_arrays(model)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="Unrecognized options detected")
+        return milp(
+            c,
+            constraints=LinearConstraint(matrix, row_lb, row_ub),
+            integrality=integrality,
+            bounds=Bounds(lb, ub),
+            options={
+                "time_limit": 60.0,
+                "mip_rel_gap": 0.0,
+                "mip_feasibility_tolerance": FEASIBILITY_TOL,
+                "primal_feasibility_tolerance": FEASIBILITY_TOL,
+            },
+        )
+
+
+class TestTimeBoundRows:
+    """The bundled solve adds valid rows: it must reach the same optima."""
+
+    def test_bundled_solve_matches_the_oracle(self):
+        # n = 2-7, 1-3 vehicles, wide windows, scaled shift caps, explicit rows
+        rng = np.random.default_rng(7)
+        statuses = []
+        for _ in range(60):
+            inst = varied_instance(rng, int(rng.integers(2, 8)))
+            windows = preprocess_time_windows(inst)
+            g = build_multigraph(inst, windows)
+            model = build_model(g, inst, explicit_bounds=bool(rng.random() < 0.25))
+            outcome = solve(model, SolveLimits(time_limit_s=60))
+            oracle = exact_solve_tiny(inst, windows)
+            statuses.append(outcome.status)
+            if oracle.solution is None:
+                assert outcome.status is SolveStatus.INFEASIBLE
+                continue
+            assert outcome.status is SolveStatus.OPTIMAL
+            assert outcome.objective == pytest.approx(oracle.best_total, rel=1e-6)
+            sol = extract_solution(model, outcome.values, g)
+            assert validate_solution(sol, inst, windows).ok
+        assert SolveStatus.INFEASIBLE in statuses
+
+    @pytest.mark.parametrize("seed", [14, 19, 26, 29])
+    def test_bundled_solve_matches_the_paper_model(self, seed):
+        # n = 8-10 instances the paper model alone solves in under 0.3 s
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, int(rng.integers(8, 11)), int(rng.integers(2, 4)))
+        model = build_model(build_multigraph(inst), inst)
+        paper = _solve_paper_model(model)
+        outcome = solve(model, SolveLimits(time_limit_s=60))
+        assert paper.status == 0
+        assert outcome.status is SolveStatus.OPTIMAL
+        assert outcome.objective == pytest.approx(paper.fun, rel=1e-6)
+
+    @pytest.mark.parametrize("seed", [25, 38])
+    def test_oracle_optimum_where_the_paper_model_alone_misses_it(self, seed):
+        # HiGHS with presolve on reports an optimum 1.4-1.6 % above the
+        # oracle's on the paper model alone (any tolerance 1e-9..1e-6)
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, int(rng.integers(8, 11)), int(rng.integers(2, 4)))
+        g = build_multigraph(inst)
+        model = build_model(g, inst)
+        outcome = solve(model, SolveLimits(time_limit_s=60))
+        oracle = exact_solve_tiny(inst, g.windows, limit=inst.n)
+        assert outcome.status is SolveStatus.OPTIMAL
+        assert outcome.objective == pytest.approx(oracle.best_total, rel=1e-9)
+
+    def test_n25_counterexample_is_solved_to_the_true_optimum(self):
+        # the paper model alone reports optimal F = 6772.464 here at 1e-9
+        inst = random_instance(np.random.default_rng(5), 25, 6)
+        g = build_multigraph(inst)
+        model = build_model(g, inst)
+        outcome = solve(model, SolveLimits(time_limit_s=120))
+        assert outcome.status is SolveStatus.OPTIMAL
+        assert outcome.objective == pytest.approx(6762.32082322527, rel=1e-9)
+        sol = extract_solution(model, outcome.values, g)
+        assert validate_solution(sol, inst, g.windows).ok
+        assert sol.total_completion == pytest.approx(6762.32082322527, rel=1e-9)
 
 
 class TestFileAdapter:
@@ -97,6 +206,7 @@ class TestFileAdapter:
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.objective == pytest.approx(20.0, abs=1e-6)
         assert outcome.bound == pytest.approx(20.0, abs=1e-6)
+        assert outcome.nodes is None
 
     def test_external_solver_decodes_like_bundled(self, tiny2, tiny2_model):
         from cdsp import extract_solution, validate_solution
