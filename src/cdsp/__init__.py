@@ -62,7 +62,6 @@ from .routes import (
     Trip,
     ValidationReport,
     assemble_solution,
-    evaluate,
     schedule_tour,
     solution_to_json,
     validate_solution,
@@ -107,7 +106,6 @@ __all__ = [
     "build_model",
     "build_multigraph",
     "emit_model",
-    "evaluate",
     "exact_solve_tiny",
     "extract_solution",
     "load_manifest",

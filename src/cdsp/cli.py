@@ -20,7 +20,7 @@ from .harness import (
     run_suite,
 )
 from .instances import InstanceConfig, build_instance, parse_solomon
-from .network import build_multigraph, preprocess_time_windows
+from .network import build_multigraph
 from .oracle import DEFAULT_LIMIT, OracleSizeError, exact_solve_tiny
 from .routes import solution_to_json
 
@@ -232,8 +232,7 @@ def main(argv=None) -> int:
 
     if args.command == "oracle":
         inst = _load_instance(args)
-        windows = preprocess_time_windows(inst)
-        result = exact_solve_tiny(inst, windows, limit=args.limit)
+        result = exact_solve_tiny(inst, limit=args.limit)
         if result.solution is None:
             print(f"{inst.label}: infeasible ({result.candidates} candidates)")
             return 0

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..network import ArcKind, Multigraph
-from ..routes import EvaluatedSolution, Timing, Tour, Trip
+from ..network import ArcKind
+from ..routes import EvaluatedSolution, Tour, Trip, evaluated_solution
 from .model import MipModel
 
 INTEGRALITY_TOL = 1e-6
@@ -22,15 +22,16 @@ class ModelDecodeError(ValueError):
     """Incumbent values do not encode a structurally valid routing."""
 
 
-def extract_solution(model: MipModel, values, graph: Multigraph) -> EvaluatedSolution:
-    """Rebuild at most K vehicle tours from incumbent column values.
+def extract_solution(model: MipModel, values) -> EvaluatedSolution:
+    """Rebuild at most K vehicle tours from incumbent column values, over
+    the graph the model was built from.
 
     Raises ModelDecodeError on binaries more than INTEGRALITY_TOL from an
     integer or on arc degrees violating the flow clauses (both signal
     solver-tolerance or model bugs rather than recoverable outcomes).
     """
     vec = _as_vector(model, values)
-    lay = model.layout
+    graph, lay = model.graph, model.layout
     n = model.n
 
     x = vec[: lay.num_arcs]  # lay.x is the identity on arc ids
@@ -115,15 +116,7 @@ def extract_solution(model: MipModel, values, graph: Multigraph) -> EvaluatedSol
             f"{len(traversed) - used} traversed arcs unreachable from the depot"
         )
 
-    total = float(sum(completion.values()))
-    release_sum = float(np.sum(graph.windows.release[1:]))
-    timing = Timing(visit=visit, deliveries=tuple(deliveries), completion=completion)
-    return EvaluatedSolution(
-        tours=tuple(tours),
-        timing=timing,
-        total_completion=total,
-        net_completion=total - release_sum,
-    )
+    return evaluated_solution(tours, visit, deliveries, completion, graph.windows)
 
 
 def _as_vector(model: MipModel, values) -> np.ndarray:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -119,7 +119,7 @@ class MipModel:
     """The model's arrays and family table, and the graph it was built from;
     names and the row view are derived on access."""
 
-    n: int
+    label: str  # the instance's, for the model file headers
     fleet_size: int
     layout: ColumnLayout
     matrix: sp.csr_matrix  # columns sorted within each row, no stored zeros
@@ -131,7 +131,10 @@ class MipModel:
     c: np.ndarray  # objective costs; 1 on every completion column
     families: tuple[RowFamily, ...]  # in order of their first row
     graph: Multigraph  # arc table and windows the rows were built from
-    metadata: dict = field(default_factory=dict)
+
+    @property
+    def n(self) -> int:
+        return self.layout.n
 
     @property
     def num_rows(self) -> int:
@@ -388,7 +391,7 @@ def build_model(
 
     matrix, row_lower, row_upper, families = rows.assemble(lay.num_columns)
     return MipModel(
-        n=n,
+        label=inst.label,
         fleet_size=inst.fleet_size,
         layout=lay,
         matrix=matrix,
@@ -400,10 +403,4 @@ def build_model(
         c=c,
         families=families,
         graph=graph,
-        metadata={
-            "label": inst.label,
-            "n": n,
-            "fleet_size": inst.fleet_size,
-            "explicit_bounds": explicit_bounds,
-        },
     )

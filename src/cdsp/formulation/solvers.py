@@ -11,8 +11,13 @@ file.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import enum
+import functools
+import os
 import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -199,7 +204,7 @@ class ScipyMilpAdapter:
             "primal_feasibility_tolerance": FEASIBILITY_TOL,
         }
         note = ""
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), _stdout_to_stderr():
             # scipy warns about non-scipy option names but forwards them to
             # HiGHS, which is exactly what the tolerance options need
             warnings.filterwarnings("ignore", message="Unrecognized options detected")
@@ -241,6 +246,49 @@ class ScipyMilpAdapter:
             message=str(res.message) + note,
             nodes=getattr(res, "mip_node_count", None),
         )
+
+
+@functools.cache
+def _libc():
+    """The process's C library, for fflush; None where ctypes cannot load it."""
+    try:
+        libc = ctypes.CDLL(None)
+        libc.fflush.argtypes = [ctypes.c_void_p]
+        libc.fflush.restype = ctypes.c_int
+    except (OSError, TypeError, AttributeError):
+        return None
+    return libc
+
+
+@contextlib.contextmanager
+def _stdout_to_stderr():
+    """Point file descriptor 1 at descriptor 2 while HiGHS runs.
+
+    HiGHS 1.12 prints ``HighsMipSolverData::transformNewIntegerFeasibleSolution
+    tmpSolver.run();`` straight to the C stdout, which neither ``output_flag``
+    nor ``log_to_console`` stops, and it would land in the CLI's output.
+    The Python and C buffers are flushed before each switch, so what the
+    program prints before and after the solve stays on stdout, in order.
+    Without a C library or an fd 1, nothing is redirected.
+    """
+    libc = _libc()
+    try:
+        saved = os.dup(1) if libc is not None else None
+    except OSError:
+        saved = None
+    if saved is None:
+        yield
+        return
+    if sys.stdout is not None:
+        sys.stdout.flush()
+    libc.fflush(None)
+    try:
+        os.dup2(2, 1)
+        yield
+    finally:
+        libc.fflush(None)
+        os.dup2(saved, 1)
+        os.close(saved)
 
 
 @dataclass(frozen=True)

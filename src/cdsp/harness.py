@@ -38,7 +38,7 @@ from .instances import (
     parse_solomon,
 )
 from .network import InfeasibleWindowError, build_multigraph
-from .routes import evaluate, solution_to_json, validate_solution
+from .routes import solution_to_json, validate_solution
 
 SCHEMA_TAG = "cdsp-report-v1"
 
@@ -172,6 +172,10 @@ def run_instance(
     window becomes status "infeasible". An incumbent that fails validation
     or (when proven optimal) disagrees with the decoded objective raises
     IncumbentValidationError: that is a bug, not a result.
+
+    F' subtracts the tightened releases, as the decoded solution does, or
+    with raw_release the releases as the file gives them; the record, the
+    report and the solution file all carry that value.
     """
     cfg = cfg or InstanceConfig()
     limits = limits or SolveLimits()
@@ -184,7 +188,7 @@ def run_instance(
 
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return failed(SolveStatus.ERROR.value, str(exc))
     try:
         raw = parse_solomon(text)
@@ -203,16 +207,15 @@ def run_instance(
     outcome = solve(model, limits, adapter)
     total = net = gap = None
     if outcome.has_incumbent:
-        sol = extract_solution(model, outcome.values, graph)
-        if raw_release:
-            _, net_raw = evaluate(sol, inst, graph.windows, raw_release=True)
-            sol = dataclasses.replace(sol, net_completion=net_raw)
-        verdict = validate_solution(sol, inst, graph.windows, raw_release=raw_release)
+        sol = extract_solution(model, outcome.values)
+        verdict = validate_solution(sol, inst, graph.windows)
         if not verdict.ok:
             raise IncumbentValidationError(
                 f"{label}: incumbent failed validation: " + "; ".join(verdict.violations)
             )
         total, net = sol.total_completion, sol.net_completion
+        if raw_release:
+            net = total - float(sum(site.release for site in inst.sites[1:]))
         if (
             outcome.status is SolveStatus.OPTIMAL
             and abs(total - outcome.objective) > OBJECTIVE_MATCH_TOL
@@ -227,6 +230,7 @@ def run_instance(
             out.mkdir(parents=True, exist_ok=True)
             fingerprint = config_fingerprint(cfg, limits, adapter.name, raw_release)
             payload = solution_to_json(sol, fingerprint)
+            payload["F_prime"] = net
             payload["status"] = outcome.status.value
             (out / f"{label}.solution.json").write_text(json.dumps(payload, indent=2))
 
@@ -247,23 +251,34 @@ def run_instance(
 def load_manifest(path) -> list[ManifestEntry]:
     """Read a CSV or JSON manifest: file path plus optional setting columns.
 
-    Relative instance paths resolve against the manifest's directory.
+    Relative instance paths resolve against the manifest's directory. An
+    entry that is not an object, has no path or has a non-integer size
+    raises ValueError naming it.
     """
     path = Path(path)
     base = path.parent
     entries: list[ManifestEntry] = []
 
-    def entry(row: dict) -> ManifestEntry:
+    def entry(row, where: str) -> ManifestEntry:
+        if not isinstance(row, dict):
+            raise ValueError(f"{path}, {where}: entry {row!r} is not an object")
+        if row.get("path") in (None, ""):
+            raise ValueError(f"{path}, {where}: entry {row!r} has no path")
         rel = Path(str(row["path"]))
-        size = row.get("size")
-        klass = row.get("class") or row.get("klass")
-        tw = row.get("tw")
+        size, klass, tw = (
+            None if v in (None, "") else v
+            for v in (row.get("size"), row.get("class") or row.get("klass"), row.get("tw"))
+        )
+        try:
+            size = None if size is None else int(str(size))
+        except ValueError:
+            raise ValueError(f"{path}, {where}: size {size!r} is not an integer") from None
         setting = None
-        if size not in (None, "") or klass not in (None, "") or tw not in (None, ""):
+        if (size, klass, tw) != (None, None, None):
             setting = Setting(
-                size=int(size) if size not in (None, "") else None,
-                klass=str(klass) if klass not in (None, "") else None,
-                tw=str(tw) if tw not in (None, "") else None,
+                size=size,
+                klass=None if klass is None else str(klass),
+                tw=None if tw is None else str(tw),
             )
         return ManifestEntry(path=rel if rel.is_absolute() else base / rel, setting=setting)
 
@@ -271,12 +286,13 @@ def load_manifest(path) -> list[ManifestEntry]:
         rows = json.loads(path.read_text())
         if not isinstance(rows, list):
             raise ValueError("JSON manifest must be a list of objects")
-        entries = [entry(row) for row in rows]
+        entries = [entry(row, f"entry {i}") for i, row in enumerate(rows)]
     else:
         with open(path, newline="") as handle:
-            for row in csv.DictReader(handle):
+            reader = csv.DictReader(handle)
+            for row in reader:
                 if row.get("path"):
-                    entries.append(entry(row))
+                    entries.append(entry(row, f"line {reader.line_num}"))
     return entries
 
 

@@ -7,6 +7,7 @@ shift cap and a depot return deadline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,8 +214,8 @@ def parse_solomon(text: str) -> RawInstance:
     for idx in range(veh_idx + 1, cust_idx):
         tokens = lines[idx].split()
         if len(tokens) >= 2 and _is_number(tokens[0]) and _is_number(tokens[1]):
-            vehicle_number = int(float(tokens[0]))
-            vehicle_capacity = float(tokens[1])
+            number, vehicle_capacity = _fields(tokens[:2], idx + 1)
+            vehicle_number = int(number)
             break
     if vehicle_number is None:
         raise SolomonParseError("malformed header: VEHICLE block has no NUMBER/CAPACITY row")
@@ -226,7 +227,8 @@ def parse_solomon(text: str) -> RawInstance:
         tokens = lines[idx].split()
         if not tokens:
             continue
-        # skip the column-header line of the CUSTOMER block
+        # skip the column-header line of the CUSTOMER block (a row led by
+        # nan or inf is a site row, and its field is rejected below)
         if not _is_number(tokens[0]):
             if sites:
                 raise SolomonParseError(f"non-numeric field {tokens[0]!r}", idx + 1)
@@ -235,11 +237,7 @@ def parse_solomon(text: str) -> RawInstance:
             raise SolomonParseError(
                 f"site row needs 7 fields, got {len(tokens)}", idx + 1
             )
-        try:
-            values = [float(tok) for tok in tokens[:7]]
-        except ValueError:
-            bad = next(tok for tok in tokens[:7] if not _is_number(tok))
-            raise SolomonParseError(f"non-numeric field {bad!r}", idx + 1) from None
+        values = _fields(tokens[:7], idx + 1)
         site_id = int(values[0])
         if values[0] != site_id:
             raise SolomonParseError(f"non-integer site id {values[0]}", idx + 1)
@@ -347,6 +345,21 @@ def build_instance(
         label=label if label is not None else raw.name,
         setting=setting,
     )
+
+
+def _fields(tokens: list[str], line_no: int) -> list[float]:
+    """The tokens as finite floats; SolomonParseError names the first that
+    is not one."""
+    values = []
+    for tok in tokens:
+        try:
+            value = float(tok)
+        except ValueError:
+            raise SolomonParseError(f"non-numeric field {tok!r}", line_no) from None
+        if not math.isfinite(value):
+            raise SolomonParseError(f"non-finite field {tok!r}", line_no)
+        values.append(value)
+    return values
 
 
 def _is_number(token: str) -> bool:

@@ -101,21 +101,15 @@ def preprocess_time_windows(inst: Instance) -> TimeWindows:
     return TimeWindows(release=release, deadline=deadline)
 
 
-def build_multigraph(inst: Instance, windows: TimeWindows | None = None) -> Multigraph:
+def build_multigraph(inst: Instance) -> Multigraph:
     """Build the arc table in deterministic order and attach tightened windows.
 
     Order: depot-out, depot-in, inter, then replenishment, each block in
     lexicographic (source, target) order, so emitted model files are
-    byte-stable across runs. Window preprocessing runs here unless tightened
-    windows are supplied; their arrays must have shape (n + 1,).
+    byte-stable across runs.
     """
     n = inst.n
-    if windows is None:
-        windows = preprocess_time_windows(inst)
-    for name in ("release", "deadline"):
-        shape = getattr(windows, name).shape
-        if shape != (n + 1,):
-            raise ValueError(f"windows.{name} has shape {shape}, expected ({n + 1},)")
+    windows = preprocess_time_windows(inst)
     travel = inst.travel
     nodes = np.arange(1, n + 1)
     # ordered pairs of distinct points of care, in lexicographic order

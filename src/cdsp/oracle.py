@@ -52,10 +52,6 @@ class OracleResult:
     # analytically, including the ones cut before they were timed
     candidates: int
 
-    @property
-    def feasible(self) -> bool:
-        return self.solution is not None
-
 
 def exact_solve_tiny(
     inst: Instance,

@@ -112,7 +112,8 @@ def sorted_by_vehicle(tours) -> list[Tour]:
 def schedule_tour(
     tour, inst: Instance, windows: TimeWindows | None = None
 ) -> TourTiming:
-    """Optimal timing of a fixed tour: minimize the sum of trip return times.
+    """Optimal timing of a fixed tour, given as a sequence of trips (node
+    sequences): minimize the sum of trip return times.
 
     A forward pass from departure 0 computes earliest visit times (wait when
     early). If the resulting shift fits the cap, the departure is delayed by
@@ -155,16 +156,11 @@ def schedule_tour(
 
 
 def _trip_lists(tour) -> list[list[int]]:
-    if isinstance(tour, Tour):
-        return [list(t.nodes) for t in tour.trips]
-    out = []
-    for trip in tour:
-        nodes = list(trip.nodes) if isinstance(trip, Trip) else list(trip)
-        if not nodes:
-            raise ValueError("empty trip")
-        out.append(nodes)
+    out = [list(trip) for trip in tour]
     if not out:
         raise ValueError("empty tour")
+    if not all(out):
+        raise ValueError("empty trip")
     return out
 
 
@@ -202,10 +198,7 @@ def _forward_pass(trips, inst, windows, departure):
 
 
 def assemble_solution(
-    vehicle_trips,
-    inst: Instance,
-    windows: TimeWindows | None = None,
-    raw_release: bool = False,
+    vehicle_trips, inst: Instance, windows: TimeWindows | None = None
 ) -> EvaluatedSolution:
     """Schedule one tour per vehicle and assemble the evaluated solution.
 
@@ -227,47 +220,31 @@ def assemble_solution(
         for trip, delivered in zip(trip_objs, timing.deliveries):
             for node in trip.nodes:
                 completion[node] = delivered
-    total = float(sum(completion.values()))
-    release_sum = _release_sum(inst, windows, raw_release)
-    timing = Timing(visit=visit, deliveries=tuple(deliveries), completion=completion)
+    return evaluated_solution(tours, visit, deliveries, completion, windows)
+
+
+def evaluated_solution(
+    tours, visit: dict, deliveries, completion: dict, windows: TimeWindows
+) -> EvaluatedSolution:
+    """The solution with its schedule and both objectives."""
+    total, net = _objectives(completion, windows)
     return EvaluatedSolution(
         tours=tuple(tours),
-        timing=timing,
+        timing=Timing(visit=visit, deliveries=tuple(deliveries), completion=completion),
         total_completion=total,
-        net_completion=total - release_sum,
+        net_completion=net,
     )
 
 
-def evaluate(
-    sol: EvaluatedSolution,
-    inst: Instance,
-    windows: TimeWindows | None = None,
-    raw_release: bool = False,
-) -> tuple[float, float]:
-    """Recompute (F, F') from the solution's completion times.
-
-    F' subtracts the release-time constant; tightened releases by default,
-    the raw file values behind raw_release.
-    """
-    if not sol.timing.completion:
-        raise ValueError("solution has no schedule attached")
-    if windows is None:
-        windows = preprocess_time_windows(inst)
-    total = float(sum(sol.timing.completion.values()))
-    return total, total - _release_sum(inst, windows, raw_release)
-
-
-def _release_sum(inst, windows, raw_release):
-    if raw_release:
-        return float(sum(site.release for site in inst.sites[1:]))
-    return float(np.sum(windows.release[1:]))
+def _objectives(completion: dict, windows: TimeWindows) -> tuple[float, float]:
+    """F sums the completion times; F' subtracts the tightened releases (the
+    raw-release F' is a reporting choice of the harness)."""
+    total = float(sum(completion.values()))
+    return total, total - float(np.sum(windows.release[1:]))
 
 
 def validate_solution(
-    sol: EvaluatedSolution,
-    inst: Instance,
-    windows: TimeWindows | None = None,
-    raw_release: bool = False,
+    sol: EvaluatedSolution, inst: Instance, windows: TimeWindows | None = None
 ) -> ValidationReport:
     """Check a solution against every feasibility clause; collect all violations.
 
@@ -361,12 +338,11 @@ def validate_solution(
                         f"node {node}: completion {got:.6g} != trip delivery {ret:.6g}"
                     )
 
-    total = float(sum(sol.timing.completion.values()))
+    total, net = _objectives(sol.timing.completion, windows)
     if abs(sol.total_completion - total) > TIME_TOL:
         bad.append(
             f"reported total completion {sol.total_completion:.6g} != recomputed {total:.6g}"
         )
-    net = total - _release_sum(inst, windows, raw_release)
     if abs(sol.net_completion - net) > TIME_TOL:
         bad.append(
             f"reported net completion {sol.net_completion:.6g} != recomputed {net:.6g}"

@@ -57,7 +57,7 @@ def equivalence_sweep():
         fleet = int(rng.integers(1, 3))
         inst = random_instance(rng, n, fleet)
         windows = preprocess_time_windows(inst)
-        graph = build_multigraph(inst, windows)
+        graph = build_multigraph(inst)
         model = build_model(graph, inst)
         outcome = solve(model, LIMITS)
         oracle = exact_solve_tiny(inst, windows)
@@ -90,7 +90,7 @@ def test_tiny2_fixture():
         assert oracle.best_total == 20.0
         assert oracle.solution.net_completion == 13.0
         assert oracle.solution.trips_by_vehicle == (((1,), (2,)),)
-        graph = build_multigraph(inst, windows)
+        graph = build_multigraph(inst)
         outcome = solve(build_model(graph, inst), LIMITS)
         assert outcome.status is SolveStatus.OPTIMAL
         assert abs(outcome.objective - 20.0) <= EQUIV_TOL
@@ -117,7 +117,7 @@ def test_round_trip_incumbents(equivalence_sweep):
     ):
         for inst, windows, graph, model, outcome, oracle in equivalence_sweep:
             assert outcome.has_incumbent
-            sol = extract_solution(model, outcome.values, graph)
+            sol = extract_solution(model, outcome.values)
             verdict = validate_solution(sol, inst, windows)
             assert verdict.ok, (inst.label, verdict.violations)
             assert abs(sol.total_completion - outcome.objective) <= EQUIV_TOL
@@ -139,7 +139,7 @@ def test_preprocessing_and_graph_invariants():
             for j in inst.points_of_care:
                 assert windows.release[j] >= inst.sites[j].release
                 assert windows.deadline[j] <= inst.sites[j].deadline
-            graph = build_multigraph(inst, windows)
+            graph = build_multigraph(inst)
             assert len(graph.arcs) == 2 * n * n
             arcs = views.arc_list(graph)
             inter = {(a.source, a.target): a.cost for a in arcs if a.kind is ArcKind.INTER}

@@ -35,7 +35,7 @@ class TestExtract:
     def test_tiny2_optimum_decodes_to_split_trips(self, tiny2_built):
         inst, g, model = tiny2_built
         outcome = solve(model, SolveLimits(time_limit_s=60))
-        sol = extract_solution(model, outcome.values, g)
+        sol = extract_solution(model, outcome.values)
         assert sol.trips_by_vehicle == (((1,), (2,)),)
         assert sol.timing.visit == pytest.approx({1: 3.0, 2: 10.0})
         assert sol.timing.completion == pytest.approx({1: 6.0, 2: 14.0})
@@ -45,7 +45,7 @@ class TestExtract:
     def test_all_zero_vector_is_decode_error(self, tiny2_built):
         _, g, model = tiny2_built
         with pytest.raises(ModelDecodeError, match="out-degree 0"):
-            extract_solution(model, np.zeros(model.num_columns), g)
+            extract_solution(model, np.zeros(model.num_columns))
 
     def test_single_request_single_trip(self):
         from cdsp import Instance, Site
@@ -61,7 +61,7 @@ class TestExtract:
         g = build_multigraph(inst)
         model = build_model(g, inst)
         outcome = solve(model, SolveLimits(time_limit_s=60))
-        sol = extract_solution(model, outcome.values, g)
+        sol = extract_solution(model, outcome.values)
         assert sol.trips_by_vehicle == (((1,),),)
         assert len(sol.tours) == 1
 
@@ -71,7 +71,7 @@ class TestExtract:
         values = outcome.values.copy()
         values[0] = 0.4
         with pytest.raises(ModelDecodeError, match="fractional"):
-            extract_solution(model, values, g)
+            extract_solution(model, values)
 
     def test_degree_violation_rejected(self, tiny2_built):
         _, g, model = tiny2_built
@@ -85,14 +85,14 @@ class TestExtract:
         )
         values[model.layout.x(extra)] = 1.0
         with pytest.raises(ModelDecodeError):
-            extract_solution(model, values, g)
+            extract_solution(model, values)
 
     def test_two_vehicles_decode(self):
         inst = make_tiny2(fleet_size=2)
         g = build_multigraph(inst)
         model = build_model(g, inst)
         outcome = solve(model, SolveLimits(time_limit_s=60))
-        sol = extract_solution(model, outcome.values, g)
+        sol = extract_solution(model, outcome.values)
         assert sol.total_completion == pytest.approx(14.0, abs=1e-6)  # 6 + 8
         assert len(sol.tours) == 2
         assert validate_solution(sol, inst, g.windows).ok
@@ -119,7 +119,7 @@ class TestDecodeErrors:
 
     def test_route_decodes(self, tiny2_built):
         _, g, model = tiny2_built
-        sol = extract_solution(model, routing_vector(model, g, TINY2_ROUTE), g)
+        sol = extract_solution(model, routing_vector(model, g, TINY2_ROUTE))
         assert sol.trips_by_vehicle == (((1,), (2,)),)
 
     def test_lowest_fractional_arc_is_named(self, tiny2_built):
@@ -127,7 +127,7 @@ class TestDecodeErrors:
         vec = routing_vector(model, g, TINY2_ROUTE)
         vec[5], vec[3] = 0.6, 0.4
         with pytest.raises(ModelDecodeError) as err:
-            extract_solution(model, vec, g)
+            extract_solution(model, vec)
         assert str(err.value) == f"fractional arc value x_3 = {np.float64(0.4)!r}"
 
     def test_integral_value_outside_binary(self, tiny2_built):
@@ -135,7 +135,7 @@ class TestDecodeErrors:
         vec = routing_vector(model, g, TINY2_ROUTE)
         vec[5], vec[6] = 2.0, 0.5
         with pytest.raises(ModelDecodeError) as err:
-            extract_solution(model, vec, g)
+            extract_solution(model, vec)
         assert str(err.value) == f"arc value x_5 = {np.float64(2.0)!r} outside {{0,1}}"
 
     def test_lowest_fractional_carry_is_named(self, tiny2_built):
@@ -143,14 +143,14 @@ class TestDecodeErrors:
         vec = routing_vector(model, g, TINY2_ROUTE)
         vec[model.layout.y(2, 1)] = vec[model.layout.y(1, 2)] = 0.3
         with pytest.raises(ModelDecodeError) as err:
-            extract_solution(model, vec, g)
+            extract_solution(model, vec)
         assert str(err.value) == f"fractional carry value y_1_2 = {np.float64(0.3)!r}"
 
     def test_second_out_arc(self, tiny2_built):
         _, g, model = tiny2_built
         vec = routing_vector(model, g, TINY2_ROUTE + [(INTER, 1, 2)])
         with pytest.raises(ModelDecodeError) as err:
-            extract_solution(model, vec, g)
+            extract_solution(model, vec)
         assert str(err.value) == "node 1 has out-degree > 1"
 
     def test_first_repeated_source_in_id_order_is_named(self):
@@ -162,21 +162,21 @@ class TestDecodeErrors:
         route = [(DEPOT, 0, 1), (DEPOT, 1, 0), (INTER, 2, 3), (INTER, 3, 2)]
         vec = routing_vector(model, g, route + [(REPLENISH, 3, 1), (INTER, 2, 1)])
         with pytest.raises(ModelDecodeError) as err:
-            extract_solution(model, vec, g)
+            extract_solution(model, vec)
         assert str(err.value) == "node 2 has out-degree > 1"
 
     def test_in_degree_two(self, tiny2_built):
         _, g, model = tiny2_built
         vec = routing_vector(model, g, TINY2_ROUTE + [(DEPOT, 0, 2)])
         with pytest.raises(ModelDecodeError) as err:
-            extract_solution(model, vec, g)
+            extract_solution(model, vec)
         assert str(err.value) == "node 2 has out-degree 1, in-degree 2 (must be 1/1)"
 
     def test_more_vehicles_than_the_fleet(self, tiny2_built):
         _, g, model = tiny2_built
         route = [(DEPOT, 0, 1), (DEPOT, 0, 2), (DEPOT, 1, 0), (DEPOT, 2, 0)]
         with pytest.raises(ModelDecodeError) as err:
-            extract_solution(model, routing_vector(model, g, route), g)
+            extract_solution(model, routing_vector(model, g, route))
         assert str(err.value) == "2 vehicles leave the depot, fleet size 1"
 
     def test_unreachable_cycle(self):
@@ -185,7 +185,7 @@ class TestDecodeErrors:
         model = build_model(g, inst)
         route = [(DEPOT, 0, 1), (DEPOT, 1, 0), (INTER, 2, 3), (REPLENISH, 3, 2)]
         with pytest.raises(ModelDecodeError) as err:
-            extract_solution(model, routing_vector(model, g, route), g)
+            extract_solution(model, routing_vector(model, g, route))
         assert str(err.value) == "2 traversed arcs unreachable from the depot"
 
     def test_nan_arc_value_is_a_decode_error(self, tiny2_built):
@@ -193,7 +193,7 @@ class TestDecodeErrors:
         vec = routing_vector(model, g, TINY2_ROUTE)
         vec[0] = np.nan
         with pytest.raises(ModelDecodeError, match="outside"):
-            extract_solution(model, vec, g)
+            extract_solution(model, vec)
 
 
 # every message a 0/1 arc vector with integral carries can meet
@@ -250,7 +250,7 @@ def near_routings(draw):
 def test_binary_vectors_decode_or_name_a_structural_fault(case):
     g, model, vec, tours = case
     try:
-        sol = extract_solution(model, vec, g)
+        sol = extract_solution(model, vec)
     except ModelDecodeError as err:
         assert STRUCTURE_MESSAGES.fullmatch(str(err)), str(err)
         assert tours is None or len(tours) > model.fleet_size
@@ -269,10 +269,10 @@ class TestEmbedDecodeConsistency:
         for _ in range(10):
             inst = random_instance(rng, int(rng.integers(2, 6)), int(rng.integers(1, 3)))
             w = preprocess_time_windows(inst)
-            g = build_multigraph(inst, w)
+            g = build_multigraph(inst)
             model = build_model(g, inst)
             best = exact_solve_tiny(inst, w).solution
             vec = solution_column_values(best, model, g)
-            sol = extract_solution(model, vec, g)
+            sol = extract_solution(model, vec)
             assert sol.trips_by_vehicle == best.trips_by_vehicle
             assert sol.total_completion == pytest.approx(best.total_completion, abs=1e-9)

@@ -254,7 +254,7 @@ class TestModelAdmitsOracleSolutions:
         rng = np.random.default_rng(seed)
         inst = varied_instance(rng, int(rng.integers(1, 6)))
         w = preprocess_time_windows(inst)
-        g = build_multigraph(inst, w)
+        g = build_multigraph(inst)
         model = build_model(g, inst, explicit_bounds=bool(rng.random() < 0.25))
         result = exact_solve_tiny(inst, w)
         assume(result.solution is not None)  # a scaled shift cap may leave no routing

@@ -27,6 +27,7 @@ from gen import random_instance
 
 LIMITS = SolveLimits(time_limit_s=60.0)
 GEN20 = Path(__file__).parent / "data" / "gen20.txt"
+CAPPED2 = Path(__file__).parent / "data" / "capped2.txt"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,7 +38,7 @@ class OffByOneAdapter:
 
     def solve(self, model, limits):
         outcome = ScipyMilpAdapter().solve(model, limits)
-        if model.metadata["label"] != "bad":
+        if model.label != "bad":
             return outcome
         return dataclasses.replace(outcome, objective=outcome.objective + 1.0)
 
@@ -109,6 +110,30 @@ class TestRunInstance:
         # raw releases are zero in TINY2, so F' equals F
         assert record.net == pytest.approx(20.0, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "raw_release, net, convention", [(True, 13.0, "raw"), (False, 10.0, "tightened")]
+    )
+    def test_fprime_conventions_on_capped2(self, tmp_path, raw_release, net, convention):
+        # raw releases 0 + 15; tightened 3 + 15 (site 1 is 3 from the depot)
+        cfg = InstanceConfig(fleet_size="file", shift_cap=16.0)
+        record = run_instance(CAPPED2, cfg, LIMITS, raw_release=raw_release, out_dir=tmp_path)
+        assert record.status == "optimal"
+        assert record.total == pytest.approx(28.0, abs=1e-6)
+        assert record.net == pytest.approx(net, abs=1e-6)
+        payload = json.loads((tmp_path / "capped2.solution.json").read_text())
+        assert payload["F"] == pytest.approx(28.0, abs=1e-6)
+        assert payload["F_prime"] == pytest.approx(net, abs=1e-6)
+        assert payload["config"]["fprime_release"] == convention
+        suite_dir = tmp_path / "suite"
+        run_suite([ManifestEntry(CAPPED2)], cfg, LIMITS, raw_release=raw_release, out_dir=suite_dir)
+        report = json.loads((suite_dir / "report.json").read_text())
+        assert report["fingerprint"]["fprime_release"] == convention
+        assert report["records"][0]["F"] == pytest.approx(28.0, abs=1e-6)
+        assert report["records"][0]["F_prime"] == pytest.approx(net, abs=1e-6)
+        assert report["settings"][0]["avg_net"] == pytest.approx(net, abs=1e-6)
+        solution = json.loads((suite_dir / "solutions" / "capped2.solution.json").read_text())
+        assert solution["F_prime"] == pytest.approx(net, abs=1e-6)
+
     def test_deterministic_rerun(self, tiny2_file):
         cfg = InstanceConfig(fleet_size="file")
         a = run_instance(tiny2_file, cfg, LIMITS)
@@ -140,6 +165,27 @@ class TestManifest:
         entries = load_manifest(manifest)
         assert entries[0].setting is None
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"size": 25}, r"entry 1: entry \{'size': 25\} has no path"),
+            ("tiny2.txt", r"entry 1: entry 'tiny2.txt' is not an object"),
+            ({"path": "tiny2.txt", "size": "big"}, r"entry 1: size 'big' is not an integer"),
+            ({"path": "tiny2.txt", "size": 25.5}, r"entry 1: size 25.5 is not an integer"),
+        ],
+    )
+    def test_bad_json_entry_is_named(self, tmp_path, bad, message):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"path": "tiny2.txt"}, bad]))
+        with pytest.raises(ValueError, match=message):
+            load_manifest(manifest)
+
+    def test_bad_csv_size_names_the_line(self, tmp_path):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("path,size\ntiny2.txt,25\ntiny2.txt,x\n")
+        with pytest.raises(ValueError, match=r"line 3: size 'x' is not an integer"):
+            load_manifest(manifest)
+
 
 class TestRunSuite:
     def test_suite_aggregates_and_reports(self, tmp_path, tiny2_file):
@@ -160,6 +206,15 @@ class TestRunSuite:
         assert (tmp_path / "out" / "report.csv").exists()
         assert (tmp_path / "out" / "report.json").exists()
         assert (tmp_path / "out" / "solutions" / "tiny2.solution.json").exists()
+
+    def test_binary_instance_file_is_one_error_record(self, tmp_path, tiny2_file):
+        binary = tmp_path / "binary.txt"
+        binary.write_bytes(bytes(range(256)))
+        entries = [ManifestEntry(path=tiny2_file), ManifestEntry(path=binary)]
+        report = run_suite(entries, InstanceConfig(fleet_size="file"), LIMITS)
+        assert [r.status for r in report.records] == ["optimal", "error"]
+        assert "utf-8" in report.records[1].message
+        assert report.has_errors
 
     def test_counts_sum_to_instances(self, tmp_path, tiny2_file):
         entries = [

@@ -62,6 +62,27 @@ class TestParseSolomon:
         with pytest.raises(SolomonParseError, match="line 12"):
             parse_solomon(text)
 
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("  25         200", "  inf        200", 5),  # vehicle NUMBER
+            ("  25         200", "  nan        200", 5),
+            ("  25         200", "  25        -inf", 5),  # CAPACITY
+            ("    2      45", "    1e400  45", 12),  # site id
+            ("    2      45", "    nan    45", 12),
+            ("    1      45", "    1      inf", 11),  # XCOORD
+            ("68         10", "68         nan", 11),  # DEMAND
+            ("912", "nan", 11),  # READY TIME
+            ("1236", "Infinity", 10),  # DUE DATE
+            ("870         90", "870         -inf", 12),  # SERVICE TIME
+        ],
+    )
+    def test_non_finite_field_names_line(self, old, new, line):
+        text = SOLOMON_SNIPPET.replace(old, new)
+        assert text != SOLOMON_SNIPPET
+        with pytest.raises(SolomonParseError, match=rf"^line {line}: non-finite field"):
+            parse_solomon(text)
+
     def test_duplicate_id(self):
         text = SOLOMON_SNIPPET + "    2      10         10          5          0         99          0\n"
         with pytest.raises(SolomonParseError, match="duplicate id 2"):

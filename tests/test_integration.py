@@ -142,7 +142,7 @@ class TestConfiguredModes:
             raw = self._random_solomon(rng, int(rng.integers(2, 6)))
             inst = build_instance(raw, cfg)
             windows = preprocess_time_windows(inst)
-            g = build_multigraph(inst, windows)
+            g = build_multigraph(inst)
             outcome = solve(build_model(g, inst), SolveLimits(time_limit_s=60))
             oracle = exact_solve_tiny(inst, windows)
             if oracle.solution is None:
@@ -150,7 +150,7 @@ class TestConfiguredModes:
                 continue
             assert outcome.status is SolveStatus.OPTIMAL
             assert abs(outcome.objective - oracle.best_total) <= 1e-6
-            sol = extract_solution(model=build_model(g, inst), values=outcome.values, graph=g)
+            sol = extract_solution(model=build_model(g, inst), values=outcome.values)
             assert validate_solution(sol, inst, windows).ok
 
 

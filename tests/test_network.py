@@ -161,11 +161,10 @@ class TestMultigraph:
         assert lines[0] == "id,kind,source,target,cost"
         assert len(lines) == 9
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 25])
-    @pytest.mark.parametrize("supplied", [False, True], ids=["own-windows", "supplied-windows"])
-    def test_table_equals_reference_arcs(self, n, supplied):
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 25], ids="own-windows-{}".format)
+    def test_table_equals_reference_arcs(self, n):
         inst = random_instance(np.random.default_rng(100 + n), n, 2)
-        g = build_multigraph(inst, preprocess_time_windows(inst) if supplied else None)
+        g = build_multigraph(inst)
         assert g.arcs.dtype == ARC_DTYPE
         assert len(g.arcs) == 2 * n * n
         assert arc_list(g) == reference_arcs(inst)
@@ -184,16 +183,6 @@ class TestMultigraph:
         w = TimeWindows(release=release, deadline=np.ones(3))
         release[1] = 5.0
         assert release.flags.writeable and w.release[1] == 0.0
-
-    @pytest.mark.parametrize("size", [2, 4])
-    def test_windows_of_the_wrong_size_are_rejected(self, tiny2, size):
-        good = preprocess_time_windows(tiny2)
-        for bad in (
-            TimeWindows(release=np.zeros(size), deadline=good.deadline),
-            TimeWindows(release=good.release, deadline=np.full(size, 30.0)),
-        ):
-            with pytest.raises(ValueError, match=r"shape \(\d,\), expected \(3,\)"):
-                build_multigraph(tiny2, bad)
 
 
 class TestCheckTriangle:

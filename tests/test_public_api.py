@@ -14,7 +14,8 @@ from cdsp.cli import main
 
 TINY2 = Path(__file__).parent / "data" / "tiny2.txt"
 
-# names that only tests used, now in tests/views.py or deleted
+# names that only tests used, now in tests/views.py or deleted; evaluate's
+# tightened F' is the solution's own, its raw one the harness's
 REMOVED_FORMULATION = (
     "Arc",
     "BINARY",
@@ -24,6 +25,7 @@ REMOVED_FORMULATION = (
     "big_m_shift",
     "big_m_visit",
     "default_adapter",
+    "evaluate",
     "make_adapter",
     "register_adapter",
     "solution_column_values",
@@ -31,12 +33,14 @@ REMOVED_FORMULATION = (
 REMOVED_MODEL_ATTRIBUTES = (
     "count_binary",
     "count_continuous",
+    "metadata",
     "objective",
     "row_names",
     "rows_by_family",
     "variables",
 )
 REMOVED_GRAPH_ATTRIBUTES = ("arcs_of_kind", "in_arcs", "movement_arcs", "out_arcs")
+REMOVED_ORACLE_RESULT_ATTRIBUTES = ("feasible",)
 
 
 @pytest.mark.parametrize("module", [cdsp, cdsp.formulation], ids=lambda m: m.__name__)
@@ -54,10 +58,17 @@ def test_removed_names_are_not_exported(name):
 
 
 def test_removed_model_and_graph_views():
+    inst = cdsp.build_instance(
+        cdsp.parse_solomon(TINY2.read_text()), cdsp.InstanceConfig(fleet_size="file")
+    )
+    model = cdsp.build_model(cdsp.build_multigraph(inst), inst)
     for name in REMOVED_MODEL_ATTRIBUTES:
         assert not hasattr(cdsp.MipModel, name), name
+        assert not hasattr(model, name), name
     for name in REMOVED_GRAPH_ATTRIBUTES:
         assert not hasattr(cdsp.network.Multigraph, name), name
+    for name in REMOVED_ORACLE_RESULT_ATTRIBUTES:
+        assert not hasattr(cdsp.exact_solve_tiny(inst), name), name
     assert not hasattr(cdsp.network, "Arc")  # the arcs are one table
 
 
@@ -67,7 +78,18 @@ def test_tolerances_are_module_constants():
 
     assert solvers.FEASIBILITY_TOL == 1e-9
     assert "feasibility_tol" not in {f.name for f in dataclasses.fields(cdsp.ScipyMilpAdapter)}
-    assert list(inspect.signature(cdsp.extract_solution).parameters) == ["model", "values", "graph"]
+
+
+def test_pipeline_facts_have_one_owner():
+    # the model carries its graph; the harness owns the raw-release F'
+    params = {
+        cdsp.extract_solution: ["model", "values"],
+        cdsp.build_multigraph: ["inst"],
+        cdsp.assemble_solution: ["vehicle_trips", "inst", "windows"],
+        cdsp.validate_solution: ["sol", "inst", "windows"],
+    }
+    for fn, want in params.items():
+        assert list(inspect.signature(fn).parameters) == want, fn.__name__
 
 
 def test_solve_without_solver_flag_uses_bundled_backend(tmp_path, capsys):

@@ -10,7 +10,6 @@ from cdsp import (
     InfeasibleTourError,
     Trip,
     assemble_solution,
-    evaluate,
     preprocess_time_windows,
     schedule_tour,
     solution_to_json,
@@ -238,37 +237,12 @@ class TestValidateAndEvaluate:
         report = validate_solution(bad, tiny2, w)
         assert any("reported total" in v for v in report.violations)
 
-    def test_evaluate_identity(self, tiny2):
-        w = preprocess_time_windows(tiny2)
-        sol = assemble_solution([[[1], [2]]], tiny2, w)
-        total, net = evaluate(sol, tiny2, w)
-        assert total == 20.0
-        assert net == total - float(np.sum(w.release[1:]))
-
-    def test_evaluate_raw_release(self, tiny2):
-        w = preprocess_time_windows(tiny2)
-        sol = assemble_solution([[[1], [2]]], tiny2, w)
-        total, net_raw = evaluate(sol, tiny2, w, raw_release=True)
-        assert net_raw == 20.0  # raw releases are all zero in TINY2
-
     def test_one_request_net(self):
         inst = _one_request_instance()
         w = preprocess_time_windows(inst)
         sol = assemble_solution([[[1]]], inst, w)
         assert sol.total_completion == 6.0
         assert sol.net_completion == 3.0
-
-    def test_instant_delivery_net_zero(self, tiny2):
-        w = preprocess_time_windows(tiny2)
-        sol = assemble_solution([[[1], [2]]], tiny2, w)
-        instant = dataclasses.replace(
-            sol,
-            timing=dataclasses.replace(
-                sol.timing, completion={1: float(w.release[1]), 2: float(w.release[2])}
-            ),
-        )
-        total, net = evaluate(instant, tiny2, w)
-        assert net == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -285,15 +259,6 @@ class TestValidateAndEvaluate:
             sol.total_completion - float(np.sum(w.release[1:]))
         )
         assert validate_solution(sol, inst, w).ok
-
-    def test_unscheduled_solution_rejected(self, tiny2):
-        w = preprocess_time_windows(tiny2)
-        sol = assemble_solution([[[1], [2]]], tiny2, w)
-        empty = dataclasses.replace(
-            sol, timing=dataclasses.replace(sol.timing, completion={})
-        )
-        with pytest.raises(ValueError, match="no schedule"):
-            evaluate(empty, tiny2, w)
 
 
 def test_trip_invariants():

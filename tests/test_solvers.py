@@ -1,3 +1,6 @@
+import dataclasses
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -26,6 +29,8 @@ from cdsp.network import TimeWindows
 from gen import random_instance, varied_instance
 
 FAKE_SOLVER = Path(__file__).parent / "fake_solver.py"
+WIDE5 = Path(__file__).parent / "data" / "wide5.txt"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -63,7 +68,8 @@ class TestScipyAdapter:
         release = w.release.copy()
         deadline = w.deadline.copy()
         release[2], deadline[2] = 9.0, 5.0
-        g = build_multigraph(tiny2, TimeWindows(release=release, deadline=deadline))
+        windows = TimeWindows(release=release, deadline=deadline)
+        g = dataclasses.replace(build_multigraph(tiny2), windows=windows)
         model = build_model(g, tiny2)
         outcome = solve(model, SolveLimits(time_limit_s=60))
         assert outcome.status is SolveStatus.INFEASIBLE
@@ -111,6 +117,25 @@ class TestScipyAdapter:
         assert outcome.status is SolveStatus.ERROR
         assert "boom" in outcome.message
 
+    def test_highs_stray_stdout_stays_out_of_cli_output(self):
+        # HiGHS 1.12 prints "HighsMipSolverData::transformNewIntegerFeasibleSolution
+        # tmpSolver.run();" to fd 1 while solving wide5 (optimal F = 666.28);
+        # the adapter sends it to fd 2. A HiGHS build that prints nothing
+        # passes as well.
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cdsp.cli", "solve", str(WIDE5), "--fleet", "file",
+             "--rounding", "2"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("wide5: optimal\n"), proc.stdout
+        assert "F  = 666.280000" in proc.stdout
+        assert not [line for line in proc.stdout.splitlines() if "HighsMipSolverData" in line]
+
 
 def _solve_paper_model(model):
     """scipy's milp on the model's own arrays with the bundled adapter's
@@ -142,7 +167,7 @@ class TestTimeBoundRows:
         for _ in range(60):
             inst = varied_instance(rng, int(rng.integers(2, 8)))
             windows = preprocess_time_windows(inst)
-            g = build_multigraph(inst, windows)
+            g = build_multigraph(inst)
             model = build_model(g, inst, explicit_bounds=bool(rng.random() < 0.25))
             outcome = solve(model, SolveLimits(time_limit_s=60))
             oracle = exact_solve_tiny(inst, windows)
@@ -152,7 +177,7 @@ class TestTimeBoundRows:
                 continue
             assert outcome.status is SolveStatus.OPTIMAL
             assert outcome.objective == pytest.approx(oracle.best_total, rel=1e-6)
-            sol = extract_solution(model, outcome.values, g)
+            sol = extract_solution(model, outcome.values)
             assert validate_solution(sol, inst, windows).ok
         assert SolveStatus.INFEASIBLE in statuses
 
@@ -189,7 +214,7 @@ class TestTimeBoundRows:
         outcome = solve(model, SolveLimits(time_limit_s=120))
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.objective == pytest.approx(6762.32082322527, rel=1e-9)
-        sol = extract_solution(model, outcome.values, g)
+        sol = extract_solution(model, outcome.values)
         assert validate_solution(sol, inst, g.windows).ok
         assert sol.total_completion == pytest.approx(6762.32082322527, rel=1e-9)
 
@@ -217,7 +242,7 @@ class TestFileAdapter:
         )
         outcome = solve(tiny2_model, SolveLimits(time_limit_s=60), adapter=adapter)
         g = build_multigraph(tiny2)
-        sol = extract_solution(tiny2_model, outcome.values, g)
+        sol = extract_solution(tiny2_model, outcome.values)
         assert validate_solution(sol, tiny2, g.windows).ok
         assert sol.total_completion == pytest.approx(20.0, abs=1e-6)
 
@@ -225,7 +250,8 @@ class TestFileAdapter:
         w = preprocess_time_windows(tiny2)
         release = w.release.copy()
         release[2] = 11.0  # above deadline 10
-        g = build_multigraph(tiny2, TimeWindows(release=release, deadline=w.deadline))
+        windows = TimeWindows(release=release, deadline=w.deadline)
+        g = dataclasses.replace(build_multigraph(tiny2), windows=windows)
         model = build_model(g, tiny2)
         adapter = FileSolverAdapter(
             command=(sys.executable, str(FAKE_SOLVER), "{model}", "{solution}"),
