@@ -19,7 +19,13 @@ from .harness import (
     run_instance,
     run_suite,
 )
-from .instances import InstanceConfig, build_instance, parse_solomon
+from .instances import (
+    InstanceConfig,
+    InstanceError,
+    SolomonParseError,
+    build_instance,
+    parse_solomon,
+)
 from .network import build_multigraph
 from .oracle import DEFAULT_LIMIT, OracleSizeError, exact_solve_tiny
 from .routes import solution_to_json
@@ -146,8 +152,16 @@ def _limits(args) -> SolveLimits:
 
 
 def _load_instance(args):
-    raw = parse_solomon(Path(args.instance).read_text())
-    return build_instance(raw, _instance_config(args), label=Path(args.instance).stem)
+    """The instance file as configured; a file that cannot be read, decoded,
+    parsed or built ends the command with one ``cdsp: <path>: <reason>``
+    line on stderr and exit status 1."""
+    path = Path(args.instance)
+    try:
+        raw = parse_solomon(path.read_text())
+        return build_instance(raw, _instance_config(args), label=path.stem)
+    except (OSError, UnicodeDecodeError, SolomonParseError, InstanceError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise SystemExit(f"cdsp: {path}: {reason}") from None
 
 
 def main(argv=None) -> int:

@@ -4,9 +4,9 @@ Adapters take a built model plus limits and return a SolveOutcome carrying
 status, incumbent values, the solver-reported dual bound and wall time.
 Two implementations ship: the bundled HiGHS backend (scipy.optimize.milp),
 which adds the degree-weighted time-bound rows of `time_bound_rows` to the
-model's rows, and a file-based adapter that writes the model as built,
-invokes an arbitrary external solver executable and parses its solution
-file.
+model's rows and fixes the `dominated_carries` to 0, and a file-based
+adapter that writes the model as built, invokes an arbitrary external
+solver executable and parses its solution file.
 """
 
 from __future__ import annotations
@@ -34,6 +34,11 @@ from .writers import MODEL_FORMATS, write_model
 
 #: HiGHS's MIP and primal feasibility tolerances in `ScipyMilpAdapter`.
 FEASIBILITY_TOL = 1e-9
+
+#: How far past a deadline a carry's earliest arrival must fall before
+#: `dominated_carries` fixes it: well above the triangle tolerance summed
+#: over a trip and FEASIBILITY_TOL, and far below any time in an instance.
+DOMINANCE_MARGIN = 1e-6
 
 
 class SolveStatus(str, enum.Enum):
@@ -106,27 +111,29 @@ def time_bound_rows(model: MipModel) -> sp.csr_matrix:
     the cost of k's depot-in arc, for each request j (rows j - 1, n + j - 1
     and 2n + j - 1):
 
-    - (P)  z_j - sum_{a into j} (r'_{src a} + c_a) x_a >= 0
+    - (P)  z_j - sum_{a = i->j} max(r'_i + c_a, r'_j) x_a >= 0
     - (S1) C_j - z_j - sum_{inter a = j->k} (c_a + t_k0) x_a
       - sum_{other a out of j} t_j0 x_a >= 0
-    - (S2) C_j - sum_{inter a = j->k} (r'_k + t_k0) x_a
+    - (S2) C_j - sum_{inter a = j->k} (max(r'_k, r'_j + c_a) + t_k0) x_a
       - sum_{other a out of j} (r'_j + t_j0) x_a >= 0
 
     Validity: in an integer solution exactly one arc enters and one leaves
     j (visit_in, visit_out), so each row reduces to one per-arc bound. (P)
-    is ``tprop`` (z_j >= z_i + c_a) with z_i >= r'_i; on a depot-out arc it
-    is z_j >= t_0j, which the preprocessed release r'_j >= t_0j implies.
-    Through an inter arc j->k the carry rows force y_kj = 1 (y_jj = 1 by
-    its bound or the ``collect`` row), and ``compl`` then gives
-    C_j >= z_k + t_k0 >= z_j + c_a + t_k0 and >= r'_k + t_k0. Through any
+    is ``tprop`` (z_j >= z_i + c_a) with z_i >= r'_i, together with
+    z_j >= r'_j (the window bound); on a depot-out arc r'_j >= t_0j, so its
+    coefficient is r'_j. Through an inter arc j->k the carry rows force
+    y_kj = 1 (y_jj = 1 by its bound or the ``collect`` row), and ``compl``
+    then gives C_j >= z_k + t_k0, where z_k >= z_j + c_a >= r'_j + c_a by
+    ``tprop`` and z_k >= r'_k by k's window: (S1) and (S2). Through any
     other arc out of j, the trip ends at j and ``compl`` with y_jj = 1
     gives C_j >= z_j + t_j0 >= r'_j + t_j0. So the rows cut off no integer
     solution and change no optimum. In the LP relaxation the big-M rows
     switch off under fractional x and y; these rows average the same
     per-arc bounds over the degree equalities with no big-M, which lifts
-    the root bound above the direct-trip bound. The lifting is the one
-    Desrochers & Laporte (1991) and Kara, Laporte & Bektas (2004) apply to
-    MTZ rows.
+    the root bound above the direct-trip bound. Taking the larger of the
+    two lower bounds on z in (P) and (S2) lifts each coefficient as far as
+    the windows allow. The lifting is the one Desrochers & Laporte (1991)
+    and Kara, Laporte & Bektas (2004) apply to MTZ rows.
     """
     n, lay = model.n, model.layout
     arcs = model.graph.arcs
@@ -138,13 +145,15 @@ def time_bound_rows(model: MipModel) -> sp.csr_matrix:
 
     nodes = np.arange(1, n + 1)
     enters, leaves = np.flatnonzero(tgt > 0), np.flatnonzero(src > 0)
+    arrival = np.maximum(release[src[enters]] + cost[enters], release[tgt[enters]])
     j, k = src[leaves], tgt[leaves]
     inter = arcs["kind"][leaves] == ArcKind.INTER.code
     through = np.where(inter, cost[leaves] + to_depot[k], to_depot[j])
-    earliest = np.where(inter, release[k] + to_depot[k], release[j] + to_depot[j])
+    last_visit = np.where(inter, np.maximum(release[k], release[j] + cost[leaves]), release[j])
+    earliest = last_visit + np.where(inter, to_depot[k], to_depot[j])
     pieces = (  # (row, column, value) per term
         (nodes - 1, lay.z(nodes), 1.0),  # (P)
-        (tgt[enters] - 1, lay.x(enters), -(release[src[enters]] + cost[enters])),
+        (tgt[enters] - 1, lay.x(enters), -arrival),
         (n + nodes - 1, lay.completion(nodes), 1.0),  # (S1)
         (n + nodes - 1, lay.z(nodes), -1.0),
         (n + j - 1, lay.x(leaves), -through),
@@ -160,6 +169,34 @@ def time_bound_rows(model: MipModel) -> sp.csr_matrix:
     return rows_matrix
 
 
+def dominated_carries(model: MipModel) -> np.ndarray:
+    """The carry columns y_ij (i != j) that no minimal carry assignment
+    sets, which the bundled solve fixes to 0: those with
+    r'_j + c(j->i) > d'_i + DOMINANCE_MARGIN, for r' and d' the
+    preprocessed windows and c(j->i) the cost of the inter arc j->i.
+
+    Validity: the carry rows only push y forward along inter arcs, and
+    ``compl`` only bounds C from below, so the carry assignment in which
+    y_ij = 1 exactly when j is visited before i on the same trip (or
+    i = j) is feasible with every routing, and no other assignment gives
+    a smaller objective. In it, y_ij = 1 needs z_i >= z_j + (the trip's
+    path cost from j to i) >= r'_j + c(j->i) by ``tprop`` and the
+    triangle inequality, which ``Instance`` enforces to within
+    ``TRIANGLE_TOL`` per step; z_i <= d'_i then rules it out. So fixing
+    these columns removes only non-minimal carries and keeps every
+    optimal value. HiGHS's presolve cannot find them: they follow from a
+    dominance argument, not from propagating the rows. The margin absorbs
+    the triangle tolerance over a path of up to n arcs and the solve's
+    feasibility tolerance.
+    """
+    arcs = model.graph.arcs
+    windows = model.graph.windows
+    inter = np.flatnonzero(arcs["kind"] == ArcKind.INTER.code)
+    j, i = arcs["source"][inter], arcs["target"][inter]
+    late = windows.release[j] + arcs["cost"][inter] > windows.deadline[i] + DOMINANCE_MARGIN
+    return model.layout.y(i[late], j[late])
+
+
 @dataclass(frozen=True)
 class ScipyMilpAdapter:
     """Bundled backend: HiGHS through scipy.optimize.milp.
@@ -169,8 +206,9 @@ class ScipyMilpAdapter:
 
     HiGHS gets the model's rows plus `time_bound_rows`, built here on each
     call: valid rows that give the LP relaxation a bound above the
-    direct-trip bound, so far fewer branch-and-bound nodes. The model, its
-    files and its arrays stay the paper's.
+    direct-trip bound, so far fewer branch-and-bound nodes. It also gets the
+    `dominated_carries` fixed to 0, in a copy of the column upper bounds.
+    The model, its files and its arrays stay the paper's.
 
     Feasibility tolerances are FEASIBILITY_TOL (1e-9), well below HiGHS's
     1e-6 MIP default: incumbents may shave binding constraints by up to that
@@ -188,6 +226,8 @@ class ScipyMilpAdapter:
 
         c, matrix, row_lb, row_ub, lb, ub, integrality = model_to_arrays(model)
         start = time.perf_counter()
+        ub = ub.copy()
+        ub[dominated_carries(model)] = 0.0
         problem = dict(
             c=c,
             constraints=[

@@ -29,6 +29,7 @@ from .formulation import (
     extract_solution,
     solve,
 )
+from .formulation.solvers import FEASIBILITY_TOL
 from .instances import (
     InstanceConfig,
     InstanceError,
@@ -150,6 +151,8 @@ def config_fingerprint(
         "fprime_release": "raw" if raw_release else "tightened",
         "gap_convention": "(incumbent - bound) / incumbent * 100",
         "integrality_tol": INTEGRALITY_TOL,
+        # the bundled HiGHS's; any other solver keeps its own (null here)
+        "feasibility_tol": FEASIBILITY_TOL if solver_name == ScipyMilpAdapter.name else None,
         "time_limit_s": limits.time_limit_s,
         "threads": limits.threads,
         "gap_target": limits.gap_target,

@@ -216,6 +216,8 @@ def parse_solomon(text: str) -> RawInstance:
         if len(tokens) >= 2 and _is_number(tokens[0]) and _is_number(tokens[1]):
             number, vehicle_capacity = _fields(tokens[:2], idx + 1)
             vehicle_number = int(number)
+            if number != vehicle_number:
+                raise SolomonParseError(f"non-integer vehicle number {number}", idx + 1)
             break
     if vehicle_number is None:
         raise SolomonParseError("malformed header: VEHICLE block has no NUMBER/CAPACITY row")

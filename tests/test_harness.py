@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from cdsp import InstanceConfig, RawInstance, ScipyMilpAdapter, Setting, SolveLimits, write_solomon
+from cdsp.formulation import INTEGRALITY_TOL
+from cdsp.formulation.solvers import FEASIBILITY_TOL
 from cdsp.harness import (
     SCHEMA_TAG,
     BenchmarkReport,
@@ -22,7 +24,7 @@ from cdsp.harness import (
     write_report,
 )
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, TINY2_FILE
 from gen import random_instance
 
 LIMITS = SolveLimits(time_limit_s=60.0)
@@ -335,6 +337,16 @@ class TestReporting:
         assert payload["records"][0]["F_prime"] == 13.0
         assert payload["records"][0]["nodes"] == 7
 
+    def test_fingerprint_states_the_tolerances_used(self, tmp_path):
+        records = [RunRecord("a", None, "optimal", 33.0, 13.0, 0.0, 0.4, 0.1, 7)]
+        write_report(self._report(records), tmp_path)
+        fingerprint = json.loads((tmp_path / "report.json").read_text())["fingerprint"]
+        assert fingerprint["integrality_tol"] == INTEGRALITY_TOL
+        assert fingerprint["feasibility_tol"] == FEASIBILITY_TOL == 1e-9
+        # an external solver runs at its own tolerance, which cdsp does not set
+        external = config_fingerprint(InstanceConfig(), LIMITS, "file", raw_release=False)
+        assert external["feasibility_tol"] is None
+
 
 class TestCli:
     def test_solve_subcommand(self, tiny2_file, capsys):
@@ -352,6 +364,30 @@ class TestCli:
 
         code = main(["solve", str(tmp_path / "missing.txt")])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "command", [["oracle"], ["emit", "--format", "lp"], ["solve", "--oracle"]]
+    )
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (None, "No such file or directory"),
+            (bytes(range(128, 256)), "'utf-8' codec can't decode"),
+            (b"C101\n\nCUSTOMER\n 0 0 0 0 0 10 0\n", "malformed header: no VEHICLE block"),
+            (TINY2_FILE.replace("   1          200", "   1.5        200").encode(), "line 5: "),
+        ],
+        ids=["missing", "non-utf8", "malformed", "fractional-fleet"],
+    )
+    def test_unreadable_instance_is_one_stderr_line(self, tmp_path, command, content, reason):
+        from cdsp.cli import main
+
+        path = tmp_path / "bad.txt"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], str(path), "--fleet", "file", *command[1:]])
+        assert str(exc.value.code).startswith(f"cdsp: {path}: {reason}")
+        assert "\n" not in str(exc.value.code)
 
     def test_suite_subcommand(self, tmp_path, tiny2_file, capsys):
         from cdsp.cli import main

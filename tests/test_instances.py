@@ -83,6 +83,25 @@ class TestParseSolomon:
         with pytest.raises(SolomonParseError, match=rf"^line {line}: non-finite field"):
             parse_solomon(text)
 
+    @pytest.mark.parametrize(
+        "old, new, line, what",
+        [
+            ("  25         200", "  1.7        200", 5, "vehicle number 1.7"),
+            ("  25         200", "  25.5       200", 5, "vehicle number 25.5"),
+            ("    2      45", "    2.5    45", 12, "site id 2.5"),
+        ],
+    )
+    def test_fractional_count_names_line(self, old, new, line, what):
+        # int() would truncate these; the file is rejected instead
+        text = SOLOMON_SNIPPET.replace(old, new)
+        assert text != SOLOMON_SNIPPET
+        with pytest.raises(SolomonParseError, match=rf"^line {line}: non-integer {what}$"):
+            parse_solomon(text)
+
+    def test_integral_float_vehicle_number_is_accepted(self):
+        raw = parse_solomon(SOLOMON_SNIPPET.replace("  25         200", "  25.0       200"))
+        assert raw.vehicle_number == 25
+
     def test_duplicate_id(self):
         text = SOLOMON_SNIPPET + "    2      10         10          5          0         99          0\n"
         with pytest.raises(SolomonParseError, match="duplicate id 2"):

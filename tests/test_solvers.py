@@ -10,23 +10,35 @@ import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from cdsp import (
+    InstanceConfig,
     SolveLimits,
     SolveStatus,
     SolverConfigError,
+    build_instance,
     build_model,
     build_multigraph,
     emit_model,
     exact_solve_tiny,
     extract_solution,
+    parse_solomon,
     preprocess_time_windows,
     solve,
     validate_solution,
 )
 from cdsp.formulation import FileSolverAdapter, model_to_arrays
-from cdsp.formulation.solvers import FEASIBILITY_TOL, _parse_cbc, _parse_highs, _parse_plain
+from cdsp.formulation.solvers import (
+    FEASIBILITY_TOL,
+    _parse_cbc,
+    _parse_highs,
+    _parse_plain,
+    dominated_carries,
+    time_bound_rows,
+)
 from cdsp.network import TimeWindows
 
+from conftest import TINY2_FILE
 from gen import random_instance, varied_instance
+from views import solution_column_values
 
 FAKE_SOLVER = Path(__file__).parent / "fake_solver.py"
 WIDE5 = Path(__file__).parent / "data" / "wide5.txt"
@@ -157,20 +169,26 @@ def _solve_paper_model(model):
         )
 
 
+def _varied_sweep():
+    """60 seeded (instance, graph, model) cases at n = 2-7 with 1-3 vehicles:
+    a third wide windows, half a scaled shift cap (some then infeasible),
+    a quarter with explicit rows."""
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        inst = varied_instance(rng, int(rng.integers(2, 8)))
+        g = build_multigraph(inst)
+        yield inst, g, build_model(g, inst, explicit_bounds=bool(rng.random() < 0.25))
+
+
 class TestTimeBoundRows:
-    """The bundled solve adds valid rows: it must reach the same optima."""
+    """The bundled solve adds valid rows and fixes dominated carries: it must
+    reach the same optima."""
 
     def test_bundled_solve_matches_the_oracle(self):
-        # n = 2-7, 1-3 vehicles, wide windows, scaled shift caps, explicit rows
-        rng = np.random.default_rng(7)
         statuses = []
-        for _ in range(60):
-            inst = varied_instance(rng, int(rng.integers(2, 8)))
-            windows = preprocess_time_windows(inst)
-            g = build_multigraph(inst)
-            model = build_model(g, inst, explicit_bounds=bool(rng.random() < 0.25))
+        for inst, g, model in _varied_sweep():
             outcome = solve(model, SolveLimits(time_limit_s=60))
-            oracle = exact_solve_tiny(inst, windows)
+            oracle = exact_solve_tiny(inst, g.windows)
             statuses.append(outcome.status)
             if oracle.solution is None:
                 assert outcome.status is SolveStatus.INFEASIBLE
@@ -178,8 +196,71 @@ class TestTimeBoundRows:
             assert outcome.status is SolveStatus.OPTIMAL
             assert outcome.objective == pytest.approx(oracle.best_total, rel=1e-6)
             sol = extract_solution(model, outcome.values)
-            assert validate_solution(sol, inst, windows).ok
+            assert validate_solution(sol, inst, g.windows).ok
         assert SolveStatus.INFEASIBLE in statuses
+
+    def test_oracle_optima_satisfy_the_rows_and_use_no_fixed_carry(self):
+        explicit = capped = fixed = 0
+        for inst, g, model in _varied_sweep():
+            oracle = exact_solve_tiny(inst, g.windows)
+            if oracle.solution is None:
+                continue
+            vec = solution_column_values(oracle.solution, model, g)
+            slack = time_bound_rows(model) @ vec
+            assert np.all(slack >= -1e-9), np.flatnonzero(slack < -1e-9)
+            dominated = dominated_carries(model)
+            assert not vec[dominated].any(), dominated[vec[dominated] != 0]
+            explicit += any(fam.name == "collect" for fam in model.families)
+            capped += inst.shift_cap < inst.depot_deadline
+            fixed += len(dominated)
+        assert explicit and capped and fixed
+
+    def test_lifted_coefficients_on_tiny2(self):
+        # t_01 = 3, t_02 = 4, t_12 = 5; r' = (3, 4), d' = (10, 10). Arcs:
+        # 0: 0->1, 1: 0->2, 2: 1->0, 3: 2->0, 4/5: inter 1->2 / 2->1 (cost 5),
+        # 6/7: replenish 1->2 / 2->1 (cost 7)
+        raw = parse_solomon(TINY2_FILE)
+        inst = build_instance(raw, InstanceConfig(fleet_size="file"), label="tiny2")
+        g = build_multigraph(inst)
+        model = build_model(g, inst)
+        lay = model.layout
+        z, C = lay.z(np.array([1, 2])), lay.completion(np.array([1, 2]))
+        want = np.zeros((6, model.num_columns))
+        # (P) into 1: max(0 + 3, 3), max(4 + 5, 3), max(4 + 7, 3)
+        want[0, [z[0], 0, 5, 7]] = [1, -3, -9, -11]
+        # (P) into 2: max(0 + 4, 4), max(3 + 5, 4), max(3 + 7, 4)
+        want[1, [z[1], 1, 4, 6]] = [1, -4, -8, -10]
+        # (S1) out of 1: t_10 = 3 home or by replenishment, 5 + t_20 via 2
+        want[2, [C[0], z[0], 2, 4, 6]] = [1, -1, -3, -9, -3]
+        want[3, [C[1], z[1], 3, 5, 7]] = [1, -1, -4, -8, -4]
+        # (S2) out of 1: r'_1 + t_10 = 6, or via 2 max(r'_2, r'_1 + 5) + t_20
+        # = 12 (13 with r'_2 = 9 below; 8 before the lifting)
+        want[4, [C[0], 2, 4, 6]] = [1, -6, -12, -6]
+        want[5, [C[1], 3, 5, 7]] = [1, -8, -12, -8]
+        np.testing.assert_array_equal(time_bound_rows(model).toarray(), want)
+        assert len(dominated_carries(model)) == 0
+
+        # a release of 9 at request 2 raises every term of an arc out of 2,
+        # lifts (P) into 2 where 9 exceeds the travel bound, and (S2)
+        # through 1->2; y_12 (2 carried at 1) would need z_1 >= 9 + 5 >
+        # d'_1 = 10 and is fixed
+        w = g.windows
+        release = w.release.copy()
+        release[2] = 9.0
+        g9 = dataclasses.replace(g, windows=TimeWindows(release=release, deadline=w.deadline))
+        model9 = build_model(g9, inst)
+        want[0, [5, 7]] = [-14, -16]
+        want[1, [1, 4, 6]] = [-9, -9, -10]
+        want[4, 4] = -13
+        want[5, [3, 5, 7]] = [-13, -17, -13]
+        np.testing.assert_array_equal(time_bound_rows(model9).toarray(), want)
+        assert dominated_carries(model9).tolist() == [lay.y(1, 2)]
+
+        # the fixing goes to a copy: the model's bounds stay as built
+        upper = model9.col_upper.copy()
+        outcome = solve(model9, SolveLimits(time_limit_s=60))
+        np.testing.assert_array_equal(model9.col_upper, upper)
+        assert outcome.status is SolveStatus.OPTIMAL
 
     @pytest.mark.parametrize("seed", [14, 19, 26, 29])
     def test_bundled_solve_matches_the_paper_model(self, seed):
