@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shlex
 import sys
 from pathlib import Path
@@ -26,8 +27,8 @@ from .instances import (
     build_instance,
     parse_solomon,
 )
-from .network import build_multigraph
-from .oracle import DEFAULT_LIMIT, OracleSizeError, exact_solve_tiny
+from .network import InfeasibleWindowError, build_multigraph
+from .oracle import DEFAULT_LIMIT, OracleResult, OracleSizeError, exact_solve_tiny
 from .routes import solution_to_json
 
 
@@ -190,11 +191,15 @@ def main(argv=None) -> int:
             print(f"  note: {record.message}")
         if args.oracle:
             inst = _load_instance(args)
+            result = None
             try:
                 result = exact_solve_tiny(inst)
             except OracleSizeError as exc:
                 print(f"  oracle check skipped: {exc}")
-            else:
+            except InfeasibleWindowError:
+                # an empty tightened window: no solution at all
+                result = OracleResult(solution=None, best_total=math.inf, candidates=0)
+            if result is not None:
                 if record.status == SolveStatus.OPTIMAL.value:
                     if abs(result.best_total - record.total) > OBJECTIVE_MATCH_TOL:
                         print(
@@ -231,7 +236,10 @@ def main(argv=None) -> int:
 
     if args.command == "emit":
         inst = _load_instance(args)
-        graph = build_multigraph(inst)
+        try:
+            graph = build_multigraph(inst)
+        except InfeasibleWindowError as exc:
+            raise SystemExit(f"cdsp: {args.instance}: {exc}") from None
         model = build_model(graph, inst, explicit_bounds=args.explicit_rows)
         if args.out:
             out = Path(args.out)
@@ -246,7 +254,11 @@ def main(argv=None) -> int:
 
     if args.command == "oracle":
         inst = _load_instance(args)
-        result = exact_solve_tiny(inst, limit=args.limit)
+        try:
+            result = exact_solve_tiny(inst, limit=args.limit)
+        except InfeasibleWindowError as exc:
+            print(f"{inst.label}: infeasible ({exc})")
+            return 0
         if result.solution is None:
             print(f"{inst.label}: infeasible ({result.candidates} candidates)")
             return 0

@@ -35,6 +35,17 @@ from .writers import MODEL_FORMATS, write_model
 #: HiGHS's MIP and primal feasibility tolerances in `ScipyMilpAdapter`.
 FEASIBILITY_TOL = 1e-9
 
+#: Whether `ScipyMilpAdapter` lets HiGHS run its feasibility-jump heuristic
+#: (Luteberget & Sartor 2023), which HiGHS 1.12 runs before every root LP
+#: at a fixed cost per solve: 47-53 ms, against 1.3-1.6 ms without it, on a
+#: 1-column MIP with presolve off (2-core x86-64 host). Off, the benchmark's
+#: 14 `oracle-tiny` instances take 0.29-0.32 s of HiGHS time in all instead
+#: of 0.53-0.60 s (15 nodes either way), and its 14 `solve-small` instances
+#: 1.3-1.6 s instead of 1.9-2.1 s (12 nodes instead of 11), at the same
+#: optima; the n = 15-25 instances keep their optima and node counts. A
+#: HiGHS that has no such option ignores it.
+FEASIBILITY_JUMP = False
+
 #: How far past a deadline a carry's earliest arrival must fall before
 #: `dominated_carries` fixes it: well above the triangle tolerance summed
 #: over a trip and FEASIBILITY_TOL, and far below any time in an instance.
@@ -213,6 +224,8 @@ class ScipyMilpAdapter:
     Feasibility tolerances are FEASIBILITY_TOL (1e-9), well below HiGHS's
     1e-6 MIP default: incumbents may shave binding constraints by up to that
     tolerance, which would blur objective comparisons at the 1e-6 level.
+    HiGHS's feasibility-jump heuristic is off (FEASIBILITY_JUMP): a fixed
+    cost per solve that saved no branch-and-bound node on the benchmark.
     A HiGHS solve error is retried once without presolve, within the time
     left; the outcome's message says so.
     """
@@ -242,12 +255,15 @@ class ScipyMilpAdapter:
             "mip_rel_gap": limits.gap_target,
             "mip_feasibility_tolerance": FEASIBILITY_TOL,
             "primal_feasibility_tolerance": FEASIBILITY_TOL,
+            "mip_heuristic_run_feasibility_jump": FEASIBILITY_JUMP,
         }
         note = ""
         with warnings.catch_warnings(), _stdout_to_stderr():
             # scipy warns about non-scipy option names but forwards them to
-            # HiGHS, which is exactly what the tolerance options need
+            # HiGHS, which is exactly what the tolerance options need; a
+            # HiGHS that lacks an option warns and keeps its default
             warnings.filterwarnings("ignore", message="Unrecognized options detected")
+            warnings.filterwarnings("ignore", message="Invalid option name")
             res = milp(**problem, options=options)
             remaining = limits.time_limit_s - (time.perf_counter() - start)
             if res.status == 4 and remaining > 0:

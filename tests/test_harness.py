@@ -389,6 +389,42 @@ class TestCli:
         assert str(exc.value.code).startswith(f"cdsp: {path}: {reason}")
         assert "\n" not in str(exc.value.code)
 
+    @pytest.fixture
+    def empty_window_file(self, tmp_path):
+        # site 2 (4 from the depot, which closes at 30) gets [28, 29]: its
+        # tightened deadline is 30 - 4 = 26
+        site2 = "    2          4          0         10          0         10          0"
+        assert site2 in TINY2_FILE
+        path = tmp_path / "emptywin.txt"
+        narrowed = "    2          4          0         10         28         29          0"
+        path.write_text(TINY2_FILE.replace(site2, narrowed))
+        return path
+
+    EMPTY_WINDOW = "node 2 infeasible after preprocessing: release 28 > deadline 26"
+
+    def test_emit_empty_window_is_one_stderr_line(self, empty_window_file):
+        from cdsp.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["emit", str(empty_window_file), "--fleet", "file", "--format", "lp"])
+        assert exc.value.code == f"cdsp: {empty_window_file}: {self.EMPTY_WINDOW}"
+
+    def test_oracle_empty_window_is_infeasible(self, empty_window_file, capsys):
+        from cdsp.cli import main
+
+        code = main(["oracle", str(empty_window_file), "--fleet", "file"])
+        assert code == 0
+        assert capsys.readouterr().out == f"emptywin: infeasible ({self.EMPTY_WINDOW})\n"
+
+    def test_solve_oracle_empty_window_agrees(self, empty_window_file, capsys):
+        from cdsp.cli import main
+
+        code = main(["solve", str(empty_window_file), "--fleet", "file", "--oracle"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("emptywin: infeasible\n")
+        assert "oracle check: OK (infeasible)" in out
+
     def test_suite_subcommand(self, tmp_path, tiny2_file, capsys):
         from cdsp.cli import main
 

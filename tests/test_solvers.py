@@ -116,7 +116,28 @@ class TestScipyAdapter:
         assert "presolve" not in calls[0]
         assert calls[1]["presolve"] is False
         assert 0 < calls[1]["time_limit"] <= 60
+        assert all(call["mip_heuristic_run_feasibility_jump"] is False for call in calls)
         assert "re-solved without presolve after: Solve error" in outcome.message
+
+    def test_highs_without_an_option_solves_on_its_defaults(self, tiny2_model, monkeypatch):
+        # a HiGHS that lacks an option name warns "Invalid option name." and
+        # ignores it; the adapter keeps that warning out of the caller's way
+        import scipy.optimize
+
+        real_milp = scipy.optimize.milp
+
+        def older_highs(*args, options, **kwargs):
+            warnings.warn("Invalid option name.", scipy.optimize.OptimizeWarning)
+            options = dict(options)
+            del options["mip_heuristic_run_feasibility_jump"]
+            return real_milp(*args, options=options, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "milp", older_highs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = solve(tiny2_model, SolveLimits(time_limit_s=60))
+        assert outcome.status is SolveStatus.OPTIMAL
+        assert outcome.objective == pytest.approx(20.0, abs=1e-6)
 
     def test_adapter_crash_becomes_error_outcome(self, tiny2_model):
         class Exploding:
@@ -151,7 +172,9 @@ class TestScipyAdapter:
 
 def _solve_paper_model(model):
     """scipy's milp on the model's own arrays with the bundled adapter's
-    options: the paper model alone, without the time-bound rows."""
+    tolerances: the paper model alone, without the time-bound rows, on
+    HiGHS's default heuristics (feasibility jump included; the seed 25/38
+    false optima are the same without it)."""
     c, matrix, row_lb, row_ub, lb, ub, integrality = model_to_arrays(model)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="Unrecognized options detected")
