@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from cdsp import InstanceConfig, Setting, SolveLimits, parse_solomon
-from cdsp.harness import ManifestEntry, report_table, run_suite, write_report
+from cdsp.harness import ManifestEntry, report_table, run_suite
 
 NAME_RE = re.compile(r"^(RC|C|R)(\d)", re.IGNORECASE)
 
@@ -97,7 +97,6 @@ def main(argv=None) -> int:
         out_dir=out,
     )
     print(report_table(report), end="")
-    write_report(report, out)
     print(f"report written to {out}")
     return 1 if report.has_errors else 0
 

@@ -256,6 +256,8 @@ def main(argv=None) -> int:
         inst = _load_instance(args)
         try:
             result = exact_solve_tiny(inst, limit=args.limit)
+        except OracleSizeError as exc:
+            raise SystemExit(f"cdsp: {args.instance}: {exc}") from None
         except InfeasibleWindowError as exc:
             print(f"{inst.label}: infeasible ({exc})")
             return 0

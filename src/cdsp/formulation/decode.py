@@ -81,7 +81,6 @@ def extract_solution(model: MipModel, values) -> EvaluatedSolution:
     visit = dict(zip(range(1, n + 1), vec[lay.z(1) : lay.z(n) + 1].tolist()))
     tours: list[Tour] = []
     deliveries: list[tuple[float, ...]] = []
-    completion: dict[int, float] = {}
     used = 0
     # every point of care has one arc in and one out, so the depot's two
     # degrees are equal and each walk is a simple path back to the depot: a
@@ -101,22 +100,17 @@ def extract_solution(model: MipModel, values) -> EvaluatedSolution:
         trip_objs = tuple(Trip(tuple(t)) for t in trips)
         first = trip_objs[0].nodes[0]
         departure = visit[first] - graph.cost_from_depot(first)
-        returns = []
-        clock = 0.0
-        for trip in trip_objs:
-            clock = visit[trip.nodes[-1]] + graph.cost_to_depot(trip.nodes[-1])
-            returns.append(clock)
-            for node in trip.nodes:
-                completion[node] = clock
         tours.append(Tour(vehicle=vehicle, trips=trip_objs, departure=departure))
-        deliveries.append(tuple(returns))
+        deliveries.append(
+            tuple(visit[t.nodes[-1]] + graph.cost_to_depot(t.nodes[-1]) for t in trip_objs)
+        )
 
     if used != len(traversed):
         raise ModelDecodeError(
             f"{len(traversed) - used} traversed arcs unreachable from the depot"
         )
 
-    return evaluated_solution(tours, visit, deliveries, completion, graph.windows)
+    return evaluated_solution(tours, visit, deliveries, graph.windows)
 
 
 def _as_vector(model: MipModel, values) -> np.ndarray:

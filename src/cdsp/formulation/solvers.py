@@ -22,7 +22,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, ClassVar, Protocol
 
 import numpy as np
 import scipy.sparse as sp
@@ -230,7 +230,7 @@ class ScipyMilpAdapter:
     left; the outcome's message says so.
     """
 
-    name: str = "scipy-highs"
+    name: ClassVar[str] = "scipy-highs"
 
     def solve(self, model: MipModel, limits: SolveLimits) -> SolveOutcome:
         import warnings
@@ -368,7 +368,7 @@ class FileSolverAdapter:
     command: tuple[str, ...]
     model_format: str = "lp"
     solution_format: str = "plain"
-    name: str = "file"
+    name: ClassVar[str] = "file"
 
     def __post_init__(self):
         # stored lower-cased: external solvers pick their reader by extension
@@ -599,13 +599,12 @@ SOLUTION_PARSERS: dict[str, Callable[[str], _ParsedSolution]] = {
 }
 
 def solve(
-    model: MipModel, limits: SolveLimits | None = None, adapter: SolverAdapter | None = None
+    model: MipModel, limits: SolveLimits, adapter: SolverAdapter | None = None
 ) -> SolveOutcome:
     """Solve a built model through an adapter (bundled backend by default).
 
     Adapter crashes become an error outcome with the diagnostic attached.
     """
-    limits = limits or SolveLimits()
     adapter = adapter or ScipyMilpAdapter()
     try:
         return adapter.solve(model, limits)

@@ -300,25 +300,21 @@ def load_manifest(path) -> list[ManifestEntry]:
 
 
 def run_suite(
-    manifest,
-    cfg: InstanceConfig | None = None,
-    limits: SolveLimits | None = None,
+    entries: list[ManifestEntry],
+    cfg: InstanceConfig,
+    limits: SolveLimits,
     adapter: SolverAdapter | None = None,
     workers: int = 1,
     raw_release: bool = False,
     out_dir=None,
 ) -> BenchmarkReport:
-    """Run every manifest entry and aggregate per setting.
+    """Run every manifest entry (see `load_manifest`) and aggregate per setting.
 
-    manifest: a manifest file path or a prepared list of ManifestEntry.
     Missing instance files and incumbents that fail validation yield
     per-instance error records, not a crash.
     Instances run in parallel across worker processes when workers > 1.
     """
-    cfg = cfg or InstanceConfig()
-    limits = limits or SolveLimits()
     adapter = adapter or ScipyMilpAdapter()
-    entries = manifest if isinstance(manifest, list) else load_manifest(manifest)
     solutions_dir = Path(out_dir) / "solutions" if out_dir is not None else None
 
     args = [

@@ -171,17 +171,16 @@ class Instance:
         return range(1, self.n + 1)
 
 
-def triangle_violations(
-    travel: np.ndarray, tol: float = TRIANGLE_TOL
-) -> list[tuple[int, int, int, float]]:
-    """All ordered triples (i,j,k) with travel[i,j] + travel[j,k] < travel[i,k].
+def triangle_violations(travel: np.ndarray) -> list[tuple[int, int, int, float]]:
+    """All ordered triples (i,j,k) with travel[i,j] + travel[j,k] < travel[i,k]
+    by more than TRIANGLE_TOL.
 
     Returns (i, j, k, slack) per violation with slack = c_ij + c_jk - c_ik
     (negative when violated). Exhaustive O(m^3); fine up to ~200 sites.
     """
     t = np.asarray(travel, dtype=float)
     slack = t[:, :, None] + t[None, :, :] - t[:, None, :]  # slack[i,j,k]
-    bad = np.argwhere(slack < -tol)
+    bad = np.argwhere(slack < -TRIANGLE_TOL)
     return [(int(i), int(j), int(k), float(slack[i, j, k])) for i, j, k in bad]
 
 
@@ -296,7 +295,7 @@ def write_solomon(raw: RawInstance) -> str:
 
 def build_instance(
     raw: RawInstance,
-    cfg: InstanceConfig | None = None,
+    cfg: InstanceConfig,
     setting: Setting | None = None,
     label: str | None = None,
 ) -> Instance:
@@ -305,13 +304,11 @@ def build_instance(
     Travel times are Euclidean distances, optionally rounded to a fixed number
     of decimals and optionally with each site's service time folded into all
     of its outgoing arcs (depot service assumed 0). The triangle inequality is
-    re-verified after rounding/folding.
+    re-verified after rounding/folding. `Instance` rejects non-contiguous
+    site ids and a fleet below 1.
     """
-    cfg = cfg or InstanceConfig()
     sites = tuple(sorted(raw.sites, key=lambda s: s.id))
     n = len(sites) - 1
-    if [s.id for s in sites] != list(range(n + 1)):
-        raise InstanceError(f"site ids must be contiguous 0..{n}")
 
     xy = np.array([(s.x, s.y) for s in sites], dtype=float)
     diff = xy[:, None, :] - xy[None, :, :]
@@ -332,8 +329,6 @@ def build_instance(
     else:  # size-class
         size = setting.size if setting and setting.size else (n if n in FLEET_BY_SIZE else None)
         fleet = FLEET_BY_SIZE[size] if size in FLEET_BY_SIZE else raw.vehicle_number
-    if fleet < 1:
-        raise InstanceError(f"fleet size must be >= 1, got {fleet}")
 
     depot_deadline = sites[0].deadline
     shift_cap = depot_deadline if cfg.shift_cap == "depot-deadline" else float(cfg.shift_cap)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import Instance
-from .network import TimeWindows, preprocess_time_windows
+from .network import TimeWindows
 
 #: Absolute tolerance for all time comparisons.
 TIME_TOL = 1e-6
@@ -91,10 +91,6 @@ class EvaluatedSolution:
     total_completion: float  # F
     net_completion: float  # F', release-corrected
 
-    @property
-    def trips_by_vehicle(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        return tuple(tuple(t.nodes for t in tour.trips) for tour in sorted_by_vehicle(self.tours))
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -105,13 +101,7 @@ class ValidationReport:
         return not self.violations
 
 
-def sorted_by_vehicle(tours) -> list[Tour]:
-    return sorted(tours, key=lambda t: t.vehicle)
-
-
-def schedule_tour(
-    tour, inst: Instance, windows: TimeWindows | None = None
-) -> TourTiming:
+def schedule_tour(tour, inst: Instance, windows: TimeWindows) -> TourTiming:
     """Optimal timing of a fixed tour, given as a sequence of trips (node
     sequences): minimize the sum of trip return times.
 
@@ -136,8 +126,6 @@ def schedule_tour(
     deadline is missed, or None when travel alone busts the cap.
     """
     trips = _trip_lists(tour)
-    if windows is None:
-        windows = preprocess_time_windows(inst)
     flat = [node for trip in trips for node in trip]
     if len(set(flat)) != len(flat):
         raise ValueError(f"node repeated across trips: {trips}")
@@ -197,36 +185,34 @@ def _forward_pass(trips, inst, windows, departure):
     return visit, deliveries, min_cum_wait
 
 
-def assemble_solution(
-    vehicle_trips, inst: Instance, windows: TimeWindows | None = None
-) -> EvaluatedSolution:
+def assemble_solution(vehicle_trips, inst: Instance, windows: TimeWindows) -> EvaluatedSolution:
     """Schedule one tour per vehicle and assemble the evaluated solution.
 
     vehicle_trips: sequence of tours, each a sequence of trips (node lists).
     Raises InfeasibleTourError if any tour has no feasible timing.
     """
-    if windows is None:
-        windows = preprocess_time_windows(inst)
     tours: list[Tour] = []
     visit: dict[int, float] = {}
     deliveries: list[tuple[float, ...]] = []
-    completion: dict[int, float] = {}
     for k, trips in enumerate(vehicle_trips, start=1):
         timing = schedule_tour(trips, inst, windows)
-        trip_objs = tuple(Trip(tuple(t)) for t in _trip_lists(trips))
+        trip_objs = tuple(Trip(t) for t in trips)
         tours.append(Tour(vehicle=k, trips=trip_objs, departure=timing.departure))
         visit.update(timing.visit)
         deliveries.append(timing.deliveries)
-        for trip, delivered in zip(trip_objs, timing.deliveries):
-            for node in trip.nodes:
-                completion[node] = delivered
-    return evaluated_solution(tours, visit, deliveries, completion, windows)
+    return evaluated_solution(tours, visit, deliveries, windows)
 
 
-def evaluated_solution(
-    tours, visit: dict, deliveries, completion: dict, windows: TimeWindows
-) -> EvaluatedSolution:
-    """The solution with its schedule and both objectives."""
+def evaluated_solution(tours, visit: dict, deliveries, windows: TimeWindows) -> EvaluatedSolution:
+    """The solution with its schedule and both objectives. Each request
+    completes when its trip delivers; F sums the completions in tour, trip
+    and visit order."""
+    completion = {
+        node: delivered
+        for tour, returns in zip(tours, deliveries)
+        for trip, delivered in zip(tour.trips, returns)
+        for node in trip.nodes
+    }
     total, net = _objectives(completion, windows)
     return EvaluatedSolution(
         tours=tuple(tours),
@@ -244,7 +230,7 @@ def _objectives(completion: dict, windows: TimeWindows) -> tuple[float, float]:
 
 
 def validate_solution(
-    sol: EvaluatedSolution, inst: Instance, windows: TimeWindows | None = None
+    sol: EvaluatedSolution, inst: Instance, windows: TimeWindows
 ) -> ValidationReport:
     """Check a solution against every feasibility clause; collect all violations.
 
@@ -252,8 +238,6 @@ def validate_solution(
     time consistency (waiting allowed), shift caps, depot deadline,
     completion/delivery consistency, and the reported objectives.
     """
-    if windows is None:
-        windows = preprocess_time_windows(inst)
     travel = inst.travel
     release, deadline = windows.release, windows.deadline
     bad: list[str] = []
@@ -351,7 +335,7 @@ def validate_solution(
     return ValidationReport(violations=tuple(bad))
 
 
-def solution_to_json(sol: EvaluatedSolution, fingerprint: dict | None = None) -> dict:
+def solution_to_json(sol: EvaluatedSolution, fingerprint: dict) -> dict:
     """JSON-serializable form: tours, timing, objectives, config fingerprint."""
     return {
         "tours": [
@@ -369,5 +353,5 @@ def solution_to_json(sol: EvaluatedSolution, fingerprint: dict | None = None) ->
         },
         "F": sol.total_completion,
         "F_prime": sol.net_completion,
-        "config": dict(fingerprint or {}),
+        "config": dict(fingerprint),
     }

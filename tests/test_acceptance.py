@@ -89,7 +89,7 @@ def test_tiny2_fixture():
         oracle = exact_solve_tiny(inst, windows)
         assert oracle.best_total == 20.0
         assert oracle.solution.net_completion == 13.0
-        assert oracle.solution.trips_by_vehicle == (((1,), (2,)),)
+        assert views.trips_by_vehicle(oracle.solution) == (((1,), (2,)),)
         graph = build_multigraph(inst)
         outcome = solve(build_model(graph, inst), LIMITS)
         assert outcome.status is SolveStatus.OPTIMAL

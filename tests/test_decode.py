@@ -20,7 +20,7 @@ from cdsp.oracle import exact_solve_tiny
 
 from conftest import make_tiny2
 from gen import random_instance
-from views import arc_list, solution_column_values
+from views import arc_list, solution_column_values, trips_by_vehicle
 
 DEPOT, INTER, REPLENISH = ArcKind.DEPOT, ArcKind.INTER, ArcKind.REPLENISH
 
@@ -36,7 +36,7 @@ class TestExtract:
         inst, g, model = tiny2_built
         outcome = solve(model, SolveLimits(time_limit_s=60))
         sol = extract_solution(model, outcome.values)
-        assert sol.trips_by_vehicle == (((1,), (2,)),)
+        assert trips_by_vehicle(sol) == (((1,), (2,)),)
         assert sol.timing.visit == pytest.approx({1: 3.0, 2: 10.0})
         assert sol.timing.completion == pytest.approx({1: 6.0, 2: 14.0})
         assert sol.total_completion == pytest.approx(20.0, abs=1e-9)
@@ -62,7 +62,7 @@ class TestExtract:
         model = build_model(g, inst)
         outcome = solve(model, SolveLimits(time_limit_s=60))
         sol = extract_solution(model, outcome.values)
-        assert sol.trips_by_vehicle == (((1,),),)
+        assert trips_by_vehicle(sol) == (((1,),),)
         assert len(sol.tours) == 1
 
     def test_fractional_binary_rejected(self, tiny2_built):
@@ -120,7 +120,7 @@ class TestDecodeErrors:
     def test_route_decodes(self, tiny2_built):
         _, g, model = tiny2_built
         sol = extract_solution(model, routing_vector(model, g, TINY2_ROUTE))
-        assert sol.trips_by_vehicle == (((1,), (2,)),)
+        assert trips_by_vehicle(sol) == (((1,), (2,)),)
 
     def test_lowest_fractional_arc_is_named(self, tiny2_built):
         _, g, model = tiny2_built
@@ -260,7 +260,7 @@ def test_binary_vectors_decode_or_name_a_structural_fault(case):
     assert len(sol.tours) <= model.fleet_size
     if tours is not None:
         want = sorted(tuple(tuple(trip) for trip in tour) for tour in tours)
-        assert sorted(sol.trips_by_vehicle) == want
+        assert sorted(trips_by_vehicle(sol)) == want
 
 
 class TestEmbedDecodeConsistency:
@@ -274,5 +274,5 @@ class TestEmbedDecodeConsistency:
             best = exact_solve_tiny(inst, w).solution
             vec = solution_column_values(best, model, g)
             sol = extract_solution(model, vec)
-            assert sol.trips_by_vehicle == best.trips_by_vehicle
+            assert trips_by_vehicle(sol) == trips_by_vehicle(best)
             assert sol.total_completion == pytest.approx(best.total_completion, abs=1e-9)

@@ -233,7 +233,7 @@ class TestRunSuite:
     def test_empty_manifest(self, tmp_path):
         manifest = tmp_path / "empty.csv"
         manifest.write_text("path,size,class,tw\n")
-        report = run_suite(manifest, InstanceConfig(), LIMITS)
+        report = run_suite(load_manifest(manifest), InstanceConfig(), LIMITS)
         assert report.records == []
         assert report.settings == {}
         assert not report.has_errors
@@ -520,6 +520,14 @@ class TestCli:
         assert code == 0
         assert "F  = 20" in out
         assert '"F_prime": 13.0' in out
+
+    def test_oracle_above_limit_is_one_stderr_line(self, capsys):
+        from cdsp.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", str(GEN20), "--fleet", "file"])
+        assert exc.value.code == f"cdsp: {GEN20}: n=20 exceeds the exhaustive-search limit 7"
+        assert capsys.readouterr().out == ""
 
     def test_solve_oracle_cross_check(self, tiny2_file, capsys):
         from cdsp.cli import main

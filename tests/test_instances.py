@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -127,7 +129,7 @@ class TestParseSolomon:
 class TestBuildInstance:
     def test_euclidean_345(self):
         raw = _raw_at([(0, 0), (0, 3), (4, 0)])
-        inst = build_instance(raw)
+        inst = build_instance(raw, InstanceConfig())
         assert inst.travel.tolist() == [[0, 3, 4], [3, 0, 5], [4, 5, 0]]
 
     def test_size_class_fleet_rule(self):
@@ -138,7 +140,7 @@ class TestBuildInstance:
 
     def test_size_class_from_setting_metadata(self):
         raw = _raw_at([(0, 0), (1, 0), (2, 0)])
-        inst = build_instance(raw, setting=Setting(size=50, klass="C", tw="tight"))
+        inst = build_instance(raw, InstanceConfig(), setting=Setting(size=50, klass="C", tw="tight"))
         assert inst.fleet_size == 15
 
     def test_size_class_falls_back_to_file(self):
@@ -152,7 +154,7 @@ class TestBuildInstance:
 
     def test_shift_cap_defaults_to_depot_deadline(self):
         raw = parse_solomon(SOLOMON_SNIPPET)
-        inst = build_instance(raw)
+        inst = build_instance(raw, InstanceConfig())
         assert inst.shift_cap == 1236
         assert inst.depot_deadline == 1236
 
@@ -160,6 +162,12 @@ class TestBuildInstance:
         raw = _raw_at([(0, 0), (1, 0)])
         with pytest.raises(InstanceError, match="fleet size"):
             build_instance(raw, InstanceConfig(fleet_size=0))
+
+    def test_gap_in_site_ids_rejected(self):
+        raw = _raw_at([(0, 0), (1, 0), (2, 0)])
+        sites = (*raw.sites[:2], Site(3, 2.0, 0.0, 0.0, 10_000.0))
+        with pytest.raises(InstanceError, match=r"site ids must be 0\.\.2, got \[0, 1, 3\]"):
+            build_instance(dataclasses.replace(raw, sites=sites), InstanceConfig())
 
     def test_rounding_can_break_triangle(self):
         # 0.5 + 0.5 rounds to 0 + 0 < 1: construction must refuse
@@ -174,7 +182,7 @@ class TestBuildInstance:
         assert inst.travel.tolist() == [[0, 3, 4], [8, 0, 10], [9, 10, 0]]
 
     def test_tiny2_file(self, tiny2_file):
-        inst = build_instance(parse_solomon(tiny2_file.read_text()))
+        inst = build_instance(parse_solomon(tiny2_file.read_text()), InstanceConfig())
         assert inst.fleet_size == 1
         assert inst.n == 2
         assert inst.travel[1, 2] == 5.0

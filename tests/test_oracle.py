@@ -8,6 +8,7 @@ from cdsp.oracle import OracleSizeError, exact_solve_tiny
 
 from conftest import make_tiny2
 from gen import random_instance, split_bits
+from views import trips_by_vehicle
 
 
 class TestTiny2:
@@ -15,7 +16,7 @@ class TestTiny2:
         result = exact_solve_tiny(tiny2)
         assert result.best_total == 20.0
         assert result.solution.net_completion == 13.0
-        assert result.solution.trips_by_vehicle == (((1,), (2,)),)
+        assert trips_by_vehicle(result.solution) == (((1,), (2,)),)
 
     def test_tight_second_deadline_forces_single_trip(self):
         # with d_2 = 7 the trip split misses the window (arrival 10) and the
@@ -23,7 +24,7 @@ class TestTiny2:
         inst = make_tiny2(deadline2=7.0)
         result = exact_solve_tiny(inst)
         assert result.best_total == 24.0
-        assert result.solution.trips_by_vehicle == (((2, 1),),)
+        assert trips_by_vehicle(result.solution) == (((2, 1),),)
 
     def test_one_request(self):
         from cdsp import Instance, Site
@@ -61,7 +62,7 @@ class TestContract:
         a = exact_solve_tiny(random_instance(rng1, 5, 2))
         b = exact_solve_tiny(random_instance(rng2, 5, 2))
         assert a.best_total == b.best_total
-        assert a.solution.trips_by_vehicle == b.solution.trips_by_vehicle
+        assert trips_by_vehicle(a.solution) == trips_by_vehicle(b.solution)
         assert a.candidates == b.candidates
 
     def test_candidate_count_single_vehicle(self, tiny2):
@@ -76,7 +77,7 @@ class TestContract:
     def test_vehicle_exchange_symmetry(self):
         inst = make_tiny2(fleet_size=2)
         result = exact_solve_tiny(inst)
-        tours = result.solution.trips_by_vehicle
+        tours = trips_by_vehicle(result.solution)
         assert tuple(sorted(tours)) == tours  # canonical vehicle order
 
     def test_best_solutions_validate(self):

@@ -20,6 +20,7 @@ from cdsp import InfeasibleTourError, assemble_solution, preprocess_time_windows
 from cdsp.oracle import _set_partitions, exact_solve_tiny
 
 from gen import random_instance, split_bits
+from views import trips_by_vehicle
 
 
 def _best_tour(block, inst, windows):
@@ -88,7 +89,7 @@ def test_matches_brute_force_reference(fleet_size):
             assert result.solution is None, i
             continue
         expected = assemble_solution(routes, inst, windows)
-        assert result.solution.trips_by_vehicle == expected.trips_by_vehicle, i
+        assert trips_by_vehicle(result.solution) == trips_by_vehicle(expected), i
         assert result.solution.timing == expected.timing, i
 
 
@@ -107,4 +108,4 @@ def test_golden_n7(seed, fleet_size, best_total, trips):
     inst = random_instance(np.random.default_rng(seed), 7, fleet_size)
     result = exact_solve_tiny(inst)
     assert result.best_total == best_total
-    assert result.solution.trips_by_vehicle == trips
+    assert trips_by_vehicle(result.solution) == trips

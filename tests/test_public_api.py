@@ -9,7 +9,9 @@ import pytest
 
 import cdsp
 import cdsp.formulation
+import cdsp.instances
 import cdsp.network
+import cdsp.routes
 from cdsp.cli import main
 
 TINY2 = Path(__file__).parent / "data" / "tiny2.txt"
@@ -90,6 +92,35 @@ def test_pipeline_facts_have_one_owner():
     }
     for fn, want in params.items():
         assert list(inspect.signature(fn).parameters) == want, fn.__name__
+
+
+def test_values_every_caller_passes_have_no_default():
+    # every caller passes these, so none has a fallback of its own
+    required = (
+        (cdsp.schedule_tour, "windows"),
+        (cdsp.assemble_solution, "windows"),
+        (cdsp.validate_solution, "windows"),
+        (cdsp.solution_to_json, "fingerprint"),
+        (cdsp.solve, "limits"),
+        (cdsp.run_suite, "cfg"),
+        (cdsp.run_suite, "limits"),
+        (cdsp.build_instance, "cfg"),
+    )
+    for fn, name in required:
+        param = inspect.signature(fn).parameters[name]
+        assert param.default is inspect.Parameter.empty, (fn.__name__, name)
+    assert list(inspect.signature(cdsp.run_suite).parameters)[0] == "entries"
+    assert list(inspect.signature(cdsp.instances.triangle_violations).parameters) == ["travel"]
+
+
+def test_fixed_values_are_not_fields():
+    for adapter in (cdsp.ScipyMilpAdapter, cdsp.FileSolverAdapter):
+        assert "name" not in {f.name for f in dataclasses.fields(adapter)}, adapter.__name__
+    assert cdsp.ScipyMilpAdapter.name == "scipy-highs"
+    assert cdsp.FileSolverAdapter.name == "file"
+    # the test view is tests/views.trips_by_vehicle
+    assert not hasattr(cdsp.EvaluatedSolution, "trips_by_vehicle")
+    assert not hasattr(cdsp.routes, "sorted_by_vehicle")
 
 
 def test_solve_without_solver_flag_uses_bundled_backend(tmp_path, capsys):

@@ -83,10 +83,11 @@ class TestScheduleTour:
         assert t.deliveries[0] + t.deliveries[1] == pytest.approx(164.0)
 
     def test_repeated_node_rejected(self, tiny2):
+        w = preprocess_time_windows(tiny2)
         with pytest.raises(ValueError, match="repeated"):
-            schedule_tour([[1, 1]], tiny2)
+            schedule_tour([[1, 1]], tiny2, w)
         with pytest.raises(ValueError, match="repeated across"):
-            schedule_tour([[1], [1]], tiny2)
+            schedule_tour([[1], [1]], tiny2, w)
 
     def test_delay_changes_no_delivery(self):
         rng = np.random.default_rng(11)

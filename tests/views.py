@@ -5,8 +5,8 @@ pictures tests assert on from the public arrays (`integrality`, `c`,
 `col_lower`/`col_upper`, `layout.names()`, `families`, `matrix`,
 `row_name_codes()` and `row_senses()`): column views, the objective as a
 dict, variable counts, the joined row names, one family's rows, the per-arc
-big-M reference formulas that `build_model` vectorizes, and the column
-values that embed a routed solution.
+big-M reference formulas that `build_model` vectorizes, the column values
+that embed a routed solution, and a solution's trips per vehicle.
 
 The graph's arc table gets the same treatment: `Arc` is one validated arc,
 `reference_arcs` the per-arc enumeration that `build_multigraph` vectorizes,
@@ -168,6 +168,12 @@ def big_m_shift(arc: Arc, windows: TimeWindows, travel: np.ndarray) -> float:
     if arc.kind is ArcKind.DEPOT:
         raise ValueError("shift big-M is defined only between points of care")
     return float(windows.deadline[arc.target] - travel[0, arc.target])
+
+
+def trips_by_vehicle(sol: EvaluatedSolution) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Each tour's trips as node tuples, tours in vehicle order."""
+    tours = sorted(sol.tours, key=lambda tour: tour.vehicle)
+    return tuple(tuple(trip.nodes for trip in tour.trips) for tour in tours)
 
 
 def solution_column_values(
