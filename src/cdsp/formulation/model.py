@@ -121,6 +121,7 @@ class MipModel:
 
     label: str  # the instance's, for the model file headers
     fleet_size: int
+    shift_cap: float  # per-vehicle cap on the elapsed shift, tau's upper end
     layout: ColumnLayout
     matrix: sp.csr_matrix  # columns sorted within each row, no stored zeros
     row_lower: np.ndarray  # -inf on <= rows
@@ -393,6 +394,7 @@ def build_model(
     return MipModel(
         label=inst.label,
         fleet_size=inst.fleet_size,
+        shift_cap=inst.shift_cap,
         layout=lay,
         matrix=matrix,
         row_lower=row_lower,

@@ -4,7 +4,8 @@ Adapters take a built model plus limits and return a SolveOutcome carrying
 status, incumbent values, the solver-reported dual bound and wall time.
 Two implementations ship: the bundled HiGHS backend (scipy.optimize.milp),
 which adds the degree-weighted time-bound rows of `time_bound_rows` to the
-model's rows and fixes the `dominated_carries` to 0, and a file-based
+model's rows, fixes the `dominated_carries` to 0 and drops the shift rows
+where `slack_shift_start` shows the cap cannot bind, and a file-based
 adapter that writes the model as built, invokes an arbitrary external
 solver executable and parses its solution file.
 """
@@ -50,6 +51,10 @@ FEASIBILITY_JUMP = False
 #: `dominated_carries` fixes it: well above the triangle tolerance summed
 #: over a trip and FEASIBILITY_TOL, and far below any time in an instance.
 DOMINANCE_MARGIN = 1e-6
+
+#: The row families that involve the elapsed-shift columns tau; the bundled
+#: solve drops them where `slack_shift_start` finds the cap slack.
+SHIFT_FAMILIES = frozenset({"shift_lo", "sprop", "shift_cap"})
 
 
 class SolveStatus(str, enum.Enum):
@@ -208,6 +213,37 @@ def dominated_carries(model: MipModel) -> np.ndarray:
     return model.layout.y(i[late], j[late])
 
 
+def slack_shift_start(model: MipModel) -> float | None:
+    """The shift start S = min_j (r'_j - t_0j) when the shift cap cannot
+    bind, that is when cap >= E - S with E = max_j (d'_j + t_j0); None
+    otherwise. Here r' and d' are the preprocessed windows and t_0j, t_j0
+    the depot legs.
+
+    Validity: for any z inside the windows, tau = z - S meets every shift
+    row. Along a used arc s->t, ``sprop`` asks tau_t - tau_s >= z_t - z_s,
+    which holds with equality; along an unused one it asks
+    0 >= -(d'_t - t_0t), and d'_t >= r'_t >= t_0t. The bounds hold too:
+    z_j - S >= r'_j - (r'_j - t_0j) = t_0j, and
+    z_j - S <= d'_j - S <= E - t_j0 - S <= cap - t_j0. So when the test
+    holds, the shift rows (``sprop``, and ``shift_lo`` and ``shift_cap``
+    under explicit rows) constrain no z, x or y: dropping them changes
+    neither the LP relaxation's bound nor any optimum, and setting
+    tau = z - S afterwards gives a point of the full model. HiGHS's
+    presolve cannot see this, since it needs the windows of every request
+    at once. Under the default cap, the depot deadline D, it always holds:
+    preprocessing makes d'_j + t_j0 <= D and r'_j >= t_0j, so E <= D and
+    S >= 0. Removing rows that are provably redundant but invisible to
+    presolve is one of the reductions surveyed by Achterberg et al.
+    (INFORMS J. Comput. 2020).
+    """
+    n = model.n
+    windows = model.graph.windows
+    cost = model.graph.arcs["cost"]  # arc ids 0..n-1 leave the depot, n..2n-1 enter it
+    start = float(np.min(windows.release[1:] - cost[:n]))
+    end = float(np.max(windows.deadline[1:] + cost[n : 2 * n]))
+    return start if model.shift_cap >= end - start else None
+
+
 @dataclass(frozen=True)
 class ScipyMilpAdapter:
     """Bundled backend: HiGHS through scipy.optimize.milp.
@@ -219,7 +255,9 @@ class ScipyMilpAdapter:
     call: valid rows that give the LP relaxation a bound above the
     direct-trip bound, so far fewer branch-and-bound nodes. It also gets the
     `dominated_carries` fixed to 0, in a copy of the column upper bounds.
-    The model, its files and its arrays stay the paper's.
+    Where `slack_shift_start` finds that the shift cap cannot bind, the
+    SHIFT_FAMILIES rows are left out, and the returned tau values are set
+    to z - S. The model, its files and its arrays stay the paper's.
 
     Feasibility tolerances are FEASIBILITY_TOL (1e-9), well below HiGHS's
     1e-6 MIP default: incumbents may shave binding constraints by up to that
@@ -241,6 +279,13 @@ class ScipyMilpAdapter:
         start = time.perf_counter()
         ub = ub.copy()
         ub[dominated_carries(model)] = 0.0
+        shift_start = slack_shift_start(model)
+        if shift_start is not None:
+            keep = np.ones(model.num_rows, dtype=bool)
+            for fam in model.families:
+                if fam.name in SHIFT_FAMILIES:
+                    keep[fam.rows.start : fam.rows.stop : fam.rows.step] = False
+            matrix, row_lb, row_ub = matrix[keep], row_lb[keep], row_ub[keep]
         problem = dict(
             c=c,
             constraints=[
@@ -278,6 +323,9 @@ class ScipyMilpAdapter:
         bound = getattr(res, "mip_dual_bound", None)
         bound = float(bound) if bound is not None else None
         values = np.asarray(res.x, dtype=float) if res.x is not None else None
+        if values is not None and shift_start is not None:
+            nodes = np.arange(1, model.n + 1)
+            values[model.layout.tau(nodes)] = values[model.layout.z(nodes)] - shift_start
         objective = float(res.fun) if values is not None else None
         if res.status == 0:
             status = SolveStatus.OPTIMAL

@@ -72,34 +72,25 @@ def exact_solve_tiny(
     if windows is None:
         windows = preprocess_time_windows(inst)
 
-    def tour_count(size: int) -> int:
-        return math.factorial(size) * (1 << (size - 1))
-
     max_blocks = min(inst.fleet_size, n)
     best_by_set = _best_tours(inst, windows, max_blocks)
     best_total = math.inf
     best_routes: tuple[Trips, ...] | None = None
     candidates = 0
-    for partition in _set_partitions(list(inst.points_of_care), max_blocks):
-        candidates += math.prod(tour_count(len(block)) for block in partition)
+    for masks, count in _set_partitions(list(inst.points_of_care), max_blocks):
+        candidates += count
         total = 0.0
-        routes = []
-        feasible = True
-        for block in partition:
-            found = best_by_set.get(sum(1 << node for node in block))
+        for mask in masks:
+            found = best_by_set.get(mask)
             if found is None:
-                feasible = False
                 break
             total += found[0]
-            routes.append(found[1])
-        if not feasible:
-            continue
-        encoding = tuple(sorted(routes))
-        if total < best_total or (
-            total == best_total and best_routes is not None and encoding < best_routes
-        ):
-            best_total = total
-            best_routes = encoding
+        else:
+            # the routes are sorted only for a partition that can win
+            if total <= best_total:
+                encoding = tuple(sorted(best_by_set[mask][1] for mask in masks))
+                if total < best_total or encoding < best_routes:
+                    best_total, best_routes = total, encoding
 
     if best_routes is None:
         return OracleResult(solution=None, best_total=math.inf, candidates=candidates)
@@ -168,13 +159,19 @@ def _best_tours(
 
 
 def _set_partitions(items: list[int], max_blocks: int):
-    """All partitions of items into at most max_blocks nonempty blocks."""
+    """All partitions of items into at most max_blocks nonempty blocks, each
+    as (masks, count): the blocks' bit masks, in block order, and the number
+    of (visit order, trip split) candidates of the partition, the product
+    over its blocks of size! * 2^(size - 1). Both are carried from the
+    partition each one extends, not recounted."""
     if not items:
-        yield []
+        yield (), 1
         return
     first, rest = items[0], items[1:]
-    for part in _set_partitions(rest, max_blocks):
-        for i in range(len(part)):
-            yield [*part[:i], [first, *part[i]], *part[i + 1 :]]
-        if len(part) < max_blocks:
-            yield [[first], *part]
+    bit = 1 << first
+    for masks, count in _set_partitions(rest, max_blocks):
+        for i, mask in enumerate(masks):
+            # one more request: (size + 1) times the visit orders, twice the splits
+            yield masks[:i] + (mask | bit,) + masks[i + 1 :], count * 2 * (mask.bit_count() + 1)
+        if len(masks) < max_blocks:
+            yield (bit, *masks), count

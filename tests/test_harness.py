@@ -44,6 +44,19 @@ class OffByOneAdapter:
             return outcome
         return dataclasses.replace(outcome, objective=outcome.objective + 1.0)
 
+
+@dataclasses.dataclass(frozen=True)
+class BoundAboveAdapter:
+    """Reports a dual bound `excess` above the optimum it proves."""
+
+    excess: float
+    name: str = "bound-above"
+
+    def solve(self, model, limits):
+        outcome = ScipyMilpAdapter().solve(model, limits)
+        return dataclasses.replace(outcome, bound=outcome.objective + self.excess)
+
+
 INFEASIBLE_WINDOW_FILE = """\
 BADWIN
 
@@ -142,6 +155,18 @@ class TestRunInstance:
         b = run_instance(tiny2_file, cfg, LIMITS)
         assert a.net == b.net
         assert a.total == b.total
+
+    def test_round_off_above_a_proven_optimum_is_no_gap(self, tiny2_file):
+        # HiGHS's dual bound can sit a hair above the decoded F (wide5 gave
+        # -8.34e-12 %); a larger disagreement stays visible
+        cfg = InstanceConfig(fleet_size="file")
+        report = run_suite([ManifestEntry(tiny2_file)], cfg, LIMITS, BoundAboveAdapter(1e-9))
+        assert report.records[0].status == "optimal"
+        assert report.records[0].gap_pct == 0.0
+        row = report_table(report).splitlines()[1]
+        assert "0.00 %" in row and "-0.00 %" not in row
+        record = run_instance(tiny2_file, cfg, LIMITS, BoundAboveAdapter(1e-3))
+        assert record.gap_pct == pytest.approx(-1e-3 / 20.0 * 100.0)
 
 
 class TestManifest:

@@ -42,7 +42,9 @@ def reference_solve(inst, windows):
     """(best_total, routes or None, candidates) by timing every candidate."""
     cache = {}
     best_total, best_routes, candidates = math.inf, None, 0
-    for partition in _set_partitions(list(inst.points_of_care), min(inst.fleet_size, inst.n)):
+    nodes = inst.points_of_care
+    for masks, _ in _set_partitions(list(nodes), min(inst.fleet_size, inst.n)):
+        partition = [[node for node in nodes if mask >> node & 1] for mask in masks]
         candidates += math.prod(math.factorial(len(b)) << (len(b) - 1) for b in partition)
         total = 0.0
         routes = []

@@ -28,10 +28,12 @@ from cdsp import (
 from cdsp.formulation import FileSolverAdapter, model_to_arrays
 from cdsp.formulation.solvers import (
     FEASIBILITY_TOL,
+    SHIFT_FAMILIES,
     _parse_cbc,
     _parse_highs,
     _parse_plain,
     dominated_carries,
+    slack_shift_start,
     time_bound_rows,
 )
 from cdsp.network import TimeWindows
@@ -42,6 +44,7 @@ from views import solution_column_values
 
 FAKE_SOLVER = Path(__file__).parent / "fake_solver.py"
 WIDE5 = Path(__file__).parent / "data" / "wide5.txt"
+CAPPED2 = Path(__file__).parent / "data" / "capped2.txt"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -195,12 +198,27 @@ def _solve_paper_model(model):
 def _varied_sweep():
     """60 seeded (instance, graph, model) cases at n = 2-7 with 1-3 vehicles:
     a third wide windows, half a scaled shift cap (some then infeasible),
-    a quarter with explicit rows."""
+    a quarter with explicit rows. Once consumed, it asserts that the cases
+    include caps that cannot bind, whose shift rows the bundled solve
+    drops, and caps that can."""
     rng = np.random.default_rng(7)
+    slack = 0
     for _ in range(60):
         inst = varied_instance(rng, int(rng.integers(2, 8)))
         g = build_multigraph(inst)
-        yield inst, g, build_model(g, inst, explicit_bounds=bool(rng.random() < 0.25))
+        model = build_model(g, inst, explicit_bounds=bool(rng.random() < 0.25))
+        slack += slack_shift_start(model) is not None
+        yield inst, g, model
+    assert 0 < slack < 60, slack
+
+
+def _assert_meets_paper_model(model, values, tol=1e-6):
+    """Every row and column bound of the model as built, within tol."""
+    activity = model.matrix @ values
+    low, high = activity < model.row_lower - tol, activity > model.row_upper + tol
+    assert not low.any() and not high.any(), np.flatnonzero(low | high)
+    low, high = values < model.col_lower - tol, values > model.col_upper + tol
+    assert not low.any() and not high.any(), np.flatnonzero(low | high)
 
 
 class TestTimeBoundRows:
@@ -218,6 +236,7 @@ class TestTimeBoundRows:
                 continue
             assert outcome.status is SolveStatus.OPTIMAL
             assert outcome.objective == pytest.approx(oracle.best_total, rel=1e-6)
+            _assert_meets_paper_model(model, outcome.values)
             sol = extract_solution(model, outcome.values)
             assert validate_solution(sol, inst, g.windows).ok
         assert SolveStatus.INFEASIBLE in statuses
@@ -321,6 +340,69 @@ class TestTimeBoundRows:
         sol = extract_solution(model, outcome.values)
         assert validate_solution(sol, inst, g.windows).ok
         assert sol.total_completion == pytest.approx(6762.32082322527, rel=1e-9)
+
+
+def _capped2_model(shift_cap, explicit_bounds=False):
+    inst = build_instance(
+        parse_solomon(CAPPED2.read_text()),
+        InstanceConfig(fleet_size="file", shift_cap=shift_cap),
+        label="capped2",
+    )
+    return build_model(build_multigraph(inst), inst, explicit_bounds=explicit_bounds)
+
+
+class TestShiftRowDrop:
+    """Where the shift cap cannot bind, the bundled solve leaves out the
+    shift rows and sets tau = z - S: same optima, and values that meet the
+    model as built."""
+
+    @pytest.fixture
+    def rows_given_to_highs(self, monkeypatch):
+        import scipy.optimize
+
+        real_milp = scipy.optimize.milp
+        rows = []
+
+        def spy(*args, constraints, **kwargs):
+            rows.append(constraints[0].A.shape[0])
+            return real_milp(*args, constraints=constraints, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "milp", spy)
+        return rows
+
+    def test_slack_test_on_both_sides(self, rows_given_to_highs):
+        # capped2: d'_j + t_j0 = 8 + 3 and 25 + 4, r'_j - t_0j = 3 - 3 and
+        # 15 - 4, so the cap cannot bind from E - S = 29 - 0 up; the default
+        # cap is the depot deadline, 40
+        assert slack_shift_start(_capped2_model("depot-deadline")) == 0.0
+        assert slack_shift_start(_capped2_model(29.0)) == 0.0
+        assert slack_shift_start(_capped2_model(28.5)) is None
+        for cap, total, dropped in (("depot-deadline", 25.0, 4), (16.0, 28.0, 0)):
+            model = _capped2_model(cap)
+            outcome = solve(model, SolveLimits(time_limit_s=60))
+            assert outcome.status is SolveStatus.OPTIMAL
+            assert outcome.objective == pytest.approx(total, abs=1e-6)
+            assert rows_given_to_highs.pop() == model.num_rows - dropped
+            _assert_meets_paper_model(model, outcome.values)
+            if dropped:  # S = 0: tau is the visit time itself
+                tau, z = model.layout.tau(np.array([1, 2])), model.layout.z(np.array([1, 2]))
+                np.testing.assert_array_equal(outcome.values[tau], outcome.values[z])
+
+    def test_explicit_shift_rows_are_dropped_too(self, rows_given_to_highs):
+        bounded = _capped2_model("depot-deadline")
+        explicit = _capped2_model("depot-deadline", explicit_bounds=True)
+        shift_rows = sum(
+            len(fam.rows) for fam in explicit.families if fam.name in SHIFT_FAMILIES
+        )
+        assert shift_rows == 2 + 2 * 2 * (2 - 1) + 2  # shift_lo, sprop, shift_cap
+        totals = []
+        for model in (bounded, explicit):
+            outcome = solve(model, SolveLimits(time_limit_s=60))
+            assert outcome.status is SolveStatus.OPTIMAL
+            totals.append(outcome.objective)
+            _assert_meets_paper_model(model, outcome.values)
+        assert rows_given_to_highs == [bounded.num_rows - 4, explicit.num_rows - shift_rows]
+        assert totals[1] == pytest.approx(totals[0], rel=1e-9)
 
 
 class TestFileAdapter:
