@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .formulation import FileSolverAdapter, SolveLimits, SolveStatus, build_model, write_model
-from .formulation.solvers import SOLUTION_PARSERS
+from .formulation.solvers import SOLUTION_PARSERS, ScipyMilpAdapter
 from .formulation.writers import MODEL_FORMATS
 from .harness import (
     OBJECTIVE_MATCH_TOL,
@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_solver_flags(p):
         p.add_argument("--time-limit", type=float, default=3600.0, help="seconds per instance")
         p.add_argument("--threads", type=int, default=16, help="solver thread cap")
-        p.add_argument("--gap-target", type=float, default=0.0, help="relative MIP gap target")
         p.add_argument(
             "--solver-cmd",
             default=None,
@@ -136,9 +135,9 @@ def _instance_config(args) -> InstanceConfig:
 
 
 def _adapter(args):
-    """The external-solver adapter for --solver-cmd, else None (bundled HiGHS)."""
+    """The external-solver adapter for --solver-cmd, else the bundled HiGHS."""
     if not args.solver_cmd:
-        return None
+        return ScipyMilpAdapter()
     return FileSolverAdapter(
         command=tuple(shlex.split(args.solver_cmd)),
         model_format=args.solver_format,
@@ -147,9 +146,7 @@ def _adapter(args):
 
 
 def _limits(args) -> SolveLimits:
-    return SolveLimits(
-        time_limit_s=args.time_limit, threads=args.threads, gap_target=args.gap_target
-    )
+    return SolveLimits(time_limit_s=args.time_limit, threads=args.threads)
 
 
 def _load_instance(args):

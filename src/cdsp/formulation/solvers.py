@@ -3,17 +3,16 @@
 Adapters take a built model plus limits and return a SolveOutcome carrying
 status, incumbent values, the solver-reported dual bound and wall time.
 Two implementations ship: the bundled HiGHS backend (scipy.optimize.milp),
-which adds the degree-weighted time-bound rows of `time_bound_rows` to the
-model's rows, fixes the `dominated_carries` to 0 and drops the shift rows
-where `slack_shift_start` shows the cap cannot bind, and a file-based
-adapter that writes the model as built, invokes an arbitrary external
-solver executable and parses its solution file.
+in which HiGHS gets `solver_view(model)`, and a file-based adapter that
+writes the model as built, invokes an arbitrary external solver executable
+and parses its solution file.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import dataclasses
 import enum
 import functools
 import os
@@ -29,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..network import ArcKind
-from .model import MipModel
+from .model import MipModel, RowFamily
 from .writers import MODEL_FORMATS, write_model
 
 
@@ -52,8 +51,8 @@ FEASIBILITY_JUMP = False
 #: over a trip and FEASIBILITY_TOL, and far below any time in an instance.
 DOMINANCE_MARGIN = 1e-6
 
-#: The row families that involve the elapsed-shift columns tau; the bundled
-#: solve drops them where `slack_shift_start` finds the cap slack.
+#: The row families that involve the elapsed-shift columns tau; `solver_view`
+#: leaves them out where `slack_shift_start` finds the cap slack.
 SHIFT_FAMILIES = frozenset({"shift_lo", "sprop", "shift_cap"})
 
 
@@ -73,15 +72,12 @@ class SolverConfigError(RuntimeError):
 class SolveLimits:
     time_limit_s: float = 3600.0
     threads: int = 16
-    gap_target: float = 0.0  # relative MIP gap at which the solver may stop
 
     def __post_init__(self):
         if self.time_limit_s <= 0:
             raise ValueError("time limit must be positive")
         if self.threads < 1:
             raise ValueError("thread cap must be >= 1")
-        if self.gap_target < 0:
-            raise ValueError("gap target must be >= 0")
 
 
 @dataclass
@@ -121,7 +117,7 @@ def model_to_arrays(model: MipModel):
 
 def time_bound_rows(model: MipModel) -> sp.csr_matrix:
     """The 3n degree-weighted time-bound rows, each ``row @ columns >= 0``,
-    that the bundled solve stacks under the model's rows.
+    that `solver_view` stacks under the model's rows.
 
     With r' the preprocessed release (r'_0 = 0), c_a the arc cost and t_k0
     the cost of k's depot-in arc, for each request j (rows j - 1, n + j - 1
@@ -187,7 +183,7 @@ def time_bound_rows(model: MipModel) -> sp.csr_matrix:
 
 def dominated_carries(model: MipModel) -> np.ndarray:
     """The carry columns y_ij (i != j) that no minimal carry assignment
-    sets, which the bundled solve fixes to 0: those with
+    sets, which `solver_view` fixes to 0: those with
     r'_j + c(j->i) > d'_i + DOMINANCE_MARGIN, for r' and d' the
     preprocessed windows and c(j->i) the cost of the inter arc j->i.
 
@@ -226,7 +222,7 @@ def slack_shift_start(model: MipModel) -> float | None:
     z_j - S >= r'_j - (r'_j - t_0j) = t_0j, and
     z_j - S <= d'_j - S <= E - t_j0 - S <= cap - t_j0. So when the test
     holds, the shift rows (``sprop``, and ``shift_lo`` and ``shift_cap``
-    under explicit rows) constrain no z, x or y: dropping them changes
+    under explicit rows) constrain no z, x or y: leaving them out changes
     neither the LP relaxation's bound nor any optimum, and setting
     tau = z - S afterwards gives a point of the full model. HiGHS's
     presolve cannot see this, since it needs the windows of every request
@@ -244,6 +240,48 @@ def slack_shift_start(model: MipModel) -> float | None:
     return start if model.shift_cap >= end - start else None
 
 
+def solver_view(model: MipModel) -> tuple[MipModel, Callable[[np.ndarray], np.ndarray]]:
+    """The problem the bundled solve gives HiGHS, as a MipModel: the model
+    without the SHIFT_FAMILIES rows where `slack_shift_start` finds the cap
+    slack, then the `time_bound_rows` as families tbound_p, tbound_s1 and
+    tbound_s2, with the `dominated_carries` fixed to 0; each of those
+    functions argues its validity. Also ``restore``, which makes the view's
+    solution values the model's, in place: tau = z - S where the shift rows
+    were left out.
+    """
+    n = model.n
+    shift_start = slack_shift_start(model)
+    kept = model.families
+    if shift_start is not None:
+        kept = tuple(fam for fam in kept if fam.name not in SHIFT_FAMILIES)
+        # build_model builds the shift families last, so leaving them out
+        # truncates the rows and the other families keep their ranges
+        assert kept == model.families[: len(kept)]
+    keep = model.num_rows - sum(len(fam.rows) for fam in model.families[len(kept) :])
+    nodes = np.arange(1, n + 1)
+    col_upper = model.col_upper.copy()
+    col_upper[dominated_carries(model)] = 0.0
+    view = dataclasses.replace(
+        model,
+        matrix=sp.vstack([model.matrix[:keep], time_bound_rows(model)], format="csr"),
+        row_lower=np.concatenate((model.row_lower[:keep], np.zeros(3 * n))),
+        row_upper=np.concatenate((model.row_upper[:keep], np.full(3 * n, np.inf))),
+        col_upper=col_upper,
+        families=kept
+        + tuple(
+            RowFamily(name, range(keep + i * n, keep + (i + 1) * n), nodes[:, None])
+            for i, name in enumerate(("tbound_p", "tbound_s1", "tbound_s2"))
+        ),
+    )
+
+    def restore(values: np.ndarray) -> np.ndarray:
+        if shift_start is not None:
+            values[model.layout.tau(nodes)] = values[model.layout.z(nodes)] - shift_start
+        return values
+
+    return view, restore
+
+
 @dataclass(frozen=True)
 class ScipyMilpAdapter:
     """Bundled backend: HiGHS through scipy.optimize.milp.
@@ -251,13 +289,10 @@ class ScipyMilpAdapter:
     Runs single-threaded (scipy does not expose a thread option), which
     never exceeds the configured cap. Deterministic for fixed inputs.
 
-    HiGHS gets the model's rows plus `time_bound_rows`, built here on each
-    call: valid rows that give the LP relaxation a bound above the
-    direct-trip bound, so far fewer branch-and-bound nodes. It also gets the
-    `dominated_carries` fixed to 0, in a copy of the column upper bounds.
-    Where `slack_shift_start` finds that the shift cap cannot bind, the
-    SHIFT_FAMILIES rows are left out, and the returned tau values are set
-    to z - S. The model, its files and its arrays stay the paper's.
+    HiGHS gets `solver_view(model)`, built here on each call: the same
+    optima as the model as built, in far fewer branch-and-bound nodes. The
+    returned values are the model's. HiGHS's relative gap target is 0, so
+    a reported optimum is a proven one.
 
     Feasibility tolerances are FEASIBILITY_TOL (1e-9), well below HiGHS's
     1e-6 MIP default: incumbents may shave binding constraints by up to that
@@ -275,29 +310,18 @@ class ScipyMilpAdapter:
 
         from scipy.optimize import Bounds, LinearConstraint, milp
 
-        c, matrix, row_lb, row_ub, lb, ub, integrality = model_to_arrays(model)
         start = time.perf_counter()
-        ub = ub.copy()
-        ub[dominated_carries(model)] = 0.0
-        shift_start = slack_shift_start(model)
-        if shift_start is not None:
-            keep = np.ones(model.num_rows, dtype=bool)
-            for fam in model.families:
-                if fam.name in SHIFT_FAMILIES:
-                    keep[fam.rows.start : fam.rows.stop : fam.rows.step] = False
-            matrix, row_lb, row_ub = matrix[keep], row_lb[keep], row_ub[keep]
+        view, restore = solver_view(model)
+        c, matrix, row_lb, row_ub, lb, ub, integrality = model_to_arrays(view)
         problem = dict(
             c=c,
-            constraints=[
-                LinearConstraint(matrix, row_lb, row_ub),
-                LinearConstraint(time_bound_rows(model), 0.0, np.inf),
-            ],
+            constraints=LinearConstraint(matrix, row_lb, row_ub),
             integrality=integrality,
             bounds=Bounds(lb, ub),
         )
         options = {
             "time_limit": limits.time_limit_s,
-            "mip_rel_gap": limits.gap_target,
+            "mip_rel_gap": 0.0,
             "mip_feasibility_tolerance": FEASIBILITY_TOL,
             "primal_feasibility_tolerance": FEASIBILITY_TOL,
             "mip_heuristic_run_feasibility_jump": FEASIBILITY_JUMP,
@@ -322,10 +346,7 @@ class ScipyMilpAdapter:
         wall = time.perf_counter() - start
         bound = getattr(res, "mip_dual_bound", None)
         bound = float(bound) if bound is not None else None
-        values = np.asarray(res.x, dtype=float) if res.x is not None else None
-        if values is not None and shift_start is not None:
-            nodes = np.arange(1, model.n + 1)
-            values[model.layout.tau(nodes)] = values[model.layout.z(nodes)] - shift_start
+        values = restore(np.asarray(res.x, dtype=float)) if res.x is not None else None
         objective = float(res.fun) if values is not None else None
         if res.status == 0:
             status = SolveStatus.OPTIMAL
@@ -647,13 +668,12 @@ SOLUTION_PARSERS: dict[str, Callable[[str], _ParsedSolution]] = {
 }
 
 def solve(
-    model: MipModel, limits: SolveLimits, adapter: SolverAdapter | None = None
+    model: MipModel, limits: SolveLimits, adapter: SolverAdapter = ScipyMilpAdapter()
 ) -> SolveOutcome:
     """Solve a built model through an adapter (bundled backend by default).
 
     Adapter crashes become an error outcome with the diagnostic attached.
     """
-    adapter = adapter or ScipyMilpAdapter()
     try:
         return adapter.solve(model, limits)
     except Exception as exc:  # adapter bug or backend crash

@@ -145,6 +145,7 @@ def config_fingerprint(
     solver_name: str,
     raw_release: bool,
 ) -> dict:
+    bundled = solver_name == ScipyMilpAdapter.name
     return {
         "schema": SCHEMA_TAG,
         **cfg.fingerprint(),
@@ -152,19 +153,19 @@ def config_fingerprint(
         "gap_convention": "(incumbent - bound) / incumbent * 100",
         "integrality_tol": INTEGRALITY_TOL,
         # the bundled HiGHS's; any other solver keeps its own (null here)
-        "feasibility_tol": FEASIBILITY_TOL if solver_name == ScipyMilpAdapter.name else None,
+        "feasibility_tol": FEASIBILITY_TOL if bundled else None,
         "time_limit_s": limits.time_limit_s,
         "threads": limits.threads,
-        "gap_target": limits.gap_target,
+        "gap_target": 0.0 if bundled else None,
         "solver": solver_name,
     }
 
 
 def run_instance(
     path,
-    cfg: InstanceConfig | None = None,
-    limits: SolveLimits | None = None,
-    adapter: SolverAdapter | None = None,
+    cfg: InstanceConfig,
+    limits: SolveLimits,
+    adapter: SolverAdapter = ScipyMilpAdapter(),
     setting: Setting | None = None,
     raw_release: bool = False,
     out_dir=None,
@@ -180,9 +181,6 @@ def run_instance(
     with raw_release the releases as the file gives them; the record, the
     report and the solution file all carry that value.
     """
-    cfg = cfg or InstanceConfig()
-    limits = limits or SolveLimits()
-    adapter = adapter or ScipyMilpAdapter()
     path = Path(path)
     label = path.stem
 
@@ -307,7 +305,7 @@ def run_suite(
     entries: list[ManifestEntry],
     cfg: InstanceConfig,
     limits: SolveLimits,
-    adapter: SolverAdapter | None = None,
+    adapter: SolverAdapter = ScipyMilpAdapter(),
     workers: int = 1,
     raw_release: bool = False,
     out_dir=None,
@@ -318,7 +316,6 @@ def run_suite(
     per-instance error records, not a crash.
     Instances run in parallel across worker processes when workers > 1.
     """
-    adapter = adapter or ScipyMilpAdapter()
     solutions_dir = Path(out_dir) / "solutions" if out_dir is not None else None
 
     args = [

@@ -49,7 +49,7 @@ class OracleResult:
     solution: EvaluatedSolution | None
     best_total: float  # objective F; infinity when nothing is feasible
     # every (partition, visit order, trip split) the search covers, counted
-    # analytically, including the ones cut before they were timed
+    # in closed form, including the ones cut before they were timed
     candidates: int
 
 
@@ -76,9 +76,8 @@ def exact_solve_tiny(
     best_by_set = _best_tours(inst, windows, max_blocks)
     best_total = math.inf
     best_routes: tuple[Trips, ...] | None = None
-    candidates = 0
-    for masks, count in _set_partitions(list(inst.points_of_care), max_blocks):
-        candidates += count
+    candidates = _candidate_count(n, max_blocks)
+    for masks in _set_partitions(list(inst.points_of_care), max_blocks):
         total = 0.0
         for mask in masks:
             found = best_by_set.get(mask)
@@ -158,20 +157,27 @@ def _best_tours(
     return best
 
 
+def _candidate_count(n: int, max_blocks: int) -> int:
+    """The (partition into at most max_blocks blocks, visit order, trip
+    split) candidates of n requests: sum_k L(n, k) * 2^(n - k), where the
+    Lah number L(n, k) = C(n - 1, k - 1) * n! / k! counts the partitions into
+    k blocks in visit order, and s ordered requests split into 2^(s - 1) trips."""
+    return sum(
+        math.comb(n - 1, k - 1) * math.factorial(n) // math.factorial(k) << (n - k)
+        for k in range(1, min(max_blocks, n) + 1)
+    )
+
+
 def _set_partitions(items: list[int], max_blocks: int):
     """All partitions of items into at most max_blocks nonempty blocks, each
-    as (masks, count): the blocks' bit masks, in block order, and the number
-    of (visit order, trip split) candidates of the partition, the product
-    over its blocks of size! * 2^(size - 1). Both are carried from the
-    partition each one extends, not recounted."""
+    as the blocks' bit masks, in block order."""
     if not items:
-        yield (), 1
+        yield ()
         return
     first, rest = items[0], items[1:]
     bit = 1 << first
-    for masks, count in _set_partitions(rest, max_blocks):
+    for masks in _set_partitions(rest, max_blocks):
         for i, mask in enumerate(masks):
-            # one more request: (size + 1) times the visit orders, twice the splits
-            yield masks[:i] + (mask | bit,) + masks[i + 1 :], count * 2 * (mask.bit_count() + 1)
+            yield masks[:i] + (mask | bit,) + masks[i + 1 :]
         if len(masks) < max_blocks:
-            yield (bit, *masks), count
+            yield (bit, *masks)

@@ -368,9 +368,12 @@ class TestReporting:
         fingerprint = json.loads((tmp_path / "report.json").read_text())["fingerprint"]
         assert fingerprint["integrality_tol"] == INTEGRALITY_TOL
         assert fingerprint["feasibility_tol"] == FEASIBILITY_TOL == 1e-9
-        # an external solver runs at its own tolerance, which cdsp does not set
+        assert fingerprint["gap_target"] == 0.0
+        # an external solver runs at its own tolerance and gap, which cdsp
+        # does not set
         external = config_fingerprint(InstanceConfig(), LIMITS, "file", raw_release=False)
         assert external["feasibility_tol"] is None
+        assert external["gap_target"] is None
 
 
 class TestCli:

@@ -17,7 +17,7 @@ import pytest
 
 from cdsp import InfeasibleTourError, assemble_solution, preprocess_time_windows, schedule_tour
 # the oracle's own partitions: a partition's total is summed in their block order
-from cdsp.oracle import _set_partitions, exact_solve_tiny
+from cdsp.oracle import _candidate_count, _set_partitions, exact_solve_tiny
 
 from gen import random_instance, split_bits
 from views import trips_by_vehicle
@@ -43,7 +43,7 @@ def reference_solve(inst, windows):
     cache = {}
     best_total, best_routes, candidates = math.inf, None, 0
     nodes = inst.points_of_care
-    for masks, _ in _set_partitions(list(nodes), min(inst.fleet_size, inst.n)):
+    for masks in _set_partitions(list(nodes), min(inst.fleet_size, inst.n)):
         partition = [[node for node in nodes if mask >> node & 1] for mask in masks]
         candidates += math.prod(math.factorial(len(b)) << (len(b) - 1) for b in partition)
         total = 0.0
@@ -93,6 +93,17 @@ def test_matches_brute_force_reference(fleet_size):
         expected = assemble_solution(routes, inst, windows)
         assert trips_by_vehicle(result.solution) == trips_by_vehicle(expected), i
         assert result.solution.timing == expected.timing, i
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_closed_form_candidate_count(n):
+    # the count enumerated over the partitions, as reference_solve adds it up
+    for max_blocks in range(1, n + 2):
+        enumerated = sum(
+            math.prod(math.factorial(m.bit_count()) << (m.bit_count() - 1) for m in masks)
+            for masks in _set_partitions(list(range(1, n + 1)), max_blocks)
+        )
+        assert _candidate_count(n, max_blocks) == enumerated, max_blocks
 
 
 # Recorded with the enumerating oracle (reference_solve's algorithm) on

@@ -82,6 +82,20 @@ def test_tolerances_are_module_constants():
     assert "feasibility_tol" not in {f.name for f in dataclasses.fields(cdsp.ScipyMilpAdapter)}
 
 
+def test_gap_target_is_gone(capsys):
+    # a gap target let a result be reported optimal above the optimum
+    assert "gap_target" not in {f.name for f in dataclasses.fields(cdsp.SolveLimits)}
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(TINY2), "--fleet", "file", "--gap-target", "0.05"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --gap-target 0.05" in capsys.readouterr().err
+
+
+def test_bundled_adapter_is_the_default():
+    for fn in (cdsp.solve, cdsp.run_instance, cdsp.run_suite):
+        assert inspect.signature(fn).parameters["adapter"].default == cdsp.ScipyMilpAdapter()
+
+
 def test_pipeline_facts_have_one_owner():
     # the model carries its graph; the harness owns the raw-release F'
     params = {
@@ -102,6 +116,8 @@ def test_values_every_caller_passes_have_no_default():
         (cdsp.validate_solution, "windows"),
         (cdsp.solution_to_json, "fingerprint"),
         (cdsp.solve, "limits"),
+        (cdsp.run_instance, "cfg"),
+        (cdsp.run_instance, "limits"),
         (cdsp.run_suite, "cfg"),
         (cdsp.run_suite, "limits"),
         (cdsp.build_instance, "cfg"),

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from cdsp import (
@@ -34,6 +35,7 @@ from cdsp.formulation.solvers import (
     _parse_plain,
     dominated_carries,
     slack_shift_start,
+    solver_view,
     time_bound_rows,
 )
 from cdsp.network import TimeWindows
@@ -59,8 +61,6 @@ class TestLimits:
             SolveLimits(time_limit_s=0)
         with pytest.raises(ValueError):
             SolveLimits(threads=0)
-        with pytest.raises(ValueError):
-            SolveLimits(gap_target=-0.1)
 
     def test_defaults_match_benchmark_protocol(self):
         limits = SolveLimits()
@@ -120,6 +120,7 @@ class TestScipyAdapter:
         assert calls[1]["presolve"] is False
         assert 0 < calls[1]["time_limit"] <= 60
         assert all(call["mip_heuristic_run_feasibility_jump"] is False for call in calls)
+        assert all(call["mip_rel_gap"] == 0.0 for call in calls)
         assert "re-solved without presolve after: Solve error" in outcome.message
 
     def test_highs_without_an_option_solves_on_its_defaults(self, tiny2_model, monkeypatch):
@@ -356,21 +357,7 @@ class TestShiftRowDrop:
     shift rows and sets tau = z - S: same optima, and values that meet the
     model as built."""
 
-    @pytest.fixture
-    def rows_given_to_highs(self, monkeypatch):
-        import scipy.optimize
-
-        real_milp = scipy.optimize.milp
-        rows = []
-
-        def spy(*args, constraints, **kwargs):
-            rows.append(constraints[0].A.shape[0])
-            return real_milp(*args, constraints=constraints, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "milp", spy)
-        return rows
-
-    def test_slack_test_on_both_sides(self, rows_given_to_highs):
+    def test_slack_test_on_both_sides(self):
         # capped2: d'_j + t_j0 = 8 + 3 and 25 + 4, r'_j - t_0j = 3 - 3 and
         # 15 - 4, so the cap cannot bind from E - S = 29 - 0 up; the default
         # cap is the depot deadline, 40
@@ -379,16 +366,16 @@ class TestShiftRowDrop:
         assert slack_shift_start(_capped2_model(28.5)) is None
         for cap, total, dropped in (("depot-deadline", 25.0, 4), (16.0, 28.0, 0)):
             model = _capped2_model(cap)
+            assert solver_view(model)[0].num_rows == model.num_rows - dropped + 3 * model.n
             outcome = solve(model, SolveLimits(time_limit_s=60))
             assert outcome.status is SolveStatus.OPTIMAL
             assert outcome.objective == pytest.approx(total, abs=1e-6)
-            assert rows_given_to_highs.pop() == model.num_rows - dropped
             _assert_meets_paper_model(model, outcome.values)
             if dropped:  # S = 0: tau is the visit time itself
                 tau, z = model.layout.tau(np.array([1, 2])), model.layout.z(np.array([1, 2]))
                 np.testing.assert_array_equal(outcome.values[tau], outcome.values[z])
 
-    def test_explicit_shift_rows_are_dropped_too(self, rows_given_to_highs):
+    def test_explicit_shift_rows_are_dropped_too(self):
         bounded = _capped2_model("depot-deadline")
         explicit = _capped2_model("depot-deadline", explicit_bounds=True)
         shift_rows = sum(
@@ -396,13 +383,101 @@ class TestShiftRowDrop:
         )
         assert shift_rows == 2 + 2 * 2 * (2 - 1) + 2  # shift_lo, sprop, shift_cap
         totals = []
-        for model in (bounded, explicit):
+        for model, dropped in ((bounded, 4), (explicit, shift_rows)):
+            view = solver_view(model)[0]
+            assert view.num_rows == model.num_rows - dropped + 3 * model.n
+            assert not [fam for fam in view.families if fam.name in SHIFT_FAMILIES]
             outcome = solve(model, SolveLimits(time_limit_s=60))
             assert outcome.status is SolveStatus.OPTIMAL
             totals.append(outcome.objective)
             _assert_meets_paper_model(model, outcome.values)
-        assert rows_given_to_highs == [bounded.num_rows - 4, explicit.num_rows - shift_rows]
         assert totals[1] == pytest.approx(totals[0], rel=1e-9)
+
+
+class TestSolverView:
+    """`solver_view` is the model with the shift rows left out where the cap
+    is slack, the time-bound rows after it and the dominated carries fixed;
+    the model itself stays as built."""
+
+    def test_rows_bounds_and_families(self):
+        for _, _, model in _varied_sweep():
+            matrix, col_upper = model.matrix.copy(), model.col_upper.copy()
+            view, _ = solver_view(model)
+            keep = np.ones(model.num_rows, dtype=bool)
+            if slack_shift_start(model) is not None:
+                for fam in model.families:
+                    if fam.name in SHIFT_FAMILIES:
+                        keep[list(fam.rows)] = False
+            bound_rows = time_bound_rows(model)
+            expected = sp.vstack([model.matrix[keep], bound_rows], format="csr")
+            assert view.matrix.shape == expected.shape
+            assert (view.matrix != expected).nnz == 0
+            np.testing.assert_array_equal(
+                view.row_lower, np.concatenate((model.row_lower[keep], np.zeros(3 * model.n)))
+            )
+            np.testing.assert_array_equal(
+                view.row_upper,
+                np.concatenate((model.row_upper[keep], np.full(3 * model.n, np.inf))),
+            )
+            fixed = np.flatnonzero(view.col_upper != model.col_upper)
+            np.testing.assert_array_equal(fixed, np.sort(dominated_carries(model)))
+            assert not view.col_upper[fixed].any()
+            for name in ("c", "col_lower", "integrality"):
+                np.testing.assert_array_equal(getattr(view, name), getattr(model, name))
+
+            # the families tile the view's rows exactly once, and name them
+            covered = np.zeros(view.num_rows, dtype=int)
+            for fam in view.families:
+                np.add.at(covered, list(fam.rows), 1)
+                assert len(fam.keys) == len(fam.rows), fam.name
+            assert (covered == 1).all()
+            heads, tails, head_code, tail_code = view.row_name_codes()
+            names = [heads[h] + tails[t] for h, t in zip(head_code, tail_code)]
+            model_names = model.row_name_codes()
+            assert names[: keep.sum()] == [
+                model_names.heads[h] + model_names.tails[t]
+                for h, t in zip(model_names.head_code[keep], model_names.tail_code[keep])
+            ]
+            assert names[keep.sum() :] == [
+                f"{family}_{j}"
+                for family in ("tbound_p", "tbound_s1", "tbound_s2")
+                for j in range(1, model.n + 1)
+            ]
+
+            # the model keeps its rows and bounds
+            assert (model.matrix != matrix).nnz == 0
+            np.testing.assert_array_equal(model.col_upper, col_upper)
+
+    def test_highs_gets_the_arrays_of_the_view(self, monkeypatch):
+        import scipy.optimize
+
+        real_milp = scipy.optimize.milp
+        seen = []
+
+        def spy(c, *, constraints, integrality, bounds, options):
+            seen.append((c, constraints, integrality, bounds))
+            return real_milp(
+                c, constraints=constraints, integrality=integrality, bounds=bounds, options=options
+            )
+
+        monkeypatch.setattr(scipy.optimize, "milp", spy)
+        for cap in ("depot-deadline", 16.0):
+            model = _capped2_model(cap)
+            assert solve(model, SolveLimits(time_limit_s=60)).status is SolveStatus.OPTIMAL
+            c, constraint, integrality, bounds = seen.pop()
+            want_c, matrix, row_lb, row_ub, lb, ub, want_integrality = model_to_arrays(
+                solver_view(model)[0]
+            )
+            assert (constraint.A != matrix).nnz == 0
+            for got, want in (
+                (c, want_c),
+                (constraint.lb, row_lb),
+                (constraint.ub, row_ub),
+                (bounds.lb, lb),
+                (bounds.ub, ub),
+                (integrality, want_integrality),
+            ):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestFileAdapter:
