@@ -8,8 +8,16 @@ the model's layout, coefficients or bounds, or to the writers' formatting,
 shows up as a digest mismatch. They rely on the generator's floats being
 bit-stable. The default model and the explicit-rows variant
 (`cdsp emit --explicit-rows`) are both pinned.
+
+The solver-view digests pin the arrays the bundled solve hands HiGHS,
+`model_to_arrays(solver_view(model)[0])`, for the same instances with the
+shift cap at the depot deadline (the shift rows are left out) and at three
+quarters of it (the cap binds and they stay). They were recorded from the
+view built by scipy's COO to CSR conversion and `sp.vstack`, with scipy 1.17
+and numpy 2.4 on x86-64 Linux.
 """
 
+import dataclasses
 import hashlib
 import io
 
@@ -19,6 +27,7 @@ import scipy.sparse as sp
 
 from cdsp import build_model, build_multigraph, emit_model
 from cdsp.formulation import SENSE_EQ, SENSE_GE, SENSE_LE, model_to_arrays, writers
+from cdsp.formulation.solvers import slack_shift_start, solver_view
 
 import views
 from gen import random_instance
@@ -67,9 +76,31 @@ DIGESTS = {
     ),
 }
 
+# (n, explicit_bounds, shift cap over depot deadline) -> solver-view arrays sha256
+SOLVER_VIEW_DIGESTS = {
+    (3, False, 0.75): "3e36217bd9978dc4d111a6cd5744f171fe980385b885eb10a096533f8125a369",
+    (3, False, 1.0): "7edda3064da5cd131582d56f3770bc615c2a9645dd3ceec24744a9a5d6197949",
+    (3, True, 0.75): "90abca5a77047a72985ea7a8ae94b8dfb89f10de3c612860eb8cefff93d05218",
+    (3, True, 1.0): "18859c5a2cfadd1192fa01bb9ad4bc4f459cebc0fad8fb1e44cd8883f6b7ad45",
+    (8, False, 0.75): "1ff8e838937480d55b3cb83df5fd28887932e57ab4604bb5d0811c7bb7716acb",
+    (8, False, 1.0): "99873ebb44d6fcc12631019cc5632ac480dc5ef8c40a55a426db1ac18b43567a",
+    (8, True, 0.75): "b70541897a1433761cf384a6605689f7bd3fa4948563dfcccdc92f1798354136",
+    (8, True, 1.0): "a333be3415c00f927ef6bb2681fd55924cb8ca7c89766af85d2c7c3ab182961e",
+    (20, False, 0.75): "463b688367ecb0244bd2fada4b533d4e9b4308b2e12d0abf1fea16757fb3bcdc",
+    (20, False, 1.0): "6e9aa7df2ac10b4f171395ed53748bd47e7f00b7561884b7ca012f2e803ff424",
+    (20, True, 0.75): "8dfe00d901686bcf8e27fe8e093d1a2f0ff227069e22a89d505b016a0a9777a3",
+    (20, True, 1.0): "4034bbd3237db4297f847594050b2305244c6a4532cff5687cafe9daccff6684",
+    (30, False, 0.75): "2fae297af50a0099b654fb08ccdc05fb4bd69ecf7c276536374c9c32435f120c",
+    (30, False, 1.0): "a457e7da1d32b472b2e940360594192ead18ddc3cf92418d95e2233abff3e2eb",
+    (30, True, 0.75): "3ec35914b39e0be40e4eb0139e98f3e03f6017a1c5f8ffe29ec2971115bde8f5",
+    (30, True, 1.0): "bd3d1bce332fb82e05bdf49056f408c8724eb833435aabdd8a0662c8f38a5c1c",
+}
 
-def _model(n: int, explicit_bounds: bool):
+
+def _model(n: int, explicit_bounds: bool, cap: float | None = None):
     inst = random_instance(np.random.default_rng(n), n, max(1, n // 4))
+    if cap is not None:
+        inst = dataclasses.replace(inst, shift_cap=cap * inst.depot_deadline)
     return build_model(build_multigraph(inst), inst, explicit_bounds=explicit_bounds)
 
 
@@ -105,6 +136,13 @@ def test_recorded_digests(n, explicit):
     assert _sha(emit_model(model, "lp")) == lp
     assert _sha(emit_model(model, "mps")) == mps
     assert _arrays_sha(model) == arrays
+
+
+@pytest.mark.parametrize("n,explicit,cap", sorted(SOLVER_VIEW_DIGESTS))
+def test_solver_view_digests(n, explicit, cap):
+    model = _model(n, explicit, cap)
+    assert (slack_shift_start(model) is None) == (cap < 1.0)  # the shift rows bind
+    assert _arrays_sha(solver_view(model)[0]) == SOLVER_VIEW_DIGESTS[(n, explicit, cap)]
 
 
 @pytest.mark.parametrize("n,explicit", sorted(DIGESTS))
