@@ -225,6 +225,9 @@ def main(argv=None) -> int:
             out_dir=args.out,
         )
         print(report_table(report), end="")
+        for record in report.records:
+            if record.status == SolveStatus.ERROR.value:
+                print(f"{record.label}: error ({record.message})")
         for key, value in report.fingerprint.items():
             print(f"# {key}: {value}")
         if args.out:
@@ -266,7 +269,7 @@ def main(argv=None) -> int:
         print(f"  F  = {sol.total_completion:.6f}")
         print(f"  F' = {sol.net_completion:.6f}")
         cfg = _instance_config(args)
-        fingerprint = config_fingerprint(cfg, SolveLimits(), "oracle", raw_release=False)
+        fingerprint = config_fingerprint(cfg, None, "oracle", raw_release=False)
         print(json.dumps(solution_to_json(sol, fingerprint), indent=2))
         return 0
 

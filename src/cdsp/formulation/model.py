@@ -8,14 +8,16 @@ from the preprocessed windows.
 
 The model is stored as arrays only: one CSR constraint matrix, row and
 column bound vectors, an integrality vector, the objective vector and a
-family table giving each constraint family its row range. Each family (or
-pair of interleaved families) is built as (row, column, value) triplets in
-family order; one scipy COO to CSR conversion sorts the columns within each
-row, and the zero big-M coefficients are dropped. Row and column names are
-built on access; a row name is a code into a small table of family heads
-and one into a table of trailing keys. The per-arc big-M formulas that the
-build vectorizes are kept, one arc at a time, as the reference in
-``tests/views.py``.
+family table giving each constraint family its row range. The CSR arrays
+are allocated once, sized from the families' row counts and widths, and
+each family is written in place through a (rows, width) view with its
+columns ascending within each row, so no sort or conversion follows; a
+family's zero big-M coefficients are dropped right after it is written,
+which moves entries only in the few families that hold one. Row and column
+names are built on access; a row name is a code into a small table of
+family heads and one into a table of trailing keys. The per-arc big-M
+formulas that the build vectorizes, and the triplet build it replaced, are
+kept as references in ``tests/views.py``.
 """
 
 from __future__ import annotations
@@ -205,61 +207,102 @@ class RowView:
             yield Row(heads[head] + tails[tail], coeffs, SENSES[code], b)
 
 
-def _dense_rows(cols: list, vals: list):
-    """(row, column, value) triplets of rows of equal width, given column by
-    column; a value list entry may be a scalar shared by every row."""
-    cols = np.column_stack(cols)
-    vals = np.column_stack([np.broadcast_to(v, len(cols)) for v in vals])
-    return np.repeat(np.arange(len(cols)), cols.shape[1]), cols.ravel(), vals.ravel()
+class CsrRows:
+    """Constraint rows as CSR arrays that are allocated once and filled in
+    place, plus the family table and the row bounds.
 
+    Rows are added in matrix order as blocks of equal width, and `allocate`
+    sizes the arrays for every entry. The blocks are then written in the
+    same order through `block` or `fill`, each row's columns in ascending
+    order, so no sort follows. When the next block opens, the zero values
+    of the one before (big-Ms that vanish) are dropped by moving its other
+    entries forward, which touches only the blocks that hold a zero.
+    """
 
-class _RowBlocks:
-    """Row blocks appended in matrix order as (row, column, value) triplets,
-    plus the family table and the row bounds."""
-
-    def __init__(self):
-        self.triplets: list[tuple] = []
-        self.bounds: list[tuple] = []
-        self.families: list[RowFamily] = []
+    def __init__(self, num_columns: int):
+        self.num_columns = num_columns
         self.num_rows = 0
+        self.size = 0
+        self.families: list[RowFamily] = []
+        self._bounds: list[tuple[slice, str, float | np.ndarray]] = []
+        self._blocks: dict[str, tuple[int, int, int]] = {}  # name -> first row, rows, width
 
-    def add(self, families, triplets):
-        """Append rows given as triplets with rows counted from 0 in the
-        block; ``families`` lists (name, keys, sense, rhs) with 2-D keys, one
-        key per row, and block row r belongs to families[r % len(families)]."""
-        rows, cols, vals = triplets
-        num_rows = sum(len(keys) for _, keys, _, _ in families)
-        stride = len(families)
-        lower = np.empty(num_rows)
-        upper = np.empty(num_rows)
+    def add(self, families, width: int):
+        """Add a block of rows of ``width`` entries each; ``families`` lists
+        (name, keys, sense, rhs) with 2-D keys, one key per row, and block
+        row r belongs to families[r % len(families)]."""
+        count, stride = sum(len(keys) for _, keys, _, _ in families), len(families)
         for offset, (name, keys, sense, rhs) in enumerate(families):
-            start = self.num_rows + offset
-            self.families.append(
-                RowFamily(name, range(start, self.num_rows + num_rows, stride), keys)
-            )
-            lower[offset::stride] = -math.inf if sense == SENSE_LE else rhs
-            upper[offset::stride] = math.inf if sense == SENSE_GE else rhs
-        self.triplets.append((rows + self.num_rows, cols, vals))
-        self.bounds.append((lower, upper))
-        self.num_rows += num_rows
+            rows = range(self.num_rows + offset, self.num_rows + count, stride)
+            self.families.append(RowFamily(name, rows, keys))
+            self._bounds.append((slice(rows.start, rows.stop, stride), sense, rhs))
+        self._blocks[families[0][0]] = (self.num_rows, count, width)
+        self.num_rows += count
+        self.size += count * width
 
-    def assemble(self, num_columns: int):
-        """One COO to CSR conversion, in which scipy sorts the columns within
-        each row; then the zero coefficients (big-Ms that vanish) are dropped.
+    def allocate(self):
+        index = np.int32 if max(self.size, self.num_rows, self.num_columns) < 2**31 else np.int64
+        self.indptr = np.zeros(self.num_rows + 1, dtype=index)
+        self.indices = np.empty(self.size, dtype=index)
+        self.data = np.empty(self.size)
+        self.lower = np.empty(self.num_rows)
+        self.upper = np.empty(self.num_rows)
+        for rows, sense, rhs in self._bounds:
+            self.lower[rows] = -math.inf if sense == SENSE_LE else rhs
+            self.upper[rows] = math.inf if sense == SENSE_GE else rhs
+        self._written = 0  # rows whose entries and row ends are in place
+        self._open: tuple[int, int, int] | None = None
 
-        The row, column and value pieces are joined one array at a time and
-        freed as they go: holding every piece through the conversion raised
-        the n = 100 build's peak RSS from 238 to 309 MB. Converting block by
-        block instead pays scipy's fixed per-call cost once per family, which
-        added 0.5-1 ms to a 1-2 ms build at n = 6-12 (2-core x86-64 host).
-        """
-        pieces = list(zip(*self.triplets))
-        self.triplets.clear()
-        rows, cols, vals = (np.concatenate(pieces.pop(0)) for _ in range(3))
-        matrix = sp.csr_matrix((vals, (rows, cols)), shape=(self.num_rows, num_columns))
-        matrix.eliminate_zeros()
-        lower, upper = (np.concatenate(b) for b in zip(*self.bounds))
-        return matrix, lower, upper, tuple(self.families)
+    def block(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """The (rows, width) column and value views of the block whose first
+        family is ``name``, which must be the next block in matrix order."""
+        self._close()
+        row, count, width = self._open = self._blocks[name]
+        assert row == self._written, f"block {name} written out of matrix order"
+        start = self.indptr[row]
+        entries = slice(start, start + count * width)
+        return self.indices[entries].reshape(count, width), self.data[entries].reshape(count, width)
+
+    def fill(self, name: str, cols: list, vals: list):
+        """Write the block whose first family is ``name`` entry by entry:
+        entry k of each row is column cols[k] with value vals[k], where a
+        value may be a scalar shared by every row."""
+        block_cols, block_vals = self.block(name)
+        for k, (col, val) in enumerate(zip(cols, vals)):
+            block_cols[:, k] = col
+            block_vals[:, k] = val
+
+    def _close(self):
+        """Set the row ends of the block last opened, without its zeros."""
+        if self._open is None:
+            return
+        row, count, width = self._open
+        start = int(self.indptr[row])
+        entries = slice(start, start + count * width)
+        kept = self.data[entries] != 0
+        if kept.all():
+            ends = start + width * np.arange(1, count + 1)
+        else:
+            ends = start + np.cumsum(kept.reshape(count, width).sum(axis=1))
+            stop = start + np.count_nonzero(kept)
+            self.indices[start:stop] = self.indices[entries][kept]
+            self.data[start:stop] = self.data[entries][kept]
+        self.indptr[row + 1 : row + count + 1] = ends
+        self._written += count
+        self._open = None
+
+    def assemble(self):
+        """The matrix, the row bounds and the family table. Every row's
+        columns ascend, none repeats and no value is zero, so the matrix is
+        in canonical CSR form."""
+        self._close()
+        assert self._written == self.num_rows, "a block was never written"
+        end = self.indptr[-1]
+        matrix = sp.csr_matrix(
+            (self.data[:end], self.indices[:end], self.indptr),
+            shape=(self.num_rows, self.num_columns),
+        )
+        return matrix, self.lower, self.upper, tuple(self.families)
 
 
 def build_model(
@@ -285,8 +328,6 @@ def build_model(
 
     arcs = graph.arcs
     src, tgt, cost = arcs["source"], arcs["target"], arcs["cost"]
-    is_depot = arcs["kind"] == ArcKind.DEPOT.code
-    is_inter = arcs["kind"] == ArcKind.INTER.code
 
     col_lower = np.zeros(lay.num_columns)
     col_upper = np.ones(lay.num_columns)
@@ -301,96 +342,99 @@ def build_model(
     c = np.zeros(lay.num_columns)
     c[lay.completion(nodes)] = 1.0
 
-    rows = _RowBlocks()
-
-    depot_in, depot_out = np.flatnonzero(tgt == 0), np.flatnonzero(src == 0)
-    rows.add(
-        [
-            ("depot_balance", no_keys, SENSE_EQ, 0.0),
-            ("fleet_cap", no_keys, SENSE_LE, inst.fleet_size),
-        ],
-        (
-            np.repeat([0, 0, 1], [len(depot_out), len(depot_in), len(depot_out)]),
-            lay.x(np.concatenate((depot_out, depot_in, depot_out))),
-            np.repeat([1.0, -1.0, 1.0], [len(depot_out), len(depot_in), len(depot_out)]),
-        ),
-    )
-
-    leaves, enters = np.flatnonzero(src > 0), np.flatnonzero(tgt > 0)
-    rows.add(
-        [("visit_out", node_keys, SENSE_EQ, 1.0), ("visit_in", node_keys, SENSE_EQ, 1.0)],
-        (
-            np.concatenate((2 * (src[leaves] - 1), 2 * (tgt[enters] - 1) + 1)),
-            lay.x(np.concatenate((leaves, enters))),
-            np.ones(len(leaves) + len(enters)),
-        ),
-    )
-
-    move = np.flatnonzero(~is_depot)
+    depot_out, depot_in = np.flatnonzero(src == 0), np.flatnonzero(tgt == 0)
+    leaving, entering = graph.incident_arcs()
+    move = np.flatnonzero(arcs["kind"] != ArcKind.DEPOT.code)
     s, t = src[move], tgt[move]
     m_visit = np.maximum(0.0, deadline[s] + cost[move] - release[t])
-    rows.add(
-        [("tprop", move[:, None], SENSE_LE, m_visit - cost[move])],
-        _dense_rows([lay.x(move), lay.z(s), lay.z(t)], [m_visit, 1.0, -1.0]),
-    )
+    m_shift = deadline[t] - travel[0, t]
+    # carry rows: each inter arc s -> t, in id order, with each carried
+    # request but t, in ascending order (1..n-1, shifted up past t)
+    inter_arcs = np.flatnonzero(arcs["kind"] == ArcKind.INTER.code)
+    s_inter, t_inter = src[inter_arcs], tgt[inter_arcs]
+    inter = np.repeat(inter_arcs, n - 1)
+    carried = np.tile(np.arange(1, n), len(inter_arcs))
+    carried += carried >= np.repeat(t_inter, n - 1)
+    carrier, served = np.repeat(nodes, n), np.tile(nodes, n)
+    m_completion = deadline[carrier] + travel[carrier, 0]
 
+    rows = CsrRows(lay.num_columns)
+    rows.add([("depot_balance", no_keys, SENSE_EQ, 0.0)], len(depot_out) + len(depot_in))
+    rows.add([("fleet_cap", no_keys, SENSE_LE, inst.fleet_size)], len(depot_out))
+    rows.add(
+        [("visit_out", node_keys, SENSE_EQ, 1.0), ("visit_in", node_keys, SENSE_EQ, 1.0)],
+        leaving.shape[1],
+    )
+    rows.add([("tprop", move[:, None], SENSE_LE, m_visit - cost[move])], 3)
     if explicit_bounds:
         rows.add(
             [
                 ("window_lo", node_keys, SENSE_GE, release[1:]),
                 ("window_hi", node_keys, SENSE_LE, deadline[1:]),
             ],
-            _dense_rows([np.repeat(lay.z(nodes), 2)], [1.0]),
+            1,
         )
-        rows.add(
-            [("collect", node_keys, SENSE_EQ, 1.0)], _dense_rows([lay.y(nodes, nodes)], [1.0])
-        )
-
-    inter = np.repeat(np.flatnonzero(is_inter), n)
-    carried = np.tile(nodes, np.count_nonzero(is_inter))
-    keep = carried != tgt[inter]
-    inter, carried = inter[keep], carried[keep]
-    rows.add(
-        [("carry", np.column_stack((inter, carried)), SENSE_LE, 1.0)],
-        _dense_rows(
-            [lay.x(inter), lay.y(src[inter], carried), lay.y(tgt[inter], carried)],
-            [1.0, 1.0, -1.0],
-        ),
-    )
-
-    carrier, carried = np.repeat(nodes, n), np.tile(nodes, n)
-    m_completion = deadline[carrier] + travel[carrier, 0]
+        rows.add([("collect", node_keys, SENSE_EQ, 1.0)], 1)
+    rows.add([("carry", np.column_stack((inter, carried)), SENSE_LE, 1.0)], 3)
     completion_rhs = m_completion - travel[carrier, 0]
-    rows.add(
-        [("compl", np.column_stack((carrier, carried)), SENSE_LE, completion_rhs)],
-        _dense_rows(
-            [lay.y(carrier, carried), lay.z(carrier), lay.completion(carried)],
-            [m_completion, 1.0, -1.0],
-        ),
-    )
-
+    rows.add([("compl", np.column_stack((carrier, served)), SENSE_LE, completion_rhs)], 3)
     if explicit_bounds:
-        rows.add(
-            [("shift_lo", node_keys, SENSE_GE, travel[0, 1:])],
-            _dense_rows([lay.tau(nodes)], [1.0]),
-        )
-
-    m_shift = deadline[t] - travel[0, t]
-    rows.add(
-        [("sprop", move[:, None], SENSE_LE, m_shift)],
-        _dense_rows(
-            [lay.x(move), lay.z(s), lay.z(t), lay.tau(s), lay.tau(t)],
-            [m_shift, -1.0, 1.0, 1.0, -1.0],
-        ),
-    )
-
+        rows.add([("shift_lo", node_keys, SENSE_GE, travel[0, 1:])], 1)
+    rows.add([("sprop", move[:, None], SENSE_LE, m_shift)], 5)
     if explicit_bounds:
-        rows.add(
-            [("shift_cap", node_keys, SENSE_LE, inst.shift_cap - travel[1:, 0])],
-            _dense_rows([lay.tau(nodes)], [1.0]),
-        )
+        rows.add([("shift_cap", node_keys, SENSE_LE, inst.shift_cap - travel[1:, 0])], 1)
+    rows.allocate()
 
-    matrix, row_lower, row_upper, families = rows.assemble(lay.num_columns)
+    cols, vals = rows.block("depot_balance")
+    cols[0] = lay.x(np.concatenate((depot_out, depot_in)))
+    vals[0, : len(depot_out)] = 1.0
+    vals[0, len(depot_out) :] = -1.0
+    cols, vals = rows.block("fleet_cap")
+    cols[0] = lay.x(depot_out)
+    vals[:] = 1.0
+
+    cols, vals = rows.block("visit_out")
+    cols = cols.reshape(n, 2, leaving.shape[1])
+    cols[:, 0] = lay.x(leaving)
+    cols[:, 1] = lay.x(entering)
+    vals[:] = 1.0
+
+    # a row that holds both ends of an arc holds the lower-numbered end's
+    # column first; sign is +1 where that end is the source, -1 where it is
+    # the target, and the signs of the two ends' terms swap with it
+    low, high = np.minimum(s, t), np.maximum(s, t)
+    sign = np.where(s < t, 1.0, -1.0)
+    rows.fill("tprop", [lay.x(move), lay.z(low), lay.z(high)], [m_visit, sign, -sign])
+    if explicit_bounds:
+        rows.fill("window_lo", [np.repeat(lay.z(nodes), 2)], [1.0])
+        rows.fill("collect", [lay.y(nodes, nodes)], [1.0])
+    up = np.repeat(np.where(s_inter < t_inter, 1.0, -1.0), n - 1)
+    rows.fill(
+        "carry",
+        [
+            lay.x(inter),
+            lay.y(np.repeat(np.minimum(s_inter, t_inter), n - 1), carried),
+            lay.y(np.repeat(np.maximum(s_inter, t_inter), n - 1), carried),
+        ],
+        [1.0, up, -up],
+    )
+    del up
+    rows.fill(
+        "compl",
+        [lay.y(carrier, served), lay.z(carrier), lay.completion(served)],
+        [m_completion, 1.0, -1.0],
+    )
+    if explicit_bounds:
+        rows.fill("shift_lo", [lay.tau(nodes)], [1.0])
+    rows.fill(
+        "sprop",
+        [lay.x(move), lay.z(low), lay.z(high), lay.tau(low), lay.tau(high)],
+        [m_shift, -sign, sign, sign, -sign],
+    )
+    if explicit_bounds:
+        rows.fill("shift_cap", [lay.tau(nodes)], [1.0])
+
+    matrix, row_lower, row_upper, families = rows.assemble()
     return MipModel(
         label=inst.label,
         fleet_size=inst.fleet_size,

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..network import ArcKind
-from .model import MipModel, RowFamily
+from .model import SENSE_GE, CsrRows, MipModel, RowFamily
 from .writers import MODEL_FORMATS, write_model
 
 
@@ -147,38 +147,40 @@ def time_bound_rows(model: MipModel) -> sp.csr_matrix:
     the windows allow. The lifting is the one Desrochers & Laporte (1991)
     and Kara, Laporte & Bektas (2004) apply to MTZ rows.
     """
-    n, lay = model.n, model.layout
-    arcs = model.graph.arcs
+    n, lay, graph = model.n, model.layout, model.graph
+    arcs = graph.arcs
     src, tgt, cost = arcs["source"], arcs["target"], arcs["cost"]
-    release = np.concatenate(([0.0], model.graph.windows.release[1:]))
+    release = np.concatenate(([0.0], graph.windows.release[1:]))
     home = np.flatnonzero(tgt == 0)
     to_depot = np.zeros(n + 1)
     to_depot[src[home]] = cost[home]
 
     nodes = np.arange(1, n + 1)
-    enters, leaves = np.flatnonzero(tgt > 0), np.flatnonzero(src > 0)
-    arrival = np.maximum(release[src[enters]] + cost[enters], release[tgt[enters]])
-    j, k = src[leaves], tgt[leaves]
-    inter = arcs["kind"][leaves] == ArcKind.INTER.code
-    through = np.where(inter, cost[leaves] + to_depot[k], to_depot[j])
-    last_visit = np.where(inter, np.maximum(release[k], release[j] + cost[leaves]), release[j])
+    leaving, entering = graph.incident_arcs()  # row j - 1: node j's arcs
+    arrival = np.maximum(release[src[entering]] + cost[entering], release[tgt[entering]])
+    j, k = src[leaving], tgt[leaving]
+    inter = arcs["kind"][leaving] == ArcKind.INTER.code
+    through = np.where(inter, cost[leaving] + to_depot[k], to_depot[j])
+    last_visit = np.where(inter, np.maximum(release[k], release[j] + cost[leaving]), release[j])
     earliest = last_visit + np.where(inter, to_depot[k], to_depot[j])
-    pieces = (  # (row, column, value) per term
-        (nodes - 1, lay.z(nodes), 1.0),  # (P)
-        (tgt[enters] - 1, lay.x(enters), -arrival),
-        (n + nodes - 1, lay.completion(nodes), 1.0),  # (S1)
-        (n + nodes - 1, lay.z(nodes), -1.0),
-        (n + j - 1, lay.x(leaves), -through),
-        (2 * n + nodes - 1, lay.completion(nodes), 1.0),  # (S2)
-        (2 * n + j - 1, lay.x(leaves), -earliest),
-    )
-    rows, cols, vals = (
-        np.concatenate([np.broadcast_to(piece[part], piece[0].shape) for piece in pieces])
-        for part in range(3)
-    )
-    rows_matrix = sp.csr_matrix((vals, (rows, cols)), shape=(3 * n, model.num_columns))
-    rows_matrix.eliminate_zeros()
-    return rows_matrix
+
+    # each row: its arcs in id order, then z_j and C_j, whose columns follow
+    degree = leaving.shape[1]
+    rows = CsrRows(model.num_columns)
+    for name, width in zip(("tbound_p", "tbound_s1", "tbound_s2"), (1, 2, 1)):
+        rows.add([(name, nodes[:, None], SENSE_GE, 0.0)], degree + width)
+    rows.allocate()
+    cols, vals = rows.block("tbound_p")
+    cols[:, :-1], vals[:, :-1] = lay.x(entering), -arrival
+    cols[:, -1], vals[:, -1] = lay.z(nodes), 1.0
+    cols, vals = rows.block("tbound_s1")
+    cols[:, :-2], vals[:, :-2] = lay.x(leaving), -through
+    cols[:, -2], vals[:, -2] = lay.z(nodes), -1.0
+    cols[:, -1], vals[:, -1] = lay.completion(nodes), 1.0
+    cols, vals = rows.block("tbound_s2")
+    cols[:, :-1], vals[:, :-1] = lay.x(leaving), -earliest
+    cols[:, -1], vals[:, -1] = lay.completion(nodes), 1.0
+    return rows.assemble()[0]
 
 
 def dominated_carries(model: MipModel) -> np.ndarray:
@@ -261,9 +263,19 @@ def solver_view(model: MipModel) -> tuple[MipModel, Callable[[np.ndarray], np.nd
     nodes = np.arange(1, n + 1)
     col_upper = model.col_upper.copy()
     col_upper[dominated_carries(model)] = 0.0
+    top, bounds = model.matrix, time_bound_rows(model)
+    end = top.indptr[keep]
+    matrix = sp.csr_matrix(
+        (
+            np.concatenate((top.data[:end], bounds.data)),
+            np.concatenate((top.indices[:end], bounds.indices)),
+            np.concatenate((top.indptr[: keep + 1], bounds.indptr[1:] + end)),
+        ),
+        shape=(keep + bounds.shape[0], model.num_columns),
+    )
     view = dataclasses.replace(
         model,
-        matrix=sp.vstack([model.matrix[:keep], time_bound_rows(model)], format="csr"),
+        matrix=matrix,
         row_lower=np.concatenate((model.row_lower[:keep], np.zeros(3 * n))),
         row_upper=np.concatenate((model.row_upper[:keep], np.full(3 * n, np.inf))),
         col_upper=col_upper,

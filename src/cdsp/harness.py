@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .formulation import (
     INTEGRALITY_TOL,
+    ModelDecodeError,
     ScipyMilpAdapter,
     SolveLimits,
     SolveStatus,
@@ -141,21 +142,23 @@ def _aggregate(records: list[RunRecord]) -> SettingAggregate:
 
 def config_fingerprint(
     cfg: InstanceConfig,
-    limits: SolveLimits,
+    limits: SolveLimits | None,
     solver_name: str,
     raw_release: bool,
 ) -> dict:
+    """The settings a run used. ``limits`` is None for a run that solves no
+    MIP (the oracle), which has no solve limits and decodes no incumbent."""
     bundled = solver_name == ScipyMilpAdapter.name
     return {
         "schema": SCHEMA_TAG,
         **cfg.fingerprint(),
         "fprime_release": "raw" if raw_release else "tightened",
         "gap_convention": "(incumbent - bound) / incumbent * 100",
-        "integrality_tol": INTEGRALITY_TOL,
+        "integrality_tol": None if limits is None else INTEGRALITY_TOL,
         # the bundled HiGHS's; any other solver keeps its own (null here)
         "feasibility_tol": FEASIBILITY_TOL if bundled else None,
-        "time_limit_s": limits.time_limit_s,
-        "threads": limits.threads,
+        "time_limit_s": None if limits is None else limits.time_limit_s,
+        "threads": None if limits is None else limits.threads,
         "gap_target": 0.0 if bundled else None,
         "solver": solver_name,
     }
@@ -173,8 +176,9 @@ def run_instance(
     """Solve one instance file end to end and return its record.
 
     Parse/build/read errors become status "error"; an empty preprocessed
-    window becomes status "infeasible". An incumbent that fails validation
-    or (when proven optimal) disagrees with the decoded objective raises
+    window becomes status "infeasible". An incumbent that does not decode
+    raises ModelDecodeError; one that fails validation or (when proven
+    optimal) disagrees with the decoded objective raises
     IncumbentValidationError: that is a bug, not a result.
 
     F' subtracts the tightened releases, as the decoded solution does, or
@@ -312,8 +316,8 @@ def run_suite(
 ) -> BenchmarkReport:
     """Run every manifest entry (see `load_manifest`) and aggregate per setting.
 
-    Missing instance files and incumbents that fail validation yield
-    per-instance error records, not a crash.
+    Missing instance files, and incumbents that do not decode or fail
+    validation, yield per-instance error records, not a crash.
     Instances run in parallel across worker processes when workers > 1.
     """
     solutions_dir = Path(out_dir) / "solutions" if out_dir is not None else None
@@ -335,14 +339,15 @@ def run_suite(
 
 
 def _run_entry(args) -> RunRecord:
-    """run_instance for one suite entry; an incumbent that fails validation
-    becomes an error record, so the other entries still report."""
+    """run_instance for one suite entry; an incumbent that does not decode
+    or fails validation becomes an error record, so the other entries
+    still report."""
     path, cfg, limits, adapter, setting, raw_release, out_dir = args
     try:
         return run_instance(
             path, cfg, limits, adapter, setting=setting, raw_release=raw_release, out_dir=out_dir
         )
-    except IncumbentValidationError as exc:
+    except (ModelDecodeError, IncumbentValidationError) as exc:
         status = SolveStatus.ERROR.value
         return RunRecord(label=Path(path).stem, setting=setting, status=status, message=str(exc))
 

@@ -82,6 +82,16 @@ class Multigraph:
         """Cost of the depot leg j -> 0 (arc ids n..2n-1 by construction)."""
         return float(self.arcs["cost"][self.n + j - 1])
 
+    def incident_arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ids of the arcs leaving and of those entering each point of
+        care, as two (n, 2n - 1) arrays whose row j - 1 lists node j's arcs
+        in ascending id order: a stable argsort of the sources (targets)
+        without the n arcs of the depot."""
+        return tuple(
+            np.argsort(self.arcs[end], kind="stable")[self.n :].reshape(self.n, 2 * self.n - 1)
+            for end in ("source", "target")
+        )
+
 
 def preprocess_time_windows(inst: Instance) -> TimeWindows:
     """Tighten windows: r_j to at least the depot leg in, d_j to at most the

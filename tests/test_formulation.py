@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cdsp import ArcKind, build_model, build_multigraph, preprocess_time_windows
 from cdsp.formulation import SENSE_EQ, SENSE_LE
-from cdsp.formulation.solvers import time_bound_rows
+from cdsp.formulation.solvers import solver_view, time_bound_rows
 from cdsp.network import TimeWindows
 from cdsp.oracle import exact_solve_tiny
 
@@ -245,6 +245,58 @@ class TestBuildModel:
             _, i, j = row.name.split("_")
             m = big_m_completion(int(i), g.windows, inst.travel)
             assert row.coeffs.get(lay.y(int(i), int(j)), 0.0) == m
+
+
+def assert_canonical_csr(matrix):
+    """Columns strictly ascending within each row (sorted, no duplicates),
+    in range, and no stored zeros."""
+    ptr, cols = matrix.indptr, matrix.indices
+    assert ptr[0] == 0 and ptr[-1] == len(cols) == len(matrix.data)
+    assert np.all(np.diff(ptr) >= 0)
+    ascending = np.diff(cols) > 0
+    starts = ptr[1:-1]
+    ascending[starts[(starts > 0) & (starts < len(cols))] - 1] = True  # a new row may drop
+    assert ascending.all(), np.flatnonzero(~ascending)
+    assert len(cols) == 0 or (cols.min() >= 0 and cols.max() < matrix.shape[1])
+    assert np.all(matrix.data != 0)
+
+
+class TestDirectPlacement:
+    """`build_model` writes each row's entries straight into the CSR arrays;
+    the triplet build it replaced (`views.reference_rows`) must give the same
+    arrays, value for value and dtype for dtype."""
+
+    @staticmethod
+    def check(inst, explicit):
+        g = build_multigraph(inst)
+        model = build_model(g, inst, explicit_bounds=explicit)
+        matrix, lower, upper, families = views.reference_rows(g, inst, explicit)
+        assert model.matrix.shape == matrix.shape
+        for got, want in (
+            (model.matrix.indptr, matrix.indptr),
+            (model.matrix.indices, matrix.indices),
+            (model.matrix.data, matrix.data),
+            (model.row_lower, lower),
+            (model.row_upper, upper),
+        ):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert [(f.name, f.rows) for f in model.families] == [(f.name, f.rows) for f in families]
+        for got, want in zip(model.families, families):
+            assert got.keys.dtype == want.keys.dtype
+            np.testing.assert_array_equal(got.keys, want.keys)
+        assert_canonical_csr(model.matrix)
+        assert_canonical_csr(solver_view(model)[0].matrix)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_build_matches_the_triplet_build(self, n, explicit, seed):
+        # n = 0 is no instance: Instance needs a point of care
+        self.check(varied_instance(np.random.default_rng(seed), n), explicit)
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_n50_build_matches_the_triplet_build(self, explicit):
+        self.check(random_instance(np.random.default_rng(50), 50, 10), explicit)
 
 
 class TestModelAdmitsOracleSolutions:

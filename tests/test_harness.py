@@ -1,13 +1,22 @@
 import csv
 import dataclasses
 import json
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cdsp import InstanceConfig, RawInstance, ScipyMilpAdapter, Setting, SolveLimits, write_solomon
+from cdsp import (
+    FileSolverAdapter,
+    InstanceConfig,
+    RawInstance,
+    ScipyMilpAdapter,
+    Setting,
+    SolveLimits,
+    write_solomon,
+)
 from cdsp.formulation import INTEGRALITY_TOL
 from cdsp.formulation.solvers import FEASIBILITY_TOL
 from cdsp.harness import (
@@ -30,6 +39,29 @@ from gen import random_instance
 LIMITS = SolveLimits(time_limit_s=60.0)
 GEN20 = Path(__file__).parent / "data" / "gen20.txt"
 CAPPED2 = Path(__file__).parent / "data" / "capped2.txt"
+WIDE5 = Path(__file__).parent / "data" / "wide5.txt"
+
+# An external solver that solves like tests/fake_solver.py, except that on
+# the model of wide5 it writes an "optimal" solution with a fractional arc.
+FRACTIONAL_ON_WIDE5 = f"""\
+import sys
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+from fake_solver import main
+model, solution = sys.argv[1:3]
+if "wide5" in open(model).read():
+    with open(solution, "w") as handle:
+        handle.write("status optimal\\nx_0 0.5\\n")
+else:
+    sys.exit(main(model, solution))
+"""
+
+
+@pytest.fixture
+def fractional_on_wide5(tmp_path) -> tuple[str, ...]:
+    """The command of an external solver whose wide5 solution does not decode."""
+    script = tmp_path / "fractional_on_wide5.py"
+    script.write_text(FRACTIONAL_ON_WIDE5)
+    return (sys.executable, str(script), "{model}", "{solution}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -284,6 +316,22 @@ class TestRunSuite:
         assert report.has_errors
 
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_undecodable_incumbent_is_one_error_record(self, fractional_on_wide5, workers):
+        entries = [ManifestEntry(path=p) for p in (DATA_DIR / "tiny2.txt", WIDE5)]
+        adapter = FileSolverAdapter(command=fractional_on_wide5)
+        report = run_suite(
+            entries, InstanceConfig(fleet_size="file"), LIMITS, adapter, workers=workers
+        )
+        assert [(r.label, r.status) for r in report.records] == [
+            ("tiny2", "optimal"),
+            ("wide5", "error"),
+        ]
+        assert report.records[0].net == pytest.approx(13.0, abs=1e-6)
+        assert report.records[1].message.startswith("fractional arc value x_0 = ")
+        assert report.has_errors
+
+
 class TestReporting:
     def _report(self, records):
         cfg = InstanceConfig()
@@ -476,6 +524,18 @@ class TestCli:
         assert "25-C-tight" in out
         assert (out_dir / "report.csv").exists()
 
+    def test_suite_lists_each_error_record(self, tmp_path, fractional_on_wide5, capsys):
+        from cdsp.cli import main
+
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"path\n{DATA_DIR / 'tiny2.txt'}\n{WIDE5}\n")
+        command = " ".join(fractional_on_wide5)
+        code = main(["suite", str(manifest), "--fleet", "file", "--solver-cmd", command])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "wide5: error (fractional arc value x_0 = " in out
+        assert "tiny2: error" not in out
+
     def test_emit_subcommand(self, tmp_path, tiny2_file, capsys):
         from cdsp.cli import main
 
@@ -548,6 +608,12 @@ class TestCli:
         assert code == 0
         assert "F  = 20" in out
         assert '"F_prime": 13.0' in out
+        # the oracle runs no MIP solve and decodes nothing: no limits, no
+        # solver tolerances
+        fingerprint = json.loads(out[out.index("{") :])["config"]
+        assert fingerprint["solver"] == "oracle"
+        for key in ("time_limit_s", "threads", "integrality_tol", "feasibility_tol", "gap_target"):
+            assert fingerprint[key] is None, key
 
     def test_oracle_above_limit_is_one_stderr_line(self, capsys):
         from cdsp.cli import main
