@@ -1,0 +1,74 @@
+"""Byte identity of the solution files.
+
+Each digest is the SHA-256 of `json.dumps(solution_to_json(sol, {}),
+indent=2)`, the text `cdsp solve --out` and `cdsp suite --out` write less the
+config fingerprint, for the oracle's solution and for the bundled solve's
+decoded one. They were recorded with the solution held as `Trip` objects in
+each `Tour` and a separate `Timing` record, with scipy 1.17 and numpy 2.4 on
+x86-64 Linux. A change to how a solution is stored, scheduled, decoded or
+written shows up as a digest mismatch. The bundled solve's digests also rely
+on HiGHS returning the same incumbent bit for bit.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from cdsp import (
+    InstanceConfig,
+    SolveLimits,
+    build_instance,
+    build_model,
+    build_multigraph,
+    exact_solve_tiny,
+    extract_solution,
+    parse_solomon,
+    solution_to_json,
+    solve,
+    validate_solution,
+)
+
+DATA_DIR = Path(__file__).parent / "data"
+
+# (instance, shift cap) -> (oracle sha256, bundled solve sha256)
+DIGESTS = {
+    ("tiny2", "depot-deadline"): (
+        "fd4c6ca3778630e31fc2f1c63123263714eea2bcfabf8781a5f06e7bc5bfa96c",
+        "fd4c6ca3778630e31fc2f1c63123263714eea2bcfabf8781a5f06e7bc5bfa96c",
+    ),
+    ("capped2", "depot-deadline"): (
+        "4d14aca02f17b49dd1152d8947b08de2324cb4c0fa47209bb43d4010cc0595dd",
+        "4d14aca02f17b49dd1152d8947b08de2324cb4c0fa47209bb43d4010cc0595dd",
+    ),
+    ("capped2", 16.0): (
+        "af2bc85fb63ea2a55a6540b04b8ca0b99f0906cc3ac7757578f596ff4526976c",
+        "af2bc85fb63ea2a55a6540b04b8ca0b99f0906cc3ac7757578f596ff4526976c",
+    ),
+    ("wide5", "depot-deadline"): (
+        "147e6948899239f628772f40c6ba76e0d45563b8ecfc99c08dfee6f2eab02783",
+        "9019cb743b6dd1965b14f25f158d7ca528b07b7dfd2dcfd7dd08aa75b3472fa3",
+    ),
+}
+
+
+def _digest(sol) -> str:
+    text = json.dumps(solution_to_json(sol, {}), indent=2)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, shift_cap", list(DIGESTS))
+def test_solution_digests(name, shift_cap):
+    inst = build_instance(
+        parse_solomon((DATA_DIR / f"{name}.txt").read_text()),
+        InstanceConfig(fleet_size="file", shift_cap=shift_cap),
+        label=name,
+    )
+    graph = build_multigraph(inst)
+    oracle = exact_solve_tiny(inst).solution
+    model = build_model(graph, inst)
+    outcome = solve(model, SolveLimits(time_limit_s=60.0))
+    decoded = extract_solution(model, outcome.values)
+    assert validate_solution(decoded, inst, graph.windows).ok
+    assert (_digest(oracle), _digest(decoded)) == DIGESTS[name, shift_cap]
