@@ -4,8 +4,8 @@
 Builds a manifest by inspecting each file (size class from the number of
 customer rows; spatial class C/R/RC from the instance name; tight/wide
 windows from the series digit, 1xx vs 2xx), then runs the full suite under
-the benchmark protocol defaults (3600 s per instance, 16 threads) and
-prints the aggregate table.
+the benchmark protocol's time limit and thread cap, `SolveLimits`'s
+defaults, and prints the aggregate table.
 
 Examples:
     python scripts/reproduce_benchmark.py data/ --manifest-only --out results/
@@ -48,8 +48,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pattern", default="**/*.txt", help="glob under data_dir")
     parser.add_argument("--out", default="benchmark-results", help="output directory")
     parser.add_argument("--sizes", type=int, nargs="*", help="restrict to these size classes")
-    parser.add_argument("--time-limit", type=float, default=3600.0)
-    parser.add_argument("--threads", type=int, default=16)
+    parser.add_argument("--time-limit", type=float, default=SolveLimits.time_limit_s)
+    parser.add_argument("--threads", type=int, default=SolveLimits.threads)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument(
         "--manifest-only", action="store_true", help="write manifest.csv and stop"

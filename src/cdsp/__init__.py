@@ -57,9 +57,7 @@ from .oracle import OracleConsistencyError, OracleResult, OracleSizeError, exact
 from .routes import (
     EvaluatedSolution,
     InfeasibleTourError,
-    Timing,
     Tour,
-    Trip,
     ValidationReport,
     assemble_solution,
     schedule_tour,
@@ -97,9 +95,7 @@ __all__ = [
     "SolveStatus",
     "SolverConfigError",
     "TimeWindows",
-    "Timing",
     "Tour",
-    "Trip",
     "ValidationReport",
     "assemble_solution",
     "build_instance",

@@ -65,8 +65,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_solver_flags(p):
-        p.add_argument("--time-limit", type=float, default=3600.0, help="seconds per instance")
-        p.add_argument("--threads", type=int, default=16, help="solver thread cap")
+        p.add_argument(
+            "--time-limit",
+            type=float,
+            default=SolveLimits.time_limit_s,
+            help="seconds per instance",
+        )
+        p.add_argument("--threads", type=int, default=SolveLimits.threads, help="solver thread cap")
         p.add_argument(
             "--solver-cmd",
             default=None,

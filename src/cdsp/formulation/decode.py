@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..network import ArcKind
-from ..routes import EvaluatedSolution, Tour, Trip, evaluated_solution
+from ..routes import EvaluatedSolution, Tour, evaluated_solution
 from .model import MipModel
 
 INTEGRALITY_TOL = 1e-6
@@ -41,14 +41,14 @@ def extract_solution(model: MipModel, values) -> EvaluatedSolution:
     if bad.any():
         a = int(np.argmax(bad))
         if fractional[a]:
-            raise ModelDecodeError(f"fractional arc value x_{a} = {vec[a]!r}")
-        raise ModelDecodeError(f"arc value x_{a} = {vec[a]!r} outside {{0,1}}")
+            raise ModelDecodeError(f"fractional arc value x_{a} = {float(vec[a])}")
+        raise ModelDecodeError(f"arc value x_{a} = {float(vec[a])} outside {{0,1}}")
     y = vec[lay.y(1, 1) : lay.y(n, n) + 1]
     bad = np.abs(y - np.round(y)) > INTEGRALITY_TOL
     if bad.any():
         k = int(np.argmax(bad))
         i, j = divmod(k, n)
-        raise ModelDecodeError(f"fractional carry value y_{i + 1}_{j + 1} = {y[k]!r}")
+        raise ModelDecodeError(f"fractional carry value y_{i + 1}_{j + 1} = {float(y[k])}")
 
     # the traversed arcs, in id order; positions below index into them
     traversed = np.flatnonzero(rounded == 1)
@@ -80,7 +80,6 @@ def extract_solution(model: MipModel, values) -> EvaluatedSolution:
     depot, replenish = ArcKind.DEPOT.code, ArcKind.REPLENISH.code
     visit = dict(zip(range(1, n + 1), vec[lay.z(1) : lay.z(n) + 1].tolist()))
     tours: list[Tour] = []
-    deliveries: list[tuple[float, ...]] = []
     used = 0
     # every point of care has one arc in and one out, so the depot's two
     # degrees are equal and each walk is a simple path back to the depot: a
@@ -97,20 +96,17 @@ def extract_solution(model: MipModel, values) -> EvaluatedSolution:
                 trips[-1].append(current)
             pos = succ[current]
         used += sum(map(len, trips)) + 1
-        trip_objs = tuple(Trip(tuple(t)) for t in trips)
-        first = trip_objs[0].nodes[0]
+        first = trips[0][0]
         departure = visit[first] - graph.cost_from_depot(first)
-        tours.append(Tour(vehicle=vehicle, trips=trip_objs, departure=departure))
-        deliveries.append(
-            tuple(visit[t.nodes[-1]] + graph.cost_to_depot(t.nodes[-1]) for t in trip_objs)
-        )
+        deliveries = [visit[trip[-1]] + graph.cost_to_depot(trip[-1]) for trip in trips]
+        tours.append(Tour(vehicle, trips, departure, deliveries))
 
     if used != len(traversed):
         raise ModelDecodeError(
             f"{len(traversed) - used} traversed arcs unreachable from the depot"
         )
 
-    return evaluated_solution(tours, visit, deliveries, graph.windows)
+    return evaluated_solution(tours, visit, graph.windows)
 
 
 def _as_vector(model: MipModel, values) -> np.ndarray:

@@ -158,7 +158,9 @@ def config_fingerprint(
         # the bundled HiGHS's; any other solver keeps its own (null here)
         "feasibility_tol": FEASIBILITY_TOL if bundled else None,
         "time_limit_s": None if limits is None else limits.time_limit_s,
-        "threads": None if limits is None else limits.threads,
+        # the bundled solve gives HiGHS no thread setting; a solver command
+        # gets limits.threads through its {threads} placeholder
+        "threads": None if limits is None or bundled else limits.threads,
         "gap_target": 0.0 if bundled else None,
         "solver": solver_name,
     }

@@ -27,13 +27,12 @@ from .routes import (
     TIME_TOL,
     EvaluatedSolution,
     InfeasibleTourError,
+    Trips,
     assemble_solution,
     schedule_tour,
 )
 
 DEFAULT_LIMIT = 7
-
-Trips = tuple[tuple[int, ...], ...]
 
 
 class OracleSizeError(ValueError):
@@ -53,11 +52,7 @@ class OracleResult:
     candidates: int
 
 
-def exact_solve_tiny(
-    inst: Instance,
-    windows: TimeWindows | None = None,
-    limit: int = DEFAULT_LIMIT,
-) -> OracleResult:
+def exact_solve_tiny(inst: Instance, limit: int = DEFAULT_LIMIT) -> OracleResult:
     """Globally optimal solution by exhaustive search (n <= limit).
 
     The search is deterministic; ties between equal-objective candidates
@@ -69,8 +64,7 @@ def exact_solve_tiny(
     n = inst.n
     if n > limit:
         raise OracleSizeError(f"n={n} exceeds the exhaustive-search limit {limit}")
-    if windows is None:
-        windows = preprocess_time_windows(inst)
+    windows = preprocess_time_windows(inst)
 
     max_blocks = min(inst.fleet_size, n)
     best_by_set = _best_tours(inst, windows, max_blocks)

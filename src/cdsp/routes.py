@@ -32,34 +32,36 @@ class InfeasibleTourError(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class Trip:
-    """One depot-to-depot segment; nodes are points of care in visit order."""
-
-    nodes: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        if not self.nodes:
-            raise ValueError("trip must visit at least one point of care")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError(f"repeated node within trip {self.nodes}")
+#: A vehicle's depot-to-depot trips, each its points of care in visit order.
+Trips = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class Tour:
+    """One vehicle's schedule: its trips, its depot departure and the return
+    time of each trip."""
+
     vehicle: int
-    trips: tuple[Trip, ...]
+    trips: Trips
     departure: float
+    deliveries: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "trips", tuple(self.trips))
+        object.__setattr__(self, "trips", tuple(map(tuple, self.trips)))
+        object.__setattr__(self, "deliveries", tuple(self.deliveries))
         if not self.trips:
             raise ValueError("tour must contain at least one trip")
+        for trip in self.trips:
+            if not trip:
+                raise ValueError("trip must visit at least one point of care")
+            if len(set(trip)) != len(trip):
+                raise ValueError(f"repeated node within trip {trip}")
+        if len(self.deliveries) != len(self.trips):
+            raise ValueError(f"{len(self.deliveries)} deliveries for {len(self.trips)} trips")
 
     @property
     def visited(self) -> tuple[int, ...]:
-        return tuple(node for trip in self.trips for node in trip.nodes)
+        return tuple(node for trip in self.trips for node in trip)
 
 
 @dataclass(frozen=True)
@@ -76,20 +78,17 @@ class TourTiming:
 
 
 @dataclass(frozen=True)
-class Timing:
-    """Solution-wide schedule: visit times, per-trip deliveries, completions."""
-
-    visit: dict[int, float]
-    deliveries: tuple[tuple[float, ...], ...]  # [tour][trip]
-    completion: dict[int, float]
-
-
-@dataclass(frozen=True)
 class EvaluatedSolution:
     tours: tuple[Tour, ...]
-    timing: Timing
+    visit: dict[int, float]
     total_completion: float  # F
     net_completion: float  # F', release-corrected
+
+    @property
+    def completion(self) -> dict[int, float]:
+        """Each request's completion time, the return of the trip carrying
+        it, in tour, trip and visit order."""
+        return _completion(self.tours)
 
 
 @dataclass(frozen=True)
@@ -193,39 +192,35 @@ def assemble_solution(vehicle_trips, inst: Instance, windows: TimeWindows) -> Ev
     """
     tours: list[Tour] = []
     visit: dict[int, float] = {}
-    deliveries: list[tuple[float, ...]] = []
     for k, trips in enumerate(vehicle_trips, start=1):
         timing = schedule_tour(trips, inst, windows)
-        trip_objs = tuple(Trip(t) for t in trips)
-        tours.append(Tour(vehicle=k, trips=trip_objs, departure=timing.departure))
+        tours.append(Tour(k, trips, timing.departure, timing.deliveries))
         visit.update(timing.visit)
-        deliveries.append(timing.deliveries)
-    return evaluated_solution(tours, visit, deliveries, windows)
+    return evaluated_solution(tours, visit, windows)
 
 
-def evaluated_solution(tours, visit: dict, deliveries, windows: TimeWindows) -> EvaluatedSolution:
-    """The solution with its schedule and both objectives. Each request
-    completes when its trip delivers; F sums the completions in tour, trip
-    and visit order."""
-    completion = {
+def evaluated_solution(tours, visit: dict, windows: TimeWindows) -> EvaluatedSolution:
+    """The solution with both objectives."""
+    tours = tuple(tours)
+    total, net = _objectives(tours, windows)
+    return EvaluatedSolution(tours=tours, visit=visit, total_completion=total, net_completion=net)
+
+
+def _completion(tours) -> dict[int, float]:
+    """Each request completes when its trip delivers."""
+    return {
         node: delivered
-        for tour, returns in zip(tours, deliveries)
-        for trip, delivered in zip(tour.trips, returns)
-        for node in trip.nodes
+        for tour in tours
+        for trip, delivered in zip(tour.trips, tour.deliveries)
+        for node in trip
     }
-    total, net = _objectives(completion, windows)
-    return EvaluatedSolution(
-        tours=tuple(tours),
-        timing=Timing(visit=visit, deliveries=tuple(deliveries), completion=completion),
-        total_completion=total,
-        net_completion=net,
-    )
 
 
-def _objectives(completion: dict, windows: TimeWindows) -> tuple[float, float]:
-    """F sums the completion times; F' subtracts the tightened releases (the
-    raw-release F' is a reporting choice of the harness)."""
-    total = float(sum(completion.values()))
+def _objectives(tours, windows: TimeWindows) -> tuple[float, float]:
+    """F sums the completion times in tour, trip and visit order; F'
+    subtracts the tightened releases (the raw-release F' is a reporting
+    choice of the harness)."""
+    total = float(sum(_completion(tours).values()))
     return total, total - float(np.sum(windows.release[1:]))
 
 
@@ -235,8 +230,8 @@ def validate_solution(
     """Check a solution against every feasibility clause; collect all violations.
 
     Checks: request partition, fleet bound, window containment, leg-by-leg
-    time consistency (waiting allowed), shift caps, depot deadline,
-    completion/delivery consistency, and the reported objectives.
+    time consistency (waiting allowed), shift caps, depot deadline, and the
+    reported objectives.
     """
     travel = inst.travel
     release, deadline = windows.release, windows.deadline
@@ -258,22 +253,15 @@ def validate_solution(
     if len(sol.tours) > inst.fleet_size:
         bad.append(f"{len(sol.tours)} tours exceed fleet size {inst.fleet_size}")
 
-    visit = sol.timing.visit
-    if len(sol.timing.deliveries) != len(sol.tours):
-        bad.append("deliveries do not match the number of tours")
-
-    for ti, tour in enumerate(sol.tours):
-        delivered = sol.timing.deliveries[ti] if ti < len(sol.timing.deliveries) else ()
-        if len(delivered) != len(tour.trips):
-            bad.append(f"vehicle {tour.vehicle}: delivery count mismatch")
-            continue
+    visit = sol.visit
+    for tour in sol.tours:
         if tour.departure < -TIME_TOL:
             bad.append(f"vehicle {tour.vehicle}: negative departure {tour.departure:.6g}")
         clock = tour.departure
         at = 0
         broken = False
-        for trip, ret in zip(tour.trips, delivered):
-            for node in trip.nodes:
+        for trip, ret in zip(tour.trips, tour.deliveries):
+            for node in trip:
                 z = visit.get(node)
                 if z is None:
                     bad.append(f"node {node} routed but has no visit time")
@@ -301,28 +289,18 @@ def validate_solution(
             clock, at = ret, 0
         if broken:
             continue
-        if delivered:
-            shift = delivered[-1] - tour.departure
-            if shift > inst.shift_cap + TIME_TOL:
-                bad.append(
-                    f"vehicle {tour.vehicle}: shift {shift:.6g} exceeds cap {inst.shift_cap:.6g}"
-                )
-            if delivered[-1] > inst.depot_deadline + TIME_TOL:
-                bad.append(
-                    f"vehicle {tour.vehicle}: final return {delivered[-1]:.6g} "
-                    f"after depot deadline {inst.depot_deadline:.6g}"
-                )
-        for trip, ret in zip(tour.trips, delivered):
-            for node in trip.nodes:
-                got = sol.timing.completion.get(node)
-                if got is None:
-                    bad.append(f"node {node} has no completion time")
-                elif abs(got - ret) > TIME_TOL:
-                    bad.append(
-                        f"node {node}: completion {got:.6g} != trip delivery {ret:.6g}"
-                    )
+        shift = tour.deliveries[-1] - tour.departure
+        if shift > inst.shift_cap + TIME_TOL:
+            bad.append(
+                f"vehicle {tour.vehicle}: shift {shift:.6g} exceeds cap {inst.shift_cap:.6g}"
+            )
+        if tour.deliveries[-1] > inst.depot_deadline + TIME_TOL:
+            bad.append(
+                f"vehicle {tour.vehicle}: final return {tour.deliveries[-1]:.6g} "
+                f"after depot deadline {inst.depot_deadline:.6g}"
+            )
 
-    total, net = _objectives(sol.timing.completion, windows)
+    total, net = _objectives(sol.tours, windows)
     if abs(sol.total_completion - total) > TIME_TOL:
         bad.append(
             f"reported total completion {sol.total_completion:.6g} != recomputed {total:.6g}"
@@ -342,14 +320,14 @@ def solution_to_json(sol: EvaluatedSolution, fingerprint: dict) -> dict:
             {
                 "vehicle": tour.vehicle,
                 "departure": tour.departure,
-                "trips": [list(trip.nodes) for trip in tour.trips],
+                "trips": [list(trip) for trip in tour.trips],
             }
             for tour in sol.tours
         ],
         "timing": {
-            "visit": {str(node): t for node, t in sorted(sol.timing.visit.items())},
-            "deliveries": [list(d) for d in sol.timing.deliveries],
-            "completion": {str(node): t for node, t in sorted(sol.timing.completion.items())},
+            "visit": {str(node): t for node, t in sorted(sol.visit.items())},
+            "deliveries": [list(tour.deliveries) for tour in sol.tours],
+            "completion": {str(node): t for node, t in sorted(sol.completion.items())},
         },
         "F": sol.total_completion,
         "F_prime": sol.net_completion,

@@ -60,7 +60,7 @@ def equivalence_sweep():
         graph = build_multigraph(inst)
         model = build_model(graph, inst)
         outcome = solve(model, LIMITS)
-        oracle = exact_solve_tiny(inst, windows)
+        oracle = exact_solve_tiny(inst)
         runs.append((inst, windows, graph, model, outcome, oracle))
     return runs
 
@@ -84,9 +84,8 @@ def test_oracle_mip_equivalence(equivalence_sweep):
 def test_tiny2_fixture():
     with criterion("TINY2 fixture: F=20, F'=13, route trips [1],[2]"):
         inst = make_tiny2()
-        windows = preprocess_time_windows(inst)
         # the oracle verifies the values before the model is trusted
-        oracle = exact_solve_tiny(inst, windows)
+        oracle = exact_solve_tiny(inst)
         assert oracle.best_total == 20.0
         assert oracle.solution.net_completion == 13.0
         assert views.trips_by_vehicle(oracle.solution) == (((1,), (2,)),)

@@ -12,7 +12,6 @@ from cdsp import (
     build_model,
     build_multigraph,
     extract_solution,
-    preprocess_time_windows,
     solve,
     validate_solution,
 )
@@ -37,8 +36,8 @@ class TestExtract:
         outcome = solve(model, SolveLimits(time_limit_s=60))
         sol = extract_solution(model, outcome.values)
         assert trips_by_vehicle(sol) == (((1,), (2,)),)
-        assert sol.timing.visit == pytest.approx({1: 3.0, 2: 10.0})
-        assert sol.timing.completion == pytest.approx({1: 6.0, 2: 14.0})
+        assert sol.visit == pytest.approx({1: 3.0, 2: 10.0})
+        assert sol.completion == pytest.approx({1: 6.0, 2: 14.0})
         assert sol.total_completion == pytest.approx(20.0, abs=1e-9)
         assert validate_solution(sol, inst, g.windows).ok
 
@@ -128,7 +127,7 @@ class TestDecodeErrors:
         vec[5], vec[3] = 0.6, 0.4
         with pytest.raises(ModelDecodeError) as err:
             extract_solution(model, vec)
-        assert str(err.value) == f"fractional arc value x_3 = {np.float64(0.4)!r}"
+        assert str(err.value) == "fractional arc value x_3 = 0.4"
 
     def test_integral_value_outside_binary(self, tiny2_built):
         _, g, model = tiny2_built
@@ -136,7 +135,7 @@ class TestDecodeErrors:
         vec[5], vec[6] = 2.0, 0.5
         with pytest.raises(ModelDecodeError) as err:
             extract_solution(model, vec)
-        assert str(err.value) == f"arc value x_5 = {np.float64(2.0)!r} outside {{0,1}}"
+        assert str(err.value) == "arc value x_5 = 2.0 outside {0,1}"
 
     def test_lowest_fractional_carry_is_named(self, tiny2_built):
         _, g, model = tiny2_built
@@ -144,7 +143,7 @@ class TestDecodeErrors:
         vec[model.layout.y(2, 1)] = vec[model.layout.y(1, 2)] = 0.3
         with pytest.raises(ModelDecodeError) as err:
             extract_solution(model, vec)
-        assert str(err.value) == f"fractional carry value y_1_2 = {np.float64(0.3)!r}"
+        assert str(err.value) == "fractional carry value y_1_2 = 0.3"
 
     def test_second_out_arc(self, tiny2_built):
         _, g, model = tiny2_built
@@ -255,7 +254,7 @@ def test_binary_vectors_decode_or_name_a_structural_fault(case):
         assert STRUCTURE_MESSAGES.fullmatch(str(err)), str(err)
         assert tours is None or len(tours) > model.fleet_size
         return
-    visited = [node for tour in sol.tours for trip in tour.trips for node in trip.nodes]
+    visited = [node for tour in sol.tours for trip in tour.trips for node in trip]
     assert sorted(visited) == list(range(1, model.n + 1))
     assert len(sol.tours) <= model.fleet_size
     if tours is not None:
@@ -268,10 +267,9 @@ class TestEmbedDecodeConsistency:
         rng = np.random.default_rng(37)
         for _ in range(10):
             inst = random_instance(rng, int(rng.integers(2, 6)), int(rng.integers(1, 3)))
-            w = preprocess_time_windows(inst)
             g = build_multigraph(inst)
             model = build_model(g, inst)
-            best = exact_solve_tiny(inst, w).solution
+            best = exact_solve_tiny(inst).solution
             vec = solution_column_values(best, model, g)
             sol = extract_solution(model, vec)
             assert trips_by_vehicle(sol) == trips_by_vehicle(best)

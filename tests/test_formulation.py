@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cdsp import ArcKind, build_model, build_multigraph, preprocess_time_windows
+from cdsp import ArcKind, build_model, build_multigraph
 from cdsp.formulation import SENSE_EQ, SENSE_LE
 from cdsp.formulation.solvers import solver_view, time_bound_rows
 from cdsp.network import TimeWindows
@@ -305,10 +305,9 @@ class TestModelAdmitsOracleSolutions:
     def test_oracle_solution_satisfies_every_constraint(self, seed):
         rng = np.random.default_rng(seed)
         inst = varied_instance(rng, int(rng.integers(1, 6)))
-        w = preprocess_time_windows(inst)
         g = build_multigraph(inst)
         model = build_model(g, inst, explicit_bounds=bool(rng.random() < 0.25))
-        result = exact_solve_tiny(inst, w)
+        result = exact_solve_tiny(inst)
         assume(result.solution is not None)  # a scaled shift cap may leave no routing
         vec = solution_column_values(result.solution, model, g)
         tol = 1e-7

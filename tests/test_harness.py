@@ -417,11 +417,14 @@ class TestReporting:
         assert fingerprint["integrality_tol"] == INTEGRALITY_TOL
         assert fingerprint["feasibility_tol"] == FEASIBILITY_TOL == 1e-9
         assert fingerprint["gap_target"] == 0.0
+        # the bundled solve gives HiGHS no thread setting
+        assert fingerprint["threads"] is None
         # an external solver runs at its own tolerance and gap, which cdsp
-        # does not set
+        # does not set; its {threads} placeholder gets the thread cap
         external = config_fingerprint(InstanceConfig(), LIMITS, "file", raw_release=False)
         assert external["feasibility_tol"] is None
         assert external["gap_target"] is None
+        assert external["threads"] == LIMITS.threads
 
 
 class TestCli:

@@ -144,7 +144,7 @@ class TestConfiguredModes:
             windows = preprocess_time_windows(inst)
             g = build_multigraph(inst)
             outcome = solve(build_model(g, inst), SolveLimits(time_limit_s=60))
-            oracle = exact_solve_tiny(inst, windows)
+            oracle = exact_solve_tiny(inst)
             if oracle.solution is None:
                 assert outcome.status is SolveStatus.INFEASIBLE
                 continue

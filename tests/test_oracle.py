@@ -85,7 +85,7 @@ class TestContract:
         for _ in range(25):
             inst = random_instance(rng, int(rng.integers(1, 7)), int(rng.integers(1, 3)))
             w = preprocess_time_windows(inst)
-            result = exact_solve_tiny(inst, w)
+            result = exact_solve_tiny(inst)
             assert result.solution is not None
             assert validate_solution(result.solution, inst, w).ok
             assert result.solution.total_completion == pytest.approx(result.best_total)

@@ -84,15 +84,16 @@ def test_matches_brute_force_reference(fleet_size):
     for i, inst in _cases(fleet_size):
         windows = preprocess_time_windows(inst)
         best_total, routes, candidates = reference_solve(inst, windows)
-        result = exact_solve_tiny(inst, windows)
+        result = exact_solve_tiny(inst)
         assert result.best_total == best_total, i
         assert result.candidates == candidates, i
         if routes is None:
             assert result.solution is None, i
             continue
         expected = assemble_solution(routes, inst, windows)
-        assert trips_by_vehicle(result.solution) == trips_by_vehicle(expected), i
-        assert result.solution.timing == expected.timing, i
+        assert result.solution.tours == expected.tours, i
+        assert result.solution.visit == expected.visit, i
+        assert result.solution.completion == expected.completion, i
 
 
 @pytest.mark.parametrize("n", range(1, 9))

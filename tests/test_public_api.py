@@ -43,6 +43,9 @@ REMOVED_MODEL_ATTRIBUTES = (
 )
 REMOVED_GRAPH_ATTRIBUTES = ("arcs_of_kind", "in_arcs", "movement_arcs", "out_arcs")
 REMOVED_ORACLE_RESULT_ATTRIBUTES = ("feasible",)
+# a tour holds its trips as node tuples and its own trip returns, and a
+# solution's completions are derived from its tours
+REMOVED_ROUTES = ("Timing", "Trip")
 
 
 @pytest.mark.parametrize("module", [cdsp, cdsp.formulation], ids=lambda m: m.__name__)
@@ -57,6 +60,24 @@ def test_removed_names_are_not_exported(name):
     for module in (cdsp, cdsp.formulation):
         assert name not in module.__all__
         assert not hasattr(module, name)
+
+
+@pytest.mark.parametrize("name", REMOVED_ROUTES)
+def test_removed_route_types_are_gone(name):
+    assert name not in cdsp.__all__
+    assert not hasattr(cdsp, name)
+    assert not hasattr(cdsp.routes, name)
+
+
+def test_solution_stores_each_fact_once():
+    fields = [f.name for f in dataclasses.fields(cdsp.EvaluatedSolution)]
+    assert fields == ["tours", "visit", "total_completion", "net_completion"]
+    assert [f.name for f in dataclasses.fields(cdsp.Tour)] == [
+        "vehicle",
+        "trips",
+        "departure",
+        "deliveries",
+    ]
 
 
 def test_removed_model_and_graph_views():
@@ -102,6 +123,8 @@ def test_pipeline_facts_have_one_owner():
         cdsp.extract_solution: ["model", "values"],
         cdsp.build_multigraph: ["inst"],
         cdsp.assemble_solution: ["vehicle_trips", "inst", "windows"],
+        # the oracle works out the windows from the instance itself
+        cdsp.exact_solve_tiny: ["inst", "limit"],
         cdsp.validate_solution: ["sol", "inst", "windows"],
     }
     for fn, want in params.items():
@@ -127,6 +150,17 @@ def test_values_every_caller_passes_have_no_default():
         assert param.default is inspect.Parameter.empty, (fn.__name__, name)
     assert list(inspect.signature(cdsp.run_suite).parameters)[0] == "entries"
     assert list(inspect.signature(cdsp.instances.triangle_violations).parameters) == ["travel"]
+
+
+def test_limit_defaults_have_one_owner(monkeypatch):
+    # the CLI's --time-limit and --threads defaults are SolveLimits's
+    from cdsp.cli import build_parser
+
+    monkeypatch.setattr(cdsp.SolveLimits, "time_limit_s", 120.0)
+    monkeypatch.setattr(cdsp.SolveLimits, "threads", 4)
+    for command in ("solve", "suite"):
+        args = build_parser().parse_args([command, "x"])
+        assert (args.time_limit, args.threads) == (120.0, 4), command
 
 
 def test_fixed_values_are_not_fields():

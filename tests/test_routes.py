@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cdsp import (
     InfeasibleTourError,
-    Trip,
+    Tour,
     assemble_solution,
     preprocess_time_windows,
     schedule_tour,
@@ -196,8 +196,8 @@ class TestValidateAndEvaluate:
     def test_single_trip_variant_valid_but_worse(self, tiny2):
         w = preprocess_time_windows(tiny2)
         sol = assemble_solution([[[1, 2]]], tiny2, w)
-        assert sol.timing.visit[2] == 8.0
-        assert sol.timing.completion == {1: 12.0, 2: 12.0}
+        assert sol.visit[2] == 8.0
+        assert sol.completion == {1: 12.0, 2: 12.0}
         assert sol.total_completion == 24.0
         assert validate_solution(sol, tiny2, w).ok
 
@@ -224,10 +224,7 @@ class TestValidateAndEvaluate:
     def test_window_violation_flagged(self, tiny2):
         w = preprocess_time_windows(tiny2)
         sol = assemble_solution([[[1], [2]]], tiny2, w)
-        bad_visit = {**sol.timing.visit, 1: 2.0}  # before release 3
-        bad = dataclasses.replace(
-            sol, timing=dataclasses.replace(sol.timing, visit=bad_visit)
-        )
+        bad = dataclasses.replace(sol, visit={**sol.visit, 1: 2.0})  # before release 3
         report = validate_solution(bad, tiny2, w)
         assert any("outside window" in v for v in report.violations)
 
@@ -253,7 +250,7 @@ class TestValidateAndEvaluate:
         w = preprocess_time_windows(inst)
         from cdsp.oracle import exact_solve_tiny
 
-        result = exact_solve_tiny(inst, w)
+        result = exact_solve_tiny(inst)
         sol = result.solution
         assert sol is not None
         assert sol.net_completion == pytest.approx(
@@ -263,10 +260,17 @@ class TestValidateAndEvaluate:
 
 
 def test_trip_invariants():
-    with pytest.raises(ValueError):
-        Trip(())
-    with pytest.raises(ValueError):
-        Trip((1, 2, 1))
+    # a tour holds its trips as node tuples and one return time per trip
+    tour = Tour(1, [[1, 2], [3]], 0.0, [8.0, 12.0])
+    assert tour.trips == ((1, 2), (3,)) and tour.deliveries == (8.0, 12.0)
+    with pytest.raises(ValueError, match="at least one trip"):
+        Tour(1, (), 0.0, ())
+    with pytest.raises(ValueError, match="at least one point of care"):
+        Tour(1, ((1,), ()), 0.0, (4.0, 4.0))
+    with pytest.raises(ValueError, match="repeated node within trip"):
+        Tour(1, ((1, 2, 1),), 0.0, (9.0,))
+    with pytest.raises(ValueError, match="1 deliveries for 2 trips"):
+        Tour(1, ((1,), (2,)), 0.0, (6.0,))
 
 
 def test_solution_json_roundtrips(tiny2):

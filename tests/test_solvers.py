@@ -230,7 +230,7 @@ class TestTimeBoundRows:
         statuses = []
         for inst, g, model in _varied_sweep():
             outcome = solve(model, SolveLimits(time_limit_s=60))
-            oracle = exact_solve_tiny(inst, g.windows)
+            oracle = exact_solve_tiny(inst)
             statuses.append(outcome.status)
             if oracle.solution is None:
                 assert outcome.status is SolveStatus.INFEASIBLE
@@ -245,7 +245,7 @@ class TestTimeBoundRows:
     def test_oracle_optima_satisfy_the_rows_and_use_no_fixed_carry(self):
         explicit = capped = fixed = 0
         for inst, g, model in _varied_sweep():
-            oracle = exact_solve_tiny(inst, g.windows)
+            oracle = exact_solve_tiny(inst)
             if oracle.solution is None:
                 continue
             vec = solution_column_values(oracle.solution, model, g)
@@ -326,7 +326,7 @@ class TestTimeBoundRows:
         g = build_multigraph(inst)
         model = build_model(g, inst)
         outcome = solve(model, SolveLimits(time_limit_s=60))
-        oracle = exact_solve_tiny(inst, g.windows, limit=inst.n)
+        oracle = exact_solve_tiny(inst, limit=inst.n)
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.objective == pytest.approx(oracle.best_total, rel=1e-9)
 

@@ -344,9 +344,8 @@ def reference_rows(graph: Multigraph, inst: Instance, explicit_bounds: bool = Fa
 
 
 def trips_by_vehicle(sol: EvaluatedSolution) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Each tour's trips as node tuples, tours in vehicle order."""
-    tours = sorted(sol.tours, key=lambda tour: tour.vehicle)
-    return tuple(tuple(trip.nodes for trip in tour.trips) for tour in tours)
+    """Each tour's trips, tours in vehicle order."""
+    return tuple(tour.trips for tour in sorted(sol.tours, key=lambda tour: tour.vehicle))
 
 
 def solution_column_values(
@@ -366,19 +365,18 @@ def solution_column_values(
     replenish = {(a.source, a.target): a.id for a in arcs if a.kind is ArcKind.REPLENISH}
 
     for tour in sol.tours:
-        first = tour.trips[0].nodes[0]
+        first = tour.trips[0][0]
         vec[lay.x(first - 1)] = 1.0  # depot arc 0 -> first
-        last = tour.trips[-1].nodes[-1]
+        last = tour.trips[-1][-1]
         vec[lay.x(n + last - 1)] = 1.0  # depot arc last -> 0
         prev_trip = None
         for trip in tour.trips:
             if prev_trip is not None:
-                vec[lay.x(replenish[(prev_trip.nodes[-1], trip.nodes[0])])] = 1.0
-            for u, v in zip(trip.nodes, trip.nodes[1:]):
+                vec[lay.x(replenish[(prev_trip[-1], trip[0])])] = 1.0
+            for u, v in zip(trip, trip[1:]):
                 vec[lay.x(inter[(u, v)])] = 1.0
-            nodes = trip.nodes
-            for pos, j in enumerate(nodes):
-                for i in nodes[pos:]:
+            for pos, j in enumerate(trip):
+                for i in trip[pos:]:
                     vec[lay.y(i, j)] = 1.0
             prev_trip = trip
 
@@ -387,10 +385,10 @@ def solution_column_values(
 
     for tour in sol.tours:
         for trip in tour.trips:
-            for node in trip.nodes:
-                z = sol.timing.visit[node]
+            for node in trip:
+                z = sol.visit[node]
                 vec[lay.z(node)] = z
                 vec[lay.tau(node)] = z - tour.departure
-    for j, completed in sol.timing.completion.items():
+    for j, completed in sol.completion.items():
         vec[lay.completion(j)] = completed
     return vec
