@@ -71,7 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
             default=SolveLimits.time_limit_s,
             help="seconds per instance",
         )
-        p.add_argument("--threads", type=int, default=SolveLimits.threads, help="solver thread cap")
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=SolveLimits.threads,
+            help="fills --solver-cmd's {threads} placeholder only; the bundled "
+            "HiGHS solve gets no thread setting",
+        )
         p.add_argument(
             "--solver-cmd",
             default=None,

@@ -11,9 +11,12 @@ column bound vectors, an integrality vector, the objective vector and a
 family table giving each constraint family its row range. The CSR arrays
 are allocated once, sized from the families' row counts and widths, and
 each family is written in place through a (rows, width) view with its
-columns ascending within each row, so no sort or conversion follows; a
-family's zero big-M coefficients are dropped right after it is written,
-which moves entries only in the few families that hold one. Row and column
+columns ascending within each row, so no sort or conversion follows. The
+carry block, n(n-1)^2 of the model's rows, is written by broadcasting one
+value per inter arc against a single table of carried requests, with no
+per-row index arrays. A family's zero big-M coefficients are dropped right
+after it is written, which moves entries only in the few families that
+hold one; the carry block holds none and is not scanned. Row and column
 names are built on access; a row name is a code into a small table of
 family heads and one into a table of trailing keys. The per-arc big-M
 formulas that the build vectorizes, and the triplet build it replaced, are
@@ -216,7 +219,8 @@ class CsrRows:
     same order through `block` or `fill`, each row's columns in ascending
     order, so no sort follows. When the next block opens, the zero values
     of the one before (big-Ms that vanish) are dropped by moving its other
-    entries forward, which touches only the blocks that hold a zero.
+    entries forward, which touches only the blocks that hold a zero; a
+    block opened with ``zeros=False`` is not scanned for them.
     """
 
     def __init__(self, num_columns: int):
@@ -251,14 +255,16 @@ class CsrRows:
             self.lower[rows] = -math.inf if sense == SENSE_LE else rhs
             self.upper[rows] = math.inf if sense == SENSE_GE else rhs
         self._written = 0  # rows whose entries and row ends are in place
-        self._open: tuple[int, int, int] | None = None
+        self._open: tuple[int, int, int, bool] | None = None
 
-    def block(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+    def block(self, name: str, zeros: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """The (rows, width) column and value views of the block whose first
-        family is ``name``, which must be the next block in matrix order."""
+        family is ``name``, which must be the next block in matrix order;
+        ``zeros=False`` promises that no value written there is 0."""
         self._close()
-        row, count, width = self._open = self._blocks[name]
+        row, count, width = self._blocks[name]
         assert row == self._written, f"block {name} written out of matrix order"
+        self._open = row, count, width, zeros
         start = self.indptr[row]
         entries = slice(start, start + count * width)
         return self.indices[entries].reshape(count, width), self.data[entries].reshape(count, width)
@@ -276,12 +282,12 @@ class CsrRows:
         """Set the row ends of the block last opened, without its zeros."""
         if self._open is None:
             return
-        row, count, width = self._open
+        row, count, width, zeros = self._open
         start = int(self.indptr[row])
         entries = slice(start, start + count * width)
-        kept = self.data[entries] != 0
-        if kept.all():
-            ends = start + width * np.arange(1, count + 1)
+        kept = self.data[entries] != 0 if zeros else None
+        if kept is None or kept.all():
+            ends = np.arange(start + width, start + width * count + 1, width, self.indptr.dtype)
         else:
             ends = start + np.cumsum(kept.reshape(count, width).sum(axis=1))
             stop = start + np.count_nonzero(kept)
@@ -349,12 +355,15 @@ def build_model(
     m_visit = np.maximum(0.0, deadline[s] + cost[move] - release[t])
     m_shift = deadline[t] - travel[0, t]
     # carry rows: each inter arc s -> t, in id order, with each carried
-    # request but t, in ascending order (1..n-1, shifted up past t)
+    # request but t, in ascending order (1..n-1, shifted up past t); the
+    # keys are one (inter arcs, n - 1, 2) table, and its carried half is
+    # the table every carry column is broadcast against
     inter_arcs = np.flatnonzero(arcs["kind"] == ArcKind.INTER.code)
     s_inter, t_inter = src[inter_arcs], tgt[inter_arcs]
-    inter = np.repeat(inter_arcs, n - 1)
-    carried = np.tile(np.arange(1, n), len(inter_arcs))
-    carried += carried >= np.repeat(t_inter, n - 1)
+    carry_keys = np.empty((len(inter_arcs), n - 1, 2), dtype=np.int64)
+    carry_keys[:, :, 0] = inter_arcs[:, None]
+    carried = carry_keys[:, :, 1]
+    np.add(nodes[:-1], nodes[:-1] >= t_inter[:, None], out=carried)
     carrier, served = np.repeat(nodes, n), np.tile(nodes, n)
     m_completion = deadline[carrier] + travel[carrier, 0]
 
@@ -375,7 +384,7 @@ def build_model(
             1,
         )
         rows.add([("collect", node_keys, SENSE_EQ, 1.0)], 1)
-    rows.add([("carry", np.column_stack((inter, carried)), SENSE_LE, 1.0)], 3)
+    rows.add([("carry", carry_keys.reshape(-1, 2), SENSE_LE, 1.0)], 3)
     completion_rhs = m_completion - travel[carrier, 0]
     rows.add([("compl", np.column_stack((carrier, served)), SENSE_LE, completion_rhs)], 3)
     if explicit_bounds:
@@ -408,17 +417,16 @@ def build_model(
     if explicit_bounds:
         rows.fill("window_lo", [np.repeat(lay.z(nodes), 2)], [1.0])
         rows.fill("collect", [lay.y(nodes, nodes)], [1.0])
-    up = np.repeat(np.where(s_inter < t_inter, 1.0, -1.0), n - 1)
-    rows.fill(
-        "carry",
-        [
-            lay.x(inter),
-            lay.y(np.repeat(np.minimum(s_inter, t_inter), n - 1), carried),
-            lay.y(np.repeat(np.maximum(s_inter, t_inter), n - 1), carried),
-        ],
-        [1.0, up, -up],
-    )
-    del up
+    # one value per arc broadcast along its n - 1 rows; y(i, 0) + j is y(i, j)
+    cols, vals = rows.block("carry", zeros=False)
+    cols, vals = cols.reshape(len(inter_arcs), n - 1, 3), vals.reshape(len(inter_arcs), n - 1, 3)
+    cols[:, :, 0] = lay.x(inter_arcs)[:, None]
+    np.add(lay.y(np.minimum(s_inter, t_inter), 0)[:, None], carried, out=cols[:, :, 1])
+    np.add(lay.y(np.maximum(s_inter, t_inter), 0)[:, None], carried, out=cols[:, :, 2])
+    up = np.where(s_inter < t_inter, 1.0, -1.0)[:, None]
+    vals[:, :, 0] = 1.0
+    vals[:, :, 1] = up
+    vals[:, :, 2] = -up
     rows.fill(
         "compl",
         [lay.y(carrier, served), lay.z(carrier), lay.completion(served)],

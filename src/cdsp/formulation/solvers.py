@@ -298,8 +298,9 @@ def solver_view(model: MipModel) -> tuple[MipModel, Callable[[np.ndarray], np.nd
 class ScipyMilpAdapter:
     """Bundled backend: HiGHS through scipy.optimize.milp.
 
-    Runs single-threaded (scipy does not expose a thread option), which
-    never exceeds the configured cap. Deterministic for fixed inputs.
+    HiGHS gets no thread setting: it runs with its own default whatever
+    `limits.threads` says, which only `FileSolverAdapter`'s ``{threads}``
+    placeholder reads. Deterministic for fixed inputs.
 
     HiGHS gets `solver_view(model)`, built here on each call: the same
     optima as the model as built, in far fewer branch-and-bound nodes. The

@@ -176,9 +176,20 @@ def triangle_violations(travel: np.ndarray) -> list[tuple[int, int, int, float]]
     by more than TRIANGLE_TOL.
 
     Returns (i, j, k, slack) per violation with slack = c_ij + c_jk - c_ik
-    (negative when violated). Exhaustive O(m^3); fine up to ~200 sites.
+    (negative when violated), in (i, j, k) order. A matrix that has none is
+    cleared in O(m^3) time and O(m^2) memory, by the shortest two-leg detour
+    min_j (c_ij + c_jk), taken one j at a time; only a matrix that has some
+    gets the exhaustive listing, an (m, m, m) slack cube.
     """
     t = np.asarray(travel, dtype=float)
+    # rounding a subtraction preserves order, so min_j(s_j) - c_ik equals
+    # min_j(s_j - c_ik) exactly; fmin skips NaN sums as the cube's compare does
+    detour = np.full_like(t, math.inf)
+    legs = np.empty_like(t)
+    for j in range(len(t)):
+        np.fmin(detour, np.add(t[:, j, None], t[None, j, :], out=legs), out=detour)
+    if not np.any(detour - t < -TRIANGLE_TOL):
+        return []
     slack = t[:, :, None] + t[None, :, :] - t[:, None, :]  # slack[i,j,k]
     bad = np.argwhere(slack < -TRIANGLE_TOL)
     return [(int(i), int(j), int(k), float(slack[i, j, k])) for i, j, k in bad]

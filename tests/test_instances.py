@@ -1,8 +1,9 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cdsp import (
     InstanceConfig,
@@ -15,7 +16,9 @@ from cdsp import (
     parse_solomon,
     write_solomon,
 )
-from cdsp.instances import triangle_violations
+from cdsp.instances import TRIANGLE_TOL, Instance, triangle_violations
+
+import views
 
 SOLOMON_SNIPPET = """\
 C101
@@ -199,6 +202,78 @@ class TestTriangle:
         xy = rng.uniform(0, 50, size=(12, 2))
         matrix = np.hypot(*(xy[:, None, :] - xy[None, :, :]).transpose(2, 0, 1))
         assert triangle_violations(matrix) == []
+
+
+def _planted_matrix(data) -> np.ndarray:
+    """A travel matrix with a zero diagonal: Euclidean, rounded Euclidean
+    or arbitrary, then with a few triples set at the tolerance's edge (just
+    past it, just inside it, or a tie at exactly -TRIANGLE_TOL) or with a
+    NaN or infinite entry."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = data.draw(st.integers(2, 9))
+    xy = rng.uniform(0, 100, size=(m, 2))
+    euclid = np.hypot(*(xy[:, None, :] - xy[None, :, :]).transpose(2, 0, 1))
+    base = data.draw(st.sampled_from(["euclid", "rounded", "arbitrary"]))
+    t = {"euclid": euclid, "rounded": np.round(euclid), "arbitrary": rng.uniform(0, 100, (m, m))}[base]
+    kinds = ["past", "inside", "tie", "nan", "inf"]
+    for kind in data.draw(st.lists(st.sampled_from(kinds), max_size=4)) if m >= 3 else ():
+        i, j, k = (int(v) for v in rng.choice(m, size=3, replace=False))
+        if kind == "tie":
+            # sums of these legs and TRIANGLE_TOL are exact, so the slack is
+            # exactly -TRIANGLE_TOL: not a violation
+            t[i, j], t[j, k] = rng.choice([0.0, 2.0**-32], size=2)
+            t[i, k] = t[i, j] + t[j, k] + TRIANGLE_TOL
+            assert (t[i, j] + t[j, k]) - t[i, k] == -TRIANGLE_TOL
+        elif kind in ("past", "inside") and math.isfinite(t[i, j] + t[j, k]):
+            # the first value one ulp at a time past (or inside) the edge
+            legs = t[i, j] + t[j, k]
+            t[i, k] = legs + TRIANGLE_TOL
+            step = math.inf if kind == "past" else -math.inf
+            while (legs - t[i, k] < -TRIANGLE_TOL) != (kind == "past"):
+                t[i, k] = np.nextafter(t[i, k], step)
+        elif kind in ("nan", "inf"):
+            t[i, k] = math.nan if kind == "nan" else math.inf
+    np.fill_diagonal(t, 0.0)
+    return t
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+class TestTriangleShortcut:
+    """`triangle_violations` clears a matrix without the slack cube; it must
+    list exactly what the cube does (`views.reference_triangle_violations`),
+    and `Instance` must word its error from the same list."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_slack_cube(self, data):
+        t = _planted_matrix(data)
+        assert triangle_violations(t) == views.reference_triangle_violations(t)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_instance_error_text(self, data):
+        t = _planted_matrix(data)
+        m = len(t)
+        sites = tuple(Site(i, 0.0, 0.0, 0.0, 100.0) for i in range(m))
+        want = views.reference_triangle_violations(t)
+        if not want:
+            Instance(sites=sites, travel=t, fleet_size=1, shift_cap=100.0, depot_deadline=100.0)
+            return
+        i, j, k, slack = want[0]
+        text = (
+            f"triangle inequality violated at ({i},{j},{k}): slack {slack:.6g}"
+            f" ({len(want)} violations total)"
+        )
+        with pytest.raises(InstanceError) as exc:
+            Instance(sites=sites, travel=t, fleet_size=1, shift_cap=100.0, depot_deadline=100.0)
+        assert str(exc.value) == text
+
+    def test_tie_at_the_tolerance_is_clean(self):
+        t = np.zeros((3, 3))
+        t[0, 2] = TRIANGLE_TOL
+        assert triangle_violations(t) == []
+        t[0, 2] = np.nextafter(TRIANGLE_TOL, 1.0)
+        assert triangle_violations(t) == [(0, 1, 2, -t[0, 2])]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 8))

@@ -15,6 +15,12 @@ shift cap at the depot deadline (the shift rows are left out) and at three
 quarters of it (the cap binds and they stay). They were recorded from the
 view built by scipy's COO to CSR conversion and `sp.vstack`, with scipy 1.17
 and numpy 2.4 on x86-64 Linux.
+
+The model digests pin `build_model`'s own arrays at n = 50 and 100, sizes
+the file digests leave out for time: the CSR `indptr`/`indices`/`data`, the
+row bounds, and each family's name, row range and keys, every array with
+its dtype. They were recorded from the build whose carry rows were written
+through per-row index arrays, with numpy 2.4 on x86-64 Linux.
 """
 
 import dataclasses
@@ -96,6 +102,14 @@ SOLVER_VIEW_DIGESTS = {
     (30, True, 1.0): "bd3d1bce332fb82e05bdf49056f408c8724eb833435aabdd8a0662c8f38a5c1c",
 }
 
+# (n, explicit_bounds) -> build_model arrays and family table sha256
+MODEL_DIGESTS = {
+    (50, False): "db91524b412e8c992125e18f9408251e26aed5858c395cc7d928204070377cb7",
+    (50, True): "879968d9d47d0341a8215792201b6b8647f90dbbb31da84090377e1c28050a71",
+    (100, False): "6bab3888d170c31cf6d87c11d229692e6729c69604b8c6259f0f67706cdb7892",
+    (100, True): "d4cbc2e4e95649538fbb470568269d0fb4d9982d7c9eccd7fe5b544ad3ec7c82",
+}
+
 
 def _model(n: int, explicit_bounds: bool, cap: float | None = None):
     inst = random_instance(np.random.default_rng(n), n, max(1, n // 4))
@@ -127,6 +141,27 @@ def _arrays_sha(model) -> str:
     for part in parts:
         digest.update(np.ascontiguousarray(part).tobytes())
     return digest.hexdigest()
+
+
+def _model_sha(model) -> str:
+    digest = hashlib.sha256()
+    matrix = model.matrix
+    shape = np.asarray(matrix.shape, dtype=np.int64)
+    for part in (matrix.indptr, matrix.indices, matrix.data, shape, model.row_lower, model.row_upper):
+        digest.update(part.dtype.str.encode())
+        digest.update(np.ascontiguousarray(part).tobytes())
+    for fam in model.families:
+        rows, keys = fam.rows, fam.keys
+        digest.update(
+            f"{fam.name} {rows.start} {rows.stop} {rows.step} {keys.dtype.str} {keys.shape}".encode()
+        )
+        digest.update(np.ascontiguousarray(keys).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("n,explicit", sorted(MODEL_DIGESTS))
+def test_large_model_digests(n, explicit):
+    assert _model_sha(_model(n, explicit)) == MODEL_DIGESTS[(n, explicit)]
 
 
 @pytest.mark.parametrize("n,explicit", sorted(DIGESTS))

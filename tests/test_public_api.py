@@ -163,6 +163,19 @@ def test_limit_defaults_have_one_owner(monkeypatch):
         assert (args.time_limit, args.threads) == (120.0, 4), command
 
 
+@pytest.mark.parametrize("command", ["solve", "suite"])
+def test_threads_help_names_its_only_reader(command, capsys):
+    # the bundled HiGHS solve gets no thread setting, so --threads must not
+    # read as a cap on it
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--threads THREADS fills --solver-cmd's {threads} placeholder only;" in text
+    assert "the bundled HiGHS solve gets no thread setting" in text
+    assert "thread cap" not in text
+
+
 def test_fixed_values_are_not_fields():
     for adapter in (cdsp.ScipyMilpAdapter, cdsp.FileSolverAdapter):
         assert "name" not in {f.name for f in dataclasses.fields(adapter)}, adapter.__name__

@@ -11,7 +11,9 @@ values that embed a routed solution, and a solution's trips per vehicle.
 
 The graph's arc table gets the same treatment: `Arc` is one validated arc,
 `reference_arcs` the per-arc enumeration that `build_multigraph` vectorizes,
-and `arc_list` the table as `Arc`s.
+and `arc_list` the table as `Arc`s. `reference_triangle_violations` is the
+exhaustive slack-cube listing that `instances.triangle_violations` runs only
+once its O(m^2)-memory scan has found a violation.
 """
 
 import math
@@ -31,7 +33,7 @@ from cdsp.formulation.model import (
     Row,
     RowFamily,
 )
-from cdsp.instances import Instance
+from cdsp.instances import TRIANGLE_TOL, Instance
 from cdsp.network import ArcKind, Multigraph, TimeWindows
 from cdsp.routes import EvaluatedSolution
 
@@ -151,6 +153,15 @@ def reference_arcs(inst: Instance) -> list[Arc]:
             if i != j:
                 add(i, j, ArcKind.REPLENISH, float(travel[i, 0] + travel[0, j]))
     return arcs
+
+
+def reference_triangle_violations(travel) -> list[tuple[int, int, int, float]]:
+    """Every (i, j, k, slack) with slack = c_ij + c_jk - c_ik < -TRIANGLE_TOL,
+    in (i, j, k) order, read off the full (m, m, m) slack cube."""
+    t = np.asarray(travel, dtype=float)
+    slack = t[:, :, None] + t[None, :, :] - t[:, None, :]  # slack[i,j,k]
+    bad = np.argwhere(slack < -TRIANGLE_TOL)
+    return [(int(i), int(j), int(k), float(slack[i, j, k])) for i, j, k in bad]
 
 
 def arc_list(graph: Multigraph) -> list[Arc]:
