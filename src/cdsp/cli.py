@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import shlex
@@ -32,6 +33,29 @@ from .oracle import DEFAULT_LIMIT, OracleResult, OracleSizeError, exact_solve_ti
 from .routes import solution_to_json
 
 
+def _flag_type(expected: str, number, words=None, ok=None):
+    """An argparse ``type=`` taking one of ``words`` (mapped) or a ``number``
+    that ``ok`` accepts; else a usage error naming the flag (exit status 2)."""
+
+    def convert(text: str):
+        if words and text in words:
+            return words[text]
+        with contextlib.suppress(ValueError):
+            value = number(text)
+            if ok is None or ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return convert
+
+
+_FLEET = _flag_type("an integer, 'file' or 'auto'", int, {"auto": "size-class", "file": "file"})
+_SHIFT_CAP = _flag_type("a number or 'depot-deadline'", float, {"depot-deadline": "depot-deadline"})
+_ROUNDING = _flag_type("'none' or an integer >= 0", int, {"none": None}, lambda v: v >= 0)
+_SECONDS = _flag_type("a number of seconds > 0", float, ok=lambda v: v > 0)
+_COUNT = _flag_type("an integer >= 1", int, ok=lambda v: v >= 1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cdsp",
@@ -43,12 +67,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_instance_flags(p):
         p.add_argument(
             "--fleet",
+            type=_FLEET,
             default="auto",
             help="vehicle count: explicit integer, 'file' (Solomon header) or "
             "'auto' (size-class rule 25/50/100 -> 10/15/25, header otherwise)",
         )
         p.add_argument(
             "--shift-cap",
+            type=_SHIFT_CAP,
             default="depot-deadline",
             help="per-vehicle shift cap: number or 'depot-deadline'",
         )
@@ -60,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--rounding",
+            type=_ROUNDING,
             default="none",
             help="distance rounding: 'none' or a number of decimals",
         )
@@ -67,13 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_solver_flags(p):
         p.add_argument(
             "--time-limit",
-            type=float,
+            type=_SECONDS,
             default=SolveLimits.time_limit_s,
             help="seconds per instance",
         )
         p.add_argument(
             "--threads",
-            type=int,
+            type=_COUNT,
             default=SolveLimits.threads,
             help="fills --solver-cmd's {threads} placeholder only; the bundled "
             "HiGHS solve gets no thread setting",
@@ -103,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("manifest")
     add_instance_flags(p_suite)
     add_solver_flags(p_suite)
-    p_suite.add_argument("--workers", type=int, default=1, help="parallel instances")
+    p_suite.add_argument("--workers", type=_COUNT, default=1, help="parallel instances")
 
     p_emit = sub.add_parser(
         "emit", help="write the model file for an instance", allow_abbrev=False
@@ -129,19 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _instance_config(args) -> InstanceConfig:
-    if args.fleet == "auto":
-        fleet = "size-class"
-    elif args.fleet == "file":
-        fleet = "file"
-    else:
-        fleet = int(args.fleet)
-    cap = args.shift_cap if args.shift_cap == "depot-deadline" else float(args.shift_cap)
-    rounding = None if args.rounding == "none" else int(args.rounding)
     return InstanceConfig(
-        fleet_size=fleet,
-        shift_cap=cap,
+        fleet_size=args.fleet,
+        shift_cap=args.shift_cap,
         service_mode=args.service_mode,
-        rounding=rounding,
+        rounding=args.rounding,
     )
 
 
@@ -169,8 +188,13 @@ def _load_instance(args):
         raw = parse_solomon(path.read_text())
         return build_instance(raw, _instance_config(args), label=path.stem)
     except (OSError, UnicodeDecodeError, SolomonParseError, InstanceError) as exc:
-        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
-        raise SystemExit(f"cdsp: {path}: {reason}") from None
+        raise _failure(path, exc) from None
+
+
+def _failure(path, exc: Exception) -> SystemExit:
+    """Exit status 1 with one ``cdsp: <path>: <reason>`` line on stderr."""
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    return SystemExit(f"cdsp: {path}: {reason}")
 
 
 def main(argv=None) -> int:
@@ -226,8 +250,12 @@ def main(argv=None) -> int:
         return 0 if record.status != SolveStatus.ERROR.value else 1
 
     if args.command == "suite":
+        try:
+            entries = load_manifest(args.manifest)
+        except (OSError, ValueError) as exc:
+            raise _failure(args.manifest, exc) from None
         report = run_suite(
-            load_manifest(args.manifest),
+            entries,
             _instance_config(args),
             _limits(args),
             adapter=_adapter(args),
@@ -250,7 +278,7 @@ def main(argv=None) -> int:
         try:
             graph = build_multigraph(inst)
         except InfeasibleWindowError as exc:
-            raise SystemExit(f"cdsp: {args.instance}: {exc}") from None
+            raise _failure(args.instance, exc) from None
         model = build_model(graph, inst, explicit_bounds=args.explicit_rows)
         if args.out:
             out = Path(args.out)
@@ -268,7 +296,7 @@ def main(argv=None) -> int:
         try:
             result = exact_solve_tiny(inst, limit=args.limit)
         except OracleSizeError as exc:
-            raise SystemExit(f"cdsp: {args.instance}: {exc}") from None
+            raise _failure(args.instance, exc) from None
         except InfeasibleWindowError as exc:
             print(f"{inst.label}: infeasible ({exc})")
             return 0

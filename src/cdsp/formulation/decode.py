@@ -23,15 +23,15 @@ class ModelDecodeError(ValueError):
 
 
 def extract_solution(model: MipModel, values) -> EvaluatedSolution:
-    """Rebuild at most K vehicle tours from incumbent column values, over
-    the graph the model was built from.
+    """Rebuild at most K vehicle tours, in depot-out arc order, from
+    incumbent column values over the model's graph and instance.
 
     Raises ModelDecodeError on binaries more than INTEGRALITY_TOL from an
     integer or on arc degrees violating the flow clauses (both signal
     solver-tolerance or model bugs rather than recoverable outcomes).
     """
     vec = _as_vector(model, values)
-    graph, lay = model.graph, model.layout
+    graph, lay, travel = model.graph, model.layout, model.inst.travel
     n = model.n
 
     x = vec[: lay.num_arcs]  # lay.x is the identity on arc ids
@@ -69,9 +69,9 @@ def extract_solution(model: MipModel, values) -> EvaluatedSolution:
         raise ModelDecodeError(
             f"node {j} has out-degree {out_deg[j]}, in-degree {in_deg[j]} (must be 1/1)"
         )
-    if out_deg[0] > model.fleet_size:
+    if out_deg[0] > model.inst.fleet_size:
         raise ModelDecodeError(
-            f"{out_deg[0]} vehicles leave the depot, fleet size {model.fleet_size}"
+            f"{out_deg[0]} vehicles leave the depot, fleet size {model.inst.fleet_size}"
         )
 
     succ = np.full(n + 1, -1)
@@ -84,7 +84,7 @@ def extract_solution(model: MipModel, values) -> EvaluatedSolution:
     # every point of care has one arc in and one out, so the depot's two
     # degrees are equal and each walk is a simple path back to the depot: a
     # repeated node would have in-degree 2
-    for vehicle, start in enumerate(np.flatnonzero(src == 0).tolist(), start=1):
+    for start in np.flatnonzero(src == 0).tolist():
         current = targets[start]
         trips: list[list[int]] = [[current]]
         pos = succ[current]
@@ -97,9 +97,9 @@ def extract_solution(model: MipModel, values) -> EvaluatedSolution:
             pos = succ[current]
         used += sum(map(len, trips)) + 1
         first = trips[0][0]
-        departure = visit[first] - graph.cost_from_depot(first)
-        deliveries = [visit[trip[-1]] + graph.cost_to_depot(trip[-1]) for trip in trips]
-        tours.append(Tour(vehicle, trips, departure, deliveries))
+        departure = visit[first] - float(travel[0, first])
+        deliveries = [visit[trip[-1]] + float(travel[trip[-1], 0]) for trip in trips]
+        tours.append(Tour(trips, departure, deliveries))
 
     if used != len(traversed):
         raise ModelDecodeError(

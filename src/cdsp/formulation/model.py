@@ -20,7 +20,9 @@ hold one; the carry block holds none and is not scanned. Row and column
 names are built on access; a row name is a code into a small table of
 family heads and one into a table of trailing keys. The per-arc big-M
 formulas that the build vectorizes, and the triplet build it replaced, are
-kept as references in ``tests/views.py``.
+kept as references in ``tests/views.py``. The model keeps its `Instance` and
+`Multigraph`, and copies nothing out of them: ``model.inst`` has the label,
+fleet size, shift cap and depot legs.
 """
 
 from __future__ import annotations
@@ -121,12 +123,10 @@ class RowNames(NamedTuple):
 
 @dataclass(eq=False)
 class MipModel:
-    """The model's arrays and family table, and the graph it was built from;
-    names and the row view are derived on access."""
+    """The model's arrays and family table, and the instance and graph it
+    was built from; names and the row view are derived on access."""
 
-    label: str  # the instance's, for the model file headers
-    fleet_size: int
-    shift_cap: float  # per-vehicle cap on the elapsed shift, tau's upper end
+    inst: Instance  # label, fleet size, shift cap and depot legs
     layout: ColumnLayout
     matrix: sp.csr_matrix  # columns sorted within each row, no stored zeros
     row_lower: np.ndarray  # -inf on <= rows
@@ -444,9 +444,7 @@ def build_model(
 
     matrix, row_lower, row_upper, families = rows.assemble()
     return MipModel(
-        label=inst.label,
-        fleet_size=inst.fleet_size,
-        shift_cap=inst.shift_cap,
+        inst=inst,
         layout=lay,
         matrix=matrix,
         row_lower=row_lower,

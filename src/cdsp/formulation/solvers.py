@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..network import ArcKind
-from .model import SENSE_GE, CsrRows, MipModel, RowFamily
+from .model import SENSE_GE, CsrRows, MipModel
 from .writers import MODEL_FORMATS, write_model
 
 
@@ -115,13 +115,13 @@ def model_to_arrays(model: MipModel):
     )
 
 
-def time_bound_rows(model: MipModel) -> sp.csr_matrix:
+def time_bound_rows(model: MipModel):
     """The 3n degree-weighted time-bound rows, each ``row @ columns >= 0``,
-    that `solver_view` stacks under the model's rows.
+    that `solver_view` stacks under the model's rows, as `CsrRows.assemble` returns them.
 
     With r' the preprocessed release (r'_0 = 0), c_a the arc cost and t_k0
-    the cost of k's depot-in arc, for each request j (rows j - 1, n + j - 1
-    and 2n + j - 1):
+    the instance's travel time from k to the depot, for each request j
+    (rows j - 1, n + j - 1 and 2n + j - 1):
 
     - (P)  z_j - sum_{a = i->j} max(r'_i + c_a, r'_j) x_a >= 0
     - (S1) C_j - z_j - sum_{inter a = j->k} (c_a + t_k0) x_a
@@ -151,9 +151,7 @@ def time_bound_rows(model: MipModel) -> sp.csr_matrix:
     arcs = graph.arcs
     src, tgt, cost = arcs["source"], arcs["target"], arcs["cost"]
     release = np.concatenate(([0.0], graph.windows.release[1:]))
-    home = np.flatnonzero(tgt == 0)
-    to_depot = np.zeros(n + 1)
-    to_depot[src[home]] = cost[home]
+    to_depot = model.inst.travel[:, 0]
 
     nodes = np.arange(1, n + 1)
     leaving, entering = graph.incident_arcs()  # row j - 1: node j's arcs
@@ -180,7 +178,7 @@ def time_bound_rows(model: MipModel) -> sp.csr_matrix:
     cols, vals = rows.block("tbound_s2")
     cols[:, :-1], vals[:, :-1] = lay.x(leaving), -earliest
     cols[:, -1], vals[:, -1] = lay.completion(nodes), 1.0
-    return rows.assemble()[0]
+    return rows.assemble()
 
 
 def dominated_carries(model: MipModel) -> np.ndarray:
@@ -215,7 +213,7 @@ def slack_shift_start(model: MipModel) -> float | None:
     """The shift start S = min_j (r'_j - t_0j) when the shift cap cannot
     bind, that is when cap >= E - S with E = max_j (d'_j + t_j0); None
     otherwise. Here r' and d' are the preprocessed windows and t_0j, t_j0
-    the depot legs.
+    the depot legs, read from the instance's travel times.
 
     Validity: for any z inside the windows, tau = z - S meets every shift
     row. Along a used arc s->t, ``sprop`` asks tau_t - tau_s >= z_t - z_s,
@@ -234,12 +232,10 @@ def slack_shift_start(model: MipModel) -> float | None:
     presolve is one of the reductions surveyed by Achterberg et al.
     (INFORMS J. Comput. 2020).
     """
-    n = model.n
-    windows = model.graph.windows
-    cost = model.graph.arcs["cost"]  # arc ids 0..n-1 leave the depot, n..2n-1 enter it
-    start = float(np.min(windows.release[1:] - cost[:n]))
-    end = float(np.max(windows.deadline[1:] + cost[n : 2 * n]))
-    return start if model.shift_cap >= end - start else None
+    inst, windows = model.inst, model.graph.windows
+    start = float(np.min(windows.release[1:] - inst.travel[0, 1:]))
+    end = float(np.max(windows.deadline[1:] + inst.travel[1:, 0]))
+    return start if inst.shift_cap >= end - start else None
 
 
 def solver_view(model: MipModel) -> tuple[MipModel, Callable[[np.ndarray], np.ndarray]]:
@@ -251,7 +247,6 @@ def solver_view(model: MipModel) -> tuple[MipModel, Callable[[np.ndarray], np.nd
     solution values the model's, in place: tau = z - S where the shift rows
     were left out.
     """
-    n = model.n
     shift_start = slack_shift_start(model)
     kept = model.families
     if shift_start is not None:
@@ -260,10 +255,10 @@ def solver_view(model: MipModel) -> tuple[MipModel, Callable[[np.ndarray], np.nd
         # truncates the rows and the other families keep their ranges
         assert kept == model.families[: len(kept)]
     keep = model.num_rows - sum(len(fam.rows) for fam in model.families[len(kept) :])
-    nodes = np.arange(1, n + 1)
     col_upper = model.col_upper.copy()
     col_upper[dominated_carries(model)] = 0.0
-    top, bounds = model.matrix, time_bound_rows(model)
+    top = model.matrix
+    bounds, lower, upper, families = time_bound_rows(model)
     end = top.indptr[keep]
     matrix = sp.csr_matrix(
         (
@@ -276,18 +271,19 @@ def solver_view(model: MipModel) -> tuple[MipModel, Callable[[np.ndarray], np.nd
     view = dataclasses.replace(
         model,
         matrix=matrix,
-        row_lower=np.concatenate((model.row_lower[:keep], np.zeros(3 * n))),
-        row_upper=np.concatenate((model.row_upper[:keep], np.full(3 * n, np.inf))),
+        row_lower=np.concatenate((model.row_lower[:keep], lower)),
+        row_upper=np.concatenate((model.row_upper[:keep], upper)),
         col_upper=col_upper,
         families=kept
         + tuple(
-            RowFamily(name, range(keep + i * n, keep + (i + 1) * n), nodes[:, None])
-            for i, name in enumerate(("tbound_p", "tbound_s1", "tbound_s2"))
+            dataclasses.replace(fam, rows=range(keep + fam.rows.start, keep + fam.rows.stop))
+            for fam in families
         ),
     )
 
     def restore(values: np.ndarray) -> np.ndarray:
         if shift_start is not None:
+            nodes = np.arange(1, model.n + 1)
             values[model.layout.tau(nodes)] = values[model.layout.z(nodes)] - shift_start
         return values
 

@@ -279,7 +279,8 @@ def _lp_rows(ptr, indices, data, names, labels, senses=None, rhs=None) -> Iterat
 
 
 def _lp_stream(model: MipModel) -> Iterator[str]:
-    yield f"\\ cdsp model  label={model.label}  n={model.n}  K={model.fleet_size}\nMinimize\n"
+    inst = model.inst
+    yield f"\\ cdsp model  label={inst.label}  n={model.n}  K={inst.fleet_size}\nMinimize\n"
     names = model.layout.names()
     costed = np.flatnonzero(model.c)
     objective = (["obj"], [""], np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32))
@@ -311,7 +312,7 @@ def _lp_stream(model: MipModel) -> Iterator[str]:
 
 
 def _mps_stream(model: MipModel) -> Iterator[str]:
-    safe = re.sub(r"[^A-Za-z0-9_.-]", "_", model.label or "model")
+    safe = re.sub(r"[^A-Za-z0-9_.-]", "_", model.inst.label or "model")
     yield f"NAME {safe}\nROWS\n N obj\n"
     names = model.layout.names()
     heads, tails, head_code, tail_code = model.row_name_codes()

@@ -263,8 +263,8 @@ def load_manifest(path) -> list[ManifestEntry]:
     """Read a CSV or JSON manifest: file path plus optional setting columns.
 
     Relative instance paths resolve against the manifest's directory. An
-    entry that is not an object, has no path or has a non-integer size
-    raises ValueError naming it.
+    entry that is not an object, has no path or has a non-integer size, or a
+    JSON manifest that is not a list, raises ValueError (without the path).
     """
     path = Path(path)
     base = path.parent
@@ -272,9 +272,9 @@ def load_manifest(path) -> list[ManifestEntry]:
 
     def entry(row, where: str) -> ManifestEntry:
         if not isinstance(row, dict):
-            raise ValueError(f"{path}, {where}: entry {row!r} is not an object")
+            raise ValueError(f"{where}: entry {row!r} is not an object")
         if row.get("path") in (None, ""):
-            raise ValueError(f"{path}, {where}: entry {row!r} has no path")
+            raise ValueError(f"{where}: entry {row!r} has no path")
         rel = Path(str(row["path"]))
         size, klass, tw = (
             None if v in (None, "") else v
@@ -283,7 +283,7 @@ def load_manifest(path) -> list[ManifestEntry]:
         try:
             size = None if size is None else int(str(size))
         except ValueError:
-            raise ValueError(f"{path}, {where}: size {size!r} is not an integer") from None
+            raise ValueError(f"{where}: size {size!r} is not an integer") from None
         setting = None
         if (size, klass, tw) != (None, None, None):
             setting = Setting(

@@ -8,7 +8,8 @@ tightened at build time: a site cannot be visited before the depot leg in,
 nor so late that the vehicle misses the depot deadline on the way back.
 
 The 2n^2 arcs are one read-only numpy table (``ARC_DTYPE``): the arc id is
-the row index, and the ``kind`` field holds ``ArcKind.code``.
+the row index, and the ``kind`` field holds ``ArcKind.code``. The costs copy
+``Instance.travel``, where callers read the depot legs.
 """
 
 from __future__ import annotations
@@ -73,14 +74,6 @@ class Multigraph:
     n: int  # points of care; node set is 0..n
     arcs: np.ndarray
     windows: TimeWindows
-
-    def cost_from_depot(self, j: int) -> float:
-        """Cost of the depot leg 0 -> j (arc ids 0..n-1 by construction)."""
-        return float(self.arcs["cost"][j - 1])
-
-    def cost_to_depot(self, j: int) -> float:
-        """Cost of the depot leg j -> 0 (arc ids n..2n-1 by construction)."""
-        return float(self.arcs["cost"][self.n + j - 1])
 
     def incident_arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """The ids of the arcs leaving and of those entering each point of

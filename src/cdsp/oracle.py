@@ -131,11 +131,11 @@ def _best_tours(
             total: float | None = done
             if ret - min_cum_wait > cap:
                 try:
-                    timing = schedule_tour(tour, inst, windows)
+                    timed = schedule_tour(tour, inst, windows)[0]
                 except InfeasibleTourError:
                     total = None
                 else:
-                    total = sum(d * len(t) for t, d in zip(tour, timing.deliveries))
+                    total = sum(d * len(t) for t, d in zip(tour, timed.deliveries))
             found = best.get(mask)
             if total is not None and (
                 found is None or total < found[0] or (total == found[0] and tour < found[1])

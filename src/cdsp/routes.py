@@ -1,16 +1,17 @@
 """Multi-trip tours: timing, feasibility validation and objective evaluation.
 
-A tour is a sequence of depot-to-depot trips driven by one vehicle. Visit
-times must respect the (tightened) windows; a vehicle arriving early waits
-at the point of care. The shift of a vehicle runs from its first depot
-departure to its final return and is capped. The objective is the sum of
-request completion times, where a request completes when the trip carrying
-it returns to the depot.
+A tour is one vehicle's depot-to-depot trips, timed as a `Tour` and numbered
+by its position, from 1. Visit times must respect the (tightened) windows; a
+vehicle arriving early waits at the point of care. A vehicle's shift runs
+from its first depot departure to its final return and is capped. The
+objective is the sum of request completion times, a request completing when
+the trip carrying it returns to the depot.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,40 +42,32 @@ class Tour:
     """One vehicle's schedule: its trips, its depot departure and the return
     time of each trip."""
 
-    vehicle: int
     trips: Trips
     departure: float
     deliveries: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "trips", tuple(map(tuple, self.trips)))
+        object.__setattr__(self, "trips", _trips(self.trips))
         object.__setattr__(self, "deliveries", tuple(self.deliveries))
-        if not self.trips:
-            raise ValueError("tour must contain at least one trip")
-        for trip in self.trips:
-            if not trip:
-                raise ValueError("trip must visit at least one point of care")
-            if len(set(trip)) != len(trip):
-                raise ValueError(f"repeated node within trip {trip}")
         if len(self.deliveries) != len(self.trips):
             raise ValueError(f"{len(self.deliveries)} deliveries for {len(self.trips)} trips")
 
     @property
-    def visited(self) -> tuple[int, ...]:
-        return tuple(node for trip in self.trips for node in trip)
-
-
-@dataclass(frozen=True)
-class TourTiming:
-    """Schedule of a single tour: departure, visit times, trip return times."""
-
-    departure: float
-    visit: dict[int, float]
-    deliveries: tuple[float, ...]
-
-    @property
     def shift(self) -> float:
         return self.deliveries[-1] - self.departure
+
+
+def _trips(trips) -> Trips:
+    """The trips as node tuples, each nonempty and without a repeat."""
+    trips = tuple(map(tuple, trips))
+    if not trips:
+        raise ValueError("tour must contain at least one trip")
+    for trip in trips:
+        if not trip:
+            raise ValueError("trip must visit at least one point of care")
+        if len(set(trip)) != len(trip):
+            raise ValueError(f"repeated node within trip {trip}")
+    return trips
 
 
 @dataclass(frozen=True)
@@ -100,9 +93,9 @@ class ValidationReport:
         return not self.violations
 
 
-def schedule_tour(tour, inst: Instance, windows: TimeWindows) -> TourTiming:
-    """Optimal timing of a fixed tour, given as a sequence of trips (node
-    sequences): minimize the sum of trip return times.
+def schedule_tour(trips, inst: Instance, windows: TimeWindows) -> tuple[Tour, dict[int, float]]:
+    """The timed `Tour` and its visit times for fixed trips (node sequences),
+    minimizing the sum of trip return times.
 
     A forward pass from departure 0 computes earliest visit times (wait when
     early). If the resulting shift fits the cap, the departure is delayed by
@@ -121,10 +114,11 @@ def schedule_tour(tour, inst: Instance, windows: TimeWindows) -> TourTiming:
       has it, whatever the weights; if it misses a deadline, or L > cap, no
       timing exists.
 
-    Raises InfeasibleTourError when no timing exists, naming the node whose
-    deadline is missed, or None when travel alone busts the cap.
+    Trips a `Tour` rejects, or a node on two trips, raise ValueError before
+    any timing. Raises InfeasibleTourError when no timing exists, naming the
+    node whose deadline is missed, or None when travel alone busts the cap.
     """
-    trips = _trip_lists(tour)
+    trips = _trips(trips)
     flat = [node for trip in trips for node in trip]
     if len(set(flat)) != len(flat):
         raise ValueError(f"node repeated across trips: {trips}")
@@ -134,21 +128,12 @@ def schedule_tour(tour, inst: Instance, windows: TimeWindows) -> TourTiming:
     # delivery in place, so it is free; take it whenever it already meets
     # the cap, otherwise leave at the smallest departure that meets it.
     if deliveries[-1] - min_cum_wait <= inst.shift_cap + TIME_TOL:
-        return TourTiming(departure=min_cum_wait, visit=visit, deliveries=tuple(deliveries))
+        return Tour(trips, min_cum_wait, deliveries), visit
     departure = deliveries[-1] - inst.shift_cap
     visit, deliveries, _ = _forward_pass(trips, inst, windows, departure)
     if deliveries[-1] - departure > inst.shift_cap + TIME_TOL:
         raise InfeasibleTourError(None, "no timing satisfies the shift cap")
-    return TourTiming(departure=departure, visit=visit, deliveries=tuple(deliveries))
-
-
-def _trip_lists(tour) -> list[list[int]]:
-    out = [list(trip) for trip in tour]
-    if not out:
-        raise ValueError("empty tour")
-    if not all(out):
-        raise ValueError("empty trip")
-    return out
+    return Tour(trips, departure, deliveries), visit
 
 
 def _forward_pass(trips, inst, windows, departure):
@@ -192,10 +177,10 @@ def assemble_solution(vehicle_trips, inst: Instance, windows: TimeWindows) -> Ev
     """
     tours: list[Tour] = []
     visit: dict[int, float] = {}
-    for k, trips in enumerate(vehicle_trips, start=1):
-        timing = schedule_tour(trips, inst, windows)
-        tours.append(Tour(k, trips, timing.departure, timing.deliveries))
-        visit.update(timing.visit)
+    for trips in vehicle_trips:
+        tour, tour_visit = schedule_tour(trips, inst, windows)
+        tours.append(tour)
+        visit.update(tour_visit)
     return evaluated_solution(tours, visit, windows)
 
 
@@ -237,10 +222,7 @@ def validate_solution(
     release, deadline = windows.release, windows.deadline
     bad: list[str] = []
 
-    seen: dict[int, int] = {}
-    for tour in sol.tours:
-        for node in tour.visited:
-            seen[node] = seen.get(node, 0) + 1
+    seen = Counter(node for tour in sol.tours for trip in tour.trips for node in trip)
     for node, count in sorted(seen.items()):
         if node < 1 or node > inst.n:
             bad.append(f"unknown node {node} visited")
@@ -254,9 +236,9 @@ def validate_solution(
         bad.append(f"{len(sol.tours)} tours exceed fleet size {inst.fleet_size}")
 
     visit = sol.visit
-    for tour in sol.tours:
+    for vehicle, tour in enumerate(sol.tours, start=1):
         if tour.departure < -TIME_TOL:
-            bad.append(f"vehicle {tour.vehicle}: negative departure {tour.departure:.6g}")
+            bad.append(f"vehicle {vehicle}: negative departure {tour.departure:.6g}")
         clock = tour.departure
         at = 0
         broken = False
@@ -274,7 +256,7 @@ def validate_solution(
                     )
                 if z < clock + travel[at, node] - TIME_TOL:
                     bad.append(
-                        f"vehicle {tour.vehicle}: visit of {node} at {z:.6g} "
+                        f"vehicle {vehicle}: visit of {node} at {z:.6g} "
                         f"before reachable time {clock + travel[at, node]:.6g}"
                     )
                 clock, at = z, node
@@ -283,20 +265,19 @@ def validate_solution(
             expected = clock + travel[at, 0]
             if abs(ret - expected) > TIME_TOL:
                 bad.append(
-                    f"vehicle {tour.vehicle}: trip return {ret:.6g} != "
+                    f"vehicle {vehicle}: trip return {ret:.6g} != "
                     f"last visit + depot leg {expected:.6g}"
                 )
             clock, at = ret, 0
         if broken:
             continue
-        shift = tour.deliveries[-1] - tour.departure
-        if shift > inst.shift_cap + TIME_TOL:
+        if tour.shift > inst.shift_cap + TIME_TOL:
             bad.append(
-                f"vehicle {tour.vehicle}: shift {shift:.6g} exceeds cap {inst.shift_cap:.6g}"
+                f"vehicle {vehicle}: shift {tour.shift:.6g} exceeds cap {inst.shift_cap:.6g}"
             )
         if tour.deliveries[-1] > inst.depot_deadline + TIME_TOL:
             bad.append(
-                f"vehicle {tour.vehicle}: final return {tour.deliveries[-1]:.6g} "
+                f"vehicle {vehicle}: final return {tour.deliveries[-1]:.6g} "
                 f"after depot deadline {inst.depot_deadline:.6g}"
             )
 
@@ -318,11 +299,11 @@ def solution_to_json(sol: EvaluatedSolution, fingerprint: dict) -> dict:
     return {
         "tours": [
             {
-                "vehicle": tour.vehicle,
+                "vehicle": vehicle,
                 "departure": tour.departure,
                 "trips": [list(trip) for trip in tour.trips],
             }
-            for tour in sol.tours
+            for vehicle, tour in enumerate(sol.tours, start=1)
         ],
         "timing": {
             "visit": {str(node): t for node, t in sorted(sol.visit.items())},

@@ -252,11 +252,11 @@ def test_binary_vectors_decode_or_name_a_structural_fault(case):
         sol = extract_solution(model, vec)
     except ModelDecodeError as err:
         assert STRUCTURE_MESSAGES.fullmatch(str(err)), str(err)
-        assert tours is None or len(tours) > model.fleet_size
+        assert tours is None or len(tours) > model.inst.fleet_size
         return
     visited = [node for tour in sol.tours for trip in tour.trips for node in trip]
     assert sorted(visited) == list(range(1, model.n + 1))
-    assert len(sol.tours) <= model.fleet_size
+    assert len(sol.tours) <= model.inst.fleet_size
     if tours is not None:
         want = sorted(tuple(tuple(trip) for trip in tour) for tour in tours)
         assert sorted(trips_by_vehicle(sol)) == want

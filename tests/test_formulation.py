@@ -322,7 +322,7 @@ class TestModelAdmitsOracleSolutions:
             else:
                 assert lhs >= row.rhs - tol, row.name
         # the rows the bundled solve adds must admit every routing too
-        slack = time_bound_rows(model) @ vec
+        slack = time_bound_rows(model)[0] @ vec
         assert slack.shape == (3 * inst.n,)
         assert np.all(slack >= -tol), np.flatnonzero(slack < -tol)
         objective = sum(vec[col] * coef for col, coef in views.objective(model).items())

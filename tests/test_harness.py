@@ -72,7 +72,7 @@ class OffByOneAdapter:
 
     def solve(self, model, limits):
         outcome = ScipyMilpAdapter().solve(model, limits)
-        if model.label != "bad":
+        if model.inst.label != "bad":
             return outcome
         return dataclasses.replace(outcome, objective=outcome.objective + 1.0)
 
@@ -538,6 +538,67 @@ class TestCli:
         assert code == 1
         assert "wide5: error (fractional arc value x_0 = " in out
         assert "tiny2: error" not in out
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (None, "No such file or directory"),
+            ('{"path": "tiny2.txt"}', "JSON manifest must be a list of objects"),
+            ('[{"path": "tiny2.txt"}, {"size": 25}]', "entry 1: entry {'size': 25} has no path"),
+            ("[", "Expecting value: line 1 column 2 (char 1)"),
+        ],
+        ids=["missing", "not-a-list", "no-path", "bad-json"],
+    )
+    def test_bad_manifest_is_one_stderr_line(self, tmp_path, content, reason):
+        from cdsp.cli import main
+
+        manifest = tmp_path / "m.json"
+        if content is not None:
+            manifest.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", str(manifest), "--fleet", "file"])
+        assert exc.value.code == f"cdsp: {manifest}: {reason}"
+
+    @pytest.mark.parametrize(
+        "flag, value, expected",
+        [
+            ("--fleet", "abc", "an integer, 'file' or 'auto'"),
+            ("--fleet", "1.5", "an integer, 'file' or 'auto'"),
+            ("--rounding", "x", "'none' or an integer >= 0"),
+            ("--rounding", "-1", "'none' or an integer >= 0"),
+            ("--shift-cap", "nope", "a number or 'depot-deadline'"),
+            ("--time-limit", "0", "a number of seconds > 0"),
+            ("--time-limit", "nan", "a number of seconds > 0"),
+            ("--threads", "0", "an integer >= 1"),
+            ("--workers", "0", "an integer >= 1"),
+        ],
+    )
+    def test_bad_flag_value_is_a_usage_error(self, tiny2_file, capsys, flag, value, expected):
+        from cdsp.cli import main
+
+        command = "suite" if flag == "--workers" else "solve"
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(tiny2_file), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: expected {expected}, got {value!r}" in err
+        assert "Traceback" not in err
+
+    def test_flag_words_and_numbers_reach_the_config(self):
+        from cdsp.cli import _instance_config, _limits, build_parser
+
+        parse = build_parser().parse_args
+        args = parse(["solve", "x"])
+        assert _instance_config(args) == InstanceConfig()
+        assert _limits(args) == SolveLimits()
+        args = parse(
+            ["solve", "x", "--fleet", "3", "--shift-cap", "16.5", "--rounding", "2"]
+            + ["--time-limit", "7.5", "--threads", "2"]
+        )
+        assert _instance_config(args) == InstanceConfig(fleet_size=3, shift_cap=16.5, rounding=2)
+        assert _limits(args) == SolveLimits(time_limit_s=7.5, threads=2)
+        assert _instance_config(parse(["solve", "x", "--fleet", "file"])).fleet_size == "file"
+        assert parse(["suite", "m.csv", "--workers", "2"]).workers == 2
 
     def test_emit_subcommand(self, tmp_path, tiny2_file, capsys):
         from cdsp.cli import main

@@ -76,8 +76,8 @@ class TestTimingRelaxationIsExact:
                 continue  # no room to force the capped timing
             cap = float(rng.uniform(shift_min + 1e-4, shift0 - min_wait - 1e-4))
             capped = dataclasses.replace(inst, shift_cap=cap)
-            timing = schedule_tour(trips, capped, windows)
-            assert timing.shift <= cap + 1e-6
+            tour = schedule_tour(trips, capped, windows)[0]
+            assert tour.shift <= cap + 1e-6
             # minimal feasible departure by bisection over the cap constraint
             lo, hi = 0.0, t0_max
             for _ in range(80):
@@ -89,7 +89,7 @@ class TestTimingRelaxationIsExact:
                     lo = mid
             _, canonical, _ = _forward_pass(trips, inst, windows, departure=hi)
             weights = [len(t) for t in trips]
-            lp_value = sum(w * d for w, d in zip(weights, timing.deliveries))
+            lp_value = sum(w * d for w, d in zip(weights, tour.deliveries))
             canonical_value = sum(w * d for w, d in zip(weights, canonical))
             assert lp_value == pytest.approx(canonical_value, abs=1e-5)
             exercised += 1

@@ -14,7 +14,10 @@ The solver-view digests pin the arrays the bundled solve hands HiGHS,
 shift cap at the depot deadline (the shift rows are left out) and at three
 quarters of it (the cap binds and they stay). They were recorded from the
 view built by scipy's COO to CSR conversion and `sp.vstack`, with scipy 1.17
-and numpy 2.4 on x86-64 Linux.
+and numpy 2.4 on x86-64 Linux. The view's family table (each family's name,
+row range and keys, the time-bound families included) is pinned alongside,
+recorded from the view that declared the time-bound families' names and
+ranges itself rather than taking them from `time_bound_rows`.
 
 The model digests pin `build_model`'s own arrays at n = 50 and 100, sizes
 the file digests leave out for time: the CSR `indptr`/`indices`/`data`, the
@@ -102,6 +105,26 @@ SOLVER_VIEW_DIGESTS = {
     (30, True, 1.0): "bd3d1bce332fb82e05bdf49056f408c8724eb833435aabdd8a0662c8f38a5c1c",
 }
 
+# (n, explicit_bounds, shift cap over depot deadline) -> solver-view family table sha256
+SOLVER_VIEW_FAMILY_DIGESTS = {
+    (3, False, 0.75): "7681624b68efa5a9086dc32b9c3e45419d7b3c0c989d5f96ac348d5d5bc5781b",
+    (3, False, 1.0): "ca1505bed3e57c13567344c168f2f9a00bea45c012a47b1179e0e4ff7872d5e3",
+    (3, True, 0.75): "c8b51abdcc76220891519f2f402558b9ca2e665bb2e02b61dc27f7857d371ed2",
+    (3, True, 1.0): "1c0a418d6ab2db4225d4a3ca72812cbdbaeabad894ca5939b4c20a895191bde7",
+    (8, False, 0.75): "185c903fbd7905497021339ecc4f1163b4db4a9a31398ce4d8ef42431a5e6cce",
+    (8, False, 1.0): "b80c0f36a6d5317730569d465a6a023c66da044af5fbf3bd9c4601d31040e721",
+    (8, True, 0.75): "728571f7a9a79331bcaf4e7ef2f37cece958b40bc86748a721fb5aab760e7d0f",
+    (8, True, 1.0): "4dfa35f7123a575af25193f8e341f99239f264a99886548f914e656717332cb1",
+    (20, False, 0.75): "9349d03f6c7fe75cc8cc7d50577de84f84cb3575ebc7714ebf084e80cbf9f019",
+    (20, False, 1.0): "8a91df2390e0582b43e6c6eb8c6dc2343dfbacfdc4c41832386c8d0868aa5b22",
+    (20, True, 0.75): "de9ead13096dcd0ed389d2982a4e1c7d3652c2edfda9c38040a7bba369a4e1b8",
+    (20, True, 1.0): "3c4fe84507b222e1a4007b779a535ec14420285315a891c322408fbf84eace6f",
+    (30, False, 0.75): "fd546fae167fcd0563a242ef83ead090764e9a964d2ed881459e49c0f92644d2",
+    (30, False, 1.0): "f0b809f9aaf4327c7477d77dda552a98c436fc9bc5d9148b2a4813c85a929598",
+    (30, True, 0.75): "da912417d6009c10f984e54d6fe31413542930fae894f00f8c60f6eb9ef1f20e",
+    (30, True, 1.0): "5169d63a3e363f413d8a8792e1c3b33f5b3e4221d0f3efe3a4751e4142466d83",
+}
+
 # (n, explicit_bounds) -> build_model arrays and family table sha256
 MODEL_DIGESTS = {
     (50, False): "db91524b412e8c992125e18f9408251e26aed5858c395cc7d928204070377cb7",
@@ -150,6 +173,13 @@ def _model_sha(model) -> str:
     for part in (matrix.indptr, matrix.indices, matrix.data, shape, model.row_lower, model.row_upper):
         digest.update(part.dtype.str.encode())
         digest.update(np.ascontiguousarray(part).tobytes())
+    return _families_sha(model, digest)
+
+
+def _families_sha(model, digest=None) -> str:
+    """SHA-256 of each family's name, row range and keys (with dtype and
+    shape), continuing ``digest`` if given."""
+    digest = digest or hashlib.sha256()
     for fam in model.families:
         rows, keys = fam.rows, fam.keys
         digest.update(
@@ -177,7 +207,9 @@ def test_recorded_digests(n, explicit):
 def test_solver_view_digests(n, explicit, cap):
     model = _model(n, explicit, cap)
     assert (slack_shift_start(model) is None) == (cap < 1.0)  # the shift rows bind
-    assert _arrays_sha(solver_view(model)[0]) == SOLVER_VIEW_DIGESTS[(n, explicit, cap)]
+    view = solver_view(model)[0]
+    assert _arrays_sha(view) == SOLVER_VIEW_DIGESTS[(n, explicit, cap)]
+    assert _families_sha(view) == SOLVER_VIEW_FAMILY_DIGESTS[(n, explicit, cap)]
 
 
 @pytest.mark.parametrize("n,explicit", sorted(DIGESTS))

@@ -151,10 +151,15 @@ class TestMultigraph:
         ]
         assert arcs_to_csv(g1) == arcs_to_csv(g2)
 
-    def test_depot_leg_helpers(self, tiny2):
+    def test_depot_arcs_copy_travel(self, tiny2):
+        # the depot legs have one owner, the instance's travel times: arc ids
+        # 0..n-1 leave the depot and n..2n-1 enter it, with those costs
         g = build_multigraph(tiny2)
-        assert g.cost_from_depot(2) == 4.0
-        assert g.cost_to_depot(1) == 3.0
+        n, cost = g.n, g.arcs["cost"]
+        assert cost[2 - 1] == tiny2.travel[0, 2] == 4.0
+        assert cost[n + 1 - 1] == tiny2.travel[1, 0] == 3.0
+        np.testing.assert_array_equal(cost[:n], tiny2.travel[0, 1:])
+        np.testing.assert_array_equal(cost[n : 2 * n], tiny2.travel[1:, 0])
 
     def test_csv_dump_shape(self, tiny2):
         lines = arcs_to_csv(build_multigraph(tiny2)).strip().splitlines()

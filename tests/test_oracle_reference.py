@@ -29,10 +29,10 @@ def _best_tour(block, inst, windows):
         for bits in range(1 << (len(perm) - 1)):
             trips = tuple(tuple(trip) for trip in split_bits(list(perm), bits))
             try:
-                timing = schedule_tour(trips, inst, windows)
+                tour = schedule_tour(trips, inst, windows)[0]
             except InfeasibleTourError:
                 continue
-            total = sum(delivered * len(trip) for trip, delivered in zip(trips, timing.deliveries))
+            total = sum(delivered * len(trip) for trip, delivered in zip(trips, tour.deliveries))
             if best is None or total < best[0] or (total == best[0] and trips < best[1]):
                 best = (total, trips)
     return best

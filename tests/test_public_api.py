@@ -35,17 +35,29 @@ REMOVED_FORMULATION = (
 REMOVED_MODEL_ATTRIBUTES = (
     "count_binary",
     "count_continuous",
+    "fleet_size",
+    "label",
     "metadata",
     "objective",
     "row_names",
     "rows_by_family",
+    "shift_cap",
     "variables",
 )
-REMOVED_GRAPH_ATTRIBUTES = ("arcs_of_kind", "in_arcs", "movement_arcs", "out_arcs")
+# the depot legs are read from the instance's travel times, and the model
+# reads the label, fleet size and shift cap from the instance it keeps
+REMOVED_GRAPH_ATTRIBUTES = (
+    "arcs_of_kind",
+    "cost_from_depot",
+    "cost_to_depot",
+    "in_arcs",
+    "movement_arcs",
+    "out_arcs",
+)
 REMOVED_ORACLE_RESULT_ATTRIBUTES = ("feasible",)
-# a tour holds its trips as node tuples and its own trip returns, and a
-# solution's completions are derived from its tours
-REMOVED_ROUTES = ("Timing", "Trip")
+# a tour holds its trips as node tuples and its own trip returns, a timed
+# tour is a Tour, and a solution's completions are derived from its tours
+REMOVED_ROUTES = ("Timing", "TourTiming", "Trip")
 
 
 @pytest.mark.parametrize("module", [cdsp, cdsp.formulation], ids=lambda m: m.__name__)
@@ -72,12 +84,8 @@ def test_removed_route_types_are_gone(name):
 def test_solution_stores_each_fact_once():
     fields = [f.name for f in dataclasses.fields(cdsp.EvaluatedSolution)]
     assert fields == ["tours", "visit", "total_completion", "net_completion"]
-    assert [f.name for f in dataclasses.fields(cdsp.Tour)] == [
-        "vehicle",
-        "trips",
-        "departure",
-        "deliveries",
-    ]
+    # a tour's vehicle number is its position in the solution
+    assert [f.name for f in dataclasses.fields(cdsp.Tour)] == ["trips", "departure", "deliveries"]
 
 
 def test_removed_model_and_graph_views():

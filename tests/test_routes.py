@@ -15,6 +15,7 @@ from cdsp import (
     solution_to_json,
     validate_solution,
 )
+from cdsp import routes
 from cdsp.routes import TIME_TOL, _forward_pass
 
 from conftest import make_tiny2
@@ -25,16 +26,17 @@ from timing_lp import schedule_lp
 class TestScheduleTour:
     def test_tiny2_two_trips(self, tiny2):
         w = preprocess_time_windows(tiny2)
-        t = schedule_tour([[1], [2]], tiny2, w)
-        assert t.visit == {1: 3.0, 2: 10.0}
+        t, visit = schedule_tour([[1], [2]], tiny2, w)
+        assert t.trips == ((1,), (2,))
+        assert visit == {1: 3.0, 2: 10.0}
         assert t.deliveries == (6.0, 14.0)
         assert t.shift == 14.0
         assert t.departure == 0.0
 
     def test_single_trip_no_waiting(self, tiny2):
         w = preprocess_time_windows(tiny2)
-        t = schedule_tour([[1]], tiny2, w)
-        assert t.visit == {1: 3.0}
+        t, visit = schedule_tour([[1]], tiny2, w)
+        assert visit == {1: 3.0}
         assert t.deliveries == (6.0,)
         assert t.departure == 0.0
         assert t.shift == 6.0
@@ -51,8 +53,8 @@ class TestScheduleTour:
             ),
         )
         w = preprocess_time_windows(inst)
-        t = schedule_tour([[1], [2]], inst, w)
-        assert t.visit == {1: 5.0, 2: 12.0}
+        t, visit = schedule_tour([[1], [2]], inst, w)
+        assert visit == {1: 5.0, 2: 12.0}
         assert t.deliveries == (8.0, 16.0)
         assert t.departure == 2.0
         assert t.shift == 14.0
@@ -78,16 +80,38 @@ class TestScheduleTour:
     def test_shift_cap_solved_by_timing_relaxation(self):
         inst = _cap_instance(first_deadline=150.0)
         w = preprocess_time_windows(inst)
-        t = schedule_tour([[1], [2]], inst, w)
+        t = schedule_tour([[1], [2]], inst, w)[0]
         assert t.shift <= inst.shift_cap + 1e-6
         assert t.deliveries[0] + t.deliveries[1] == pytest.approx(164.0)
 
-    def test_repeated_node_rejected(self, tiny2):
+    def test_repeated_node_rejected(self, tiny2, monkeypatch):
         w = preprocess_time_windows(tiny2)
+        # a Tour may hold a node on two trips, which validate_solution
+        # reports; schedule_tour refuses one before any timing
+        assert Tour([[1], [1]], 0.0, [6.0, 12.0]).trips == ((1,), (1,))
+        monkeypatch.setattr(routes, "_forward_pass", None)
         with pytest.raises(ValueError, match="repeated"):
             schedule_tour([[1, 1]], tiny2, w)
         with pytest.raises(ValueError, match="repeated across"):
             schedule_tour([[1], [1]], tiny2, w)
+
+    @pytest.mark.parametrize(
+        "trips, message",
+        [
+            ([], "tour must contain at least one trip"),
+            ([[1], []], "trip must visit at least one point of care"),
+            ([[1, 2, 1]], r"repeated node within trip \(1, 2, 1\)"),
+        ],
+        ids=["empty-tour", "empty-trip", "repeat-within-trip"],
+    )
+    def test_rejects_what_a_tour_rejects(self, tiny2, trips, message, monkeypatch):
+        # the same ValueError as Tour's, raised before any timing
+        monkeypatch.setattr(routes, "_forward_pass", None)
+        with pytest.raises(ValueError, match=message) as from_tour:
+            Tour(trips, 0.0, [0.0] * len(trips))
+        with pytest.raises(ValueError, match=message) as from_schedule:
+            schedule_tour(trips, tiny2, preprocess_time_windows(tiny2))
+        assert str(from_schedule.value) == str(from_tour.value)
 
     def test_delay_changes_no_delivery(self):
         rng = np.random.default_rng(11)
@@ -99,11 +123,11 @@ class TestScheduleTour:
                 [int(x) for x in nodes], int(rng.integers(0, 1 << (inst.n - 1)))
             )
             try:
-                t = schedule_tour(trips, inst, w)
+                t, visit = schedule_tour(trips, inst, w)
             except InfeasibleTourError:
                 continue
             visit2, deliveries2, _ = _forward_pass(trips, inst, w, departure=t.departure)
-            assert visit2 == pytest.approx(t.visit)
+            assert visit2 == pytest.approx(visit)
             assert tuple(deliveries2) == pytest.approx(t.deliveries)
 
     @settings(max_examples=60, deadline=None)
@@ -118,7 +142,7 @@ class TestScheduleTour:
         nodes = [int(x) for x in rng.permutation(np.arange(1, n + 1))]
         trips = split_bits(nodes, int(rng.integers(0, 1 << (n - 1))))
         try:
-            t = schedule_tour(trips, inst, w)
+            t = schedule_tour(trips, inst, w)[0]
         except InfeasibleTourError:
             t = None
         scheduled = sum(t.deliveries) if t is not None else math.inf
@@ -164,11 +188,11 @@ class TestScheduleTour:
                 cap = float(rng.uniform(0.95 * travel, free - 1e-3))
                 capped = dataclasses.replace(inst, shift_cap=cap)
                 try:
-                    ref = schedule_lp(trips, capped, w)
+                    ref, ref_visit = schedule_lp(trips, capped, w)
                 except InfeasibleTourError:
                     ref = None
                 try:
-                    t = schedule_tour(trips, capped, w)
+                    t, visit = schedule_tour(trips, capped, w)
                 except InfeasibleTourError:
                     t = None
                 assert (t is None) == (ref is None), trips
@@ -176,6 +200,11 @@ class TestScheduleTour:
                     infeasible += 1
                     continue
                 feasible += 1
+                # the closed form leaves at the smallest departure that meets
+                # the cap, and from it every visit and delivery is earliest
+                assert t.trips == ref.trips and visit.keys() == ref_visit.keys()
+                assert t.departure <= ref.departure + 1e-6
+                assert all(visit[node] <= ref_visit[node] + 1e-6 for node in visit)
                 weights = [len(trip) for trip in trips]
                 total = sum(k * d for k, d in zip(weights, t.deliveries))
                 ref_total = sum(k * d for k, d in zip(weights, ref.deliveries))
@@ -261,16 +290,17 @@ class TestValidateAndEvaluate:
 
 def test_trip_invariants():
     # a tour holds its trips as node tuples and one return time per trip
-    tour = Tour(1, [[1, 2], [3]], 0.0, [8.0, 12.0])
+    tour = Tour([[1, 2], [3]], 2.0, [8.0, 12.0])
     assert tour.trips == ((1, 2), (3,)) and tour.deliveries == (8.0, 12.0)
+    assert tour.shift == 10.0
     with pytest.raises(ValueError, match="at least one trip"):
-        Tour(1, (), 0.0, ())
+        Tour((), 0.0, ())
     with pytest.raises(ValueError, match="at least one point of care"):
-        Tour(1, ((1,), ()), 0.0, (4.0, 4.0))
+        Tour(((1,), ()), 0.0, (4.0, 4.0))
     with pytest.raises(ValueError, match="repeated node within trip"):
-        Tour(1, ((1, 2, 1),), 0.0, (9.0,))
+        Tour(((1, 2, 1),), 0.0, (9.0,))
     with pytest.raises(ValueError, match="1 deliveries for 2 trips"):
-        Tour(1, ((1,), (2,)), 0.0, (6.0,))
+        Tour(((1,), (2,)), 0.0, (6.0,))
 
 
 def test_solution_json_roundtrips(tiny2):

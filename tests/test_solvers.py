@@ -249,7 +249,7 @@ class TestTimeBoundRows:
             if oracle.solution is None:
                 continue
             vec = solution_column_values(oracle.solution, model, g)
-            slack = time_bound_rows(model) @ vec
+            slack = time_bound_rows(model)[0] @ vec
             assert np.all(slack >= -1e-9), np.flatnonzero(slack < -1e-9)
             dominated = dominated_carries(model)
             assert not vec[dominated].any(), dominated[vec[dominated] != 0]
@@ -280,7 +280,7 @@ class TestTimeBoundRows:
         # = 12 (13 with r'_2 = 9 below; 8 before the lifting)
         want[4, [C[0], 2, 4, 6]] = [1, -6, -12, -6]
         want[5, [C[1], 3, 5, 7]] = [1, -8, -12, -8]
-        np.testing.assert_array_equal(time_bound_rows(model).toarray(), want)
+        np.testing.assert_array_equal(time_bound_rows(model)[0].toarray(), want)
         assert len(dominated_carries(model)) == 0
 
         # a release of 9 at request 2 raises every term of an arc out of 2,
@@ -296,7 +296,7 @@ class TestTimeBoundRows:
         want[1, [1, 4, 6]] = [-9, -9, -10]
         want[4, 4] = -13
         want[5, [3, 5, 7]] = [-13, -17, -13]
-        np.testing.assert_array_equal(time_bound_rows(model9).toarray(), want)
+        np.testing.assert_array_equal(time_bound_rows(model9)[0].toarray(), want)
         assert dominated_carries(model9).tolist() == [lay.y(1, 2)]
 
         # the fixing goes to a copy: the model's bounds stay as built
@@ -408,7 +408,7 @@ class TestSolverView:
                 for fam in model.families:
                     if fam.name in SHIFT_FAMILIES:
                         keep[list(fam.rows)] = False
-            bound_rows = time_bound_rows(model)
+            bound_rows = time_bound_rows(model)[0]
             expected = sp.vstack([model.matrix[keep], bound_rows], format="csr")
             assert view.matrix.shape == expected.shape
             assert (view.matrix != expected).nnz == 0

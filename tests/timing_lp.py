@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from cdsp.routes import InfeasibleTourError, TourTiming
+from cdsp.routes import InfeasibleTourError, Tour
 
 
-def schedule_lp(trips, inst, windows) -> TourTiming:
-    """Exact timing relaxation when the earliest schedule busts the shift cap.
+def schedule_lp(trips, inst, windows) -> tuple[Tour, dict[int, float]]:
+    """Exact timing relaxation when the earliest schedule busts the shift cap,
+    in `schedule_tour`'s shape: the timed tour and its visit times.
 
     min sum of trip returns s.t. leg precedences, windows, shift cap;
     variables are the departure and one visit time per node.
@@ -61,4 +62,4 @@ def schedule_lp(trips, inst, windows) -> TourTiming:
     x = res.x
     visit = {node: float(x[col[node]]) for node in order}
     deliveries = tuple(float(x[col[trip[-1]]] + travel[trip[-1], 0]) for trip in trips)
-    return TourTiming(departure=float(x[0]), visit=visit, deliveries=deliveries)
+    return Tour(trips, float(x[0]), deliveries), visit

@@ -355,8 +355,8 @@ def reference_rows(graph: Multigraph, inst: Instance, explicit_bounds: bool = Fa
 
 
 def trips_by_vehicle(sol: EvaluatedSolution) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Each tour's trips, tours in vehicle order."""
-    return tuple(tour.trips for tour in sorted(sol.tours, key=lambda tour: tour.vehicle))
+    """Each tour's trips, in vehicle order: the tours' own order."""
+    return tuple(tour.trips for tour in sol.tours)
 
 
 def solution_column_values(
