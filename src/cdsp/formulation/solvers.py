@@ -46,6 +46,20 @@ FEASIBILITY_TOL = 1e-9
 #: HiGHS that has no such option ignores it.
 FEASIBILITY_JUMP = False
 
+#: Whether `ScipyMilpAdapter` lets HiGHS run its root reduced-cost
+#: heuristic, which fixes columns by their root reduced costs and solves
+#: what is left as a sub-MIP, with its own restarts and nested sub-MIPs:
+#: most of the root work on small presolved models. Off, the benchmark's
+#: 28 `solve-small` and `oracle-tiny` instances keep their optima and
+#: node totals, the median `perfbench` throughput rises 9% and 13%
+#: (2-core x86-64 host), and nine n = 15-25 instances take 23.5 s of
+#: HiGHS time instead of 27.6 s at the same optima. On
+#: `random_instance(default_rng(3), 50, 10)` from the tests' generator,
+#: HiGHS 1.12 crashes with it on (SIGSEGV after the root sub-MIP) and
+#: solves to optimality in 21 s with it off. A HiGHS that has no such
+#: option ignores it.
+ROOT_REDUCED_COST = False
+
 #: How far past a deadline a carry's earliest arrival must fall before
 #: `dominated_carries` fixes it: well above the triangle tolerance summed
 #: over a trip and FEASIBILITY_TOL, and far below any time in an instance.
@@ -308,6 +322,8 @@ class ScipyMilpAdapter:
     tolerance, which would blur objective comparisons at the 1e-6 level.
     HiGHS's feasibility-jump heuristic is off (FEASIBILITY_JUMP): a fixed
     cost per solve that saved no branch-and-bound node on the benchmark.
+    So is its root reduced-cost heuristic (ROOT_REDUCED_COST), most of the
+    root work on small models.
     A HiGHS solve error is retried once without presolve, within the time
     left; the outcome's message says so.
     """
@@ -334,6 +350,7 @@ class ScipyMilpAdapter:
             "mip_feasibility_tolerance": FEASIBILITY_TOL,
             "primal_feasibility_tolerance": FEASIBILITY_TOL,
             "mip_heuristic_run_feasibility_jump": FEASIBILITY_JUMP,
+            "mip_heuristic_run_root_reduced_cost": ROOT_REDUCED_COST,
         }
         note = ""
         with warnings.catch_warnings(), _stdout_to_stderr():

@@ -195,7 +195,7 @@ def run_instance(
 
     try:
         text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, or a NUL in the path
         return failed(SolveStatus.ERROR.value, str(exc))
     try:
         raw = parse_solomon(text)

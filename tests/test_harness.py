@@ -275,6 +275,13 @@ class TestRunSuite:
         assert "utf-8" in report.records[1].message
         assert report.has_errors
 
+    def test_path_with_a_nul_byte_is_one_error_record(self, tmp_path, tiny2_file):
+        entries = [ManifestEntry(path=tiny2_file), ManifestEntry(path=tmp_path / "ti\0ny.txt")]
+        report = run_suite(entries, InstanceConfig(fleet_size="file"), LIMITS)
+        assert [r.status for r in report.records] == ["optimal", "error"]
+        assert report.records[1].message == "embedded null byte"
+        assert report.has_errors
+
     def test_counts_sum_to_instances(self, tmp_path, tiny2_file):
         entries = [
             ManifestEntry(path=tiny2_file),

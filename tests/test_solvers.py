@@ -120,6 +120,7 @@ class TestScipyAdapter:
         assert calls[1]["presolve"] is False
         assert 0 < calls[1]["time_limit"] <= 60
         assert all(call["mip_heuristic_run_feasibility_jump"] is False for call in calls)
+        assert all(call["mip_heuristic_run_root_reduced_cost"] is False for call in calls)
         assert all(call["mip_rel_gap"] == 0.0 for call in calls)
         assert "re-solved without presolve after: Solve error" in outcome.message
 
@@ -134,6 +135,7 @@ class TestScipyAdapter:
             warnings.warn("Invalid option name.", scipy.optimize.OptimizeWarning)
             options = dict(options)
             del options["mip_heuristic_run_feasibility_jump"]
+            del options["mip_heuristic_run_root_reduced_cost"]
             return real_milp(*args, options=options, **kwargs)
 
         monkeypatch.setattr(scipy.optimize, "milp", older_highs)
@@ -142,6 +144,36 @@ class TestScipyAdapter:
             outcome = solve(tiny2_model, SolveLimits(time_limit_s=60))
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.objective == pytest.approx(20.0, abs=1e-6)
+
+    def test_this_highs_knows_every_option_the_adapter_sets(self, tiny2_model, monkeypatch):
+        # the adapter silences HiGHS's word on an option it does not know,
+        # so a misspelt name would be a silent no-op: hand this scipy's
+        # HiGHS each option on a 1-column MIP and let nothing pass unseen
+        import scipy.optimize
+
+        real_milp = scipy.optimize.milp
+        calls = []
+
+        def spy(*args, options, **kwargs):
+            calls.append(options)
+            return real_milp(*args, options=options, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "milp", spy)
+        assert solve(tiny2_model, SolveLimits(time_limit_s=60)).status is SolveStatus.OPTIMAL
+        (options,) = calls
+        for name, value in options.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                res = real_milp(
+                    np.array([1.0]), integrality=np.array([1]), bounds=Bounds(0, 1),
+                    options={name: value},
+                )
+            assert res.status == 0, (name, res.message)
+            # scipy's own notice that it passes a non-scipy name on to
+            # HiGHS is the one warning allowed; HiGHS's "Unrecognized
+            # options", "Invalid option name" or "Invalid option value" fail
+            heard = [str(w.message) for w in caught]
+            assert [m for m in heard if "passed to HiGHS verbatim" not in m] == [], name
 
     def test_adapter_crash_becomes_error_outcome(self, tiny2_model):
         class Exploding:
@@ -241,6 +273,21 @@ class TestTimeBoundRows:
             sol = extract_solution(model, outcome.values)
             assert validate_solution(sol, inst, g.windows).ok
         assert SolveStatus.INFEASIBLE in statuses
+
+    def test_bundled_solve_matches_the_oracle_at_n_8_to_9(self):
+        # tight windows keep the oracle's search to milliseconds past its
+        # default limit; every draw is feasible by construction
+        rng = np.random.default_rng(89)
+        for _ in range(12):
+            inst = random_instance(rng, int(rng.integers(8, 10)), int(rng.integers(1, 4)))
+            g = build_multigraph(inst)
+            model = build_model(g, inst)
+            outcome = solve(model, SolveLimits(time_limit_s=60))
+            oracle = exact_solve_tiny(inst, limit=inst.n)
+            assert outcome.status is SolveStatus.OPTIMAL
+            assert outcome.objective == pytest.approx(oracle.best_total, rel=1e-6)
+            sol = extract_solution(model, outcome.values)
+            assert validate_solution(sol, inst, g.windows).ok
 
     def test_oracle_optima_satisfy_the_rows_and_use_no_fixed_carry(self):
         explicit = capped = fixed = 0
