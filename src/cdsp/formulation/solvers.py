@@ -47,17 +47,9 @@ FEASIBILITY_TOL = 1e-9
 FEASIBILITY_JUMP = False
 
 #: Whether `ScipyMilpAdapter` lets HiGHS run its root reduced-cost
-#: heuristic, which fixes columns by their root reduced costs and solves
-#: what is left as a sub-MIP, with its own restarts and nested sub-MIPs:
-#: most of the root work on small presolved models. Off, the benchmark's
-#: 28 `solve-small` and `oracle-tiny` instances keep their optima and
-#: node totals, the median `perfbench` throughput rises 9% and 13%
-#: (2-core x86-64 host), and nine n = 15-25 instances take 23.5 s of
-#: HiGHS time instead of 27.6 s at the same optima. On
-#: `random_instance(default_rng(3), 50, 10)` from the tests' generator,
-#: HiGHS 1.12 crashes with it on (SIGSEGV after the root sub-MIP) and
-#: solves to optimality in 21 s with it off. A HiGHS that has no such
-#: option ignores it.
+#: heuristic, a sub-MIP over the columns its root reduced costs leave free:
+#: most of the root work on small models, and HiGHS 1.12 crashes inside it
+#: on one seeded n = 50 draw. A HiGHS that has no such option ignores it.
 ROOT_REDUCED_COST = False
 
 #: How far past a deadline a carry's earliest arrival must fall before

@@ -263,8 +263,9 @@ def load_manifest(path) -> list[ManifestEntry]:
     """Read a CSV or JSON manifest: file path plus optional setting columns.
 
     Relative instance paths resolve against the manifest's directory. An
-    entry that is not an object, has no path or has a non-integer size, or a
-    JSON manifest that is not a list, raises ValueError (without the path).
+    entry that is not an object, has no path or has a non-integer size, a
+    CSV line the csv module cannot parse, or a JSON manifest that is not a
+    list, raises ValueError (without the path).
     """
     path = Path(path)
     base = path.parent
@@ -301,9 +302,12 @@ def load_manifest(path) -> list[ManifestEntry]:
     else:
         with open(path, newline="") as handle:
             reader = csv.DictReader(handle)
-            for row in reader:
-                if row.get("path"):
-                    entries.append(entry(row, f"line {reader.line_num}"))
+            try:
+                for row in reader:
+                    if row.get("path"):
+                        entries.append(entry(row, f"line {reader.line_num}"))
+            except csv.Error as exc:  # e.g. a NUL byte, before Python 3.11
+                raise ValueError(f"line {reader.reader.line_num}: {exc}") from None
     return entries
 
 

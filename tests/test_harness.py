@@ -245,6 +245,17 @@ class TestManifest:
         with pytest.raises(ValueError, match=r"line 3: size 'x' is not an integer"):
             load_manifest(manifest)
 
+    def test_csv_line_with_a_nul_byte(self, tmp_path):
+        # the csv module reads a NUL from Python 3.11 on; before, the line
+        # is a ValueError that names it, as any csv.Error is
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("path\ntiny2.txt\nti\0ny.txt\n")
+        if sys.version_info >= (3, 11):
+            assert [e.path.name for e in load_manifest(manifest)] == ["tiny2.txt", "ti\0ny.txt"]
+        else:
+            with pytest.raises(ValueError, match=r"^line 3: line contains NUL$"):
+                load_manifest(manifest)
+
 
 class TestRunSuite:
     def test_suite_aggregates_and_reports(self, tmp_path, tiny2_file):
@@ -565,6 +576,16 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["suite", str(manifest), "--fleet", "file"])
         assert exc.value.code == f"cdsp: {manifest}: {reason}"
+
+    def test_csv_the_csv_module_rejects_is_one_stderr_line(self, tmp_path):
+        from cdsp.cli import main
+
+        limit = csv.field_size_limit()
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path\n" + "x" * (limit + 1) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", str(manifest), "--fleet", "file"])
+        assert exc.value.code == f"cdsp: {manifest}: line 2: field larger than field limit ({limit})"
 
     @pytest.mark.parametrize(
         "flag, value, expected",

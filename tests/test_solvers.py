@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -245,6 +246,17 @@ def _varied_sweep():
     assert 0 < slack < 60, slack
 
 
+def _tight_draws():
+    """12 (instance, graph, model) cases at n = 8-9 with 1-3 vehicles, tight
+    `random_instance` draws taken as they come: feasible by construction,
+    and tight enough for the oracle to search them in milliseconds."""
+    rng = np.random.default_rng(89)
+    for _ in range(12):
+        inst = random_instance(rng, int(rng.integers(8, 10)), int(rng.integers(1, 4)))
+        g = build_multigraph(inst)
+        yield inst, g, build_model(g, inst)
+
+
 def _assert_meets_paper_model(model, values, tol=1e-6):
     """Every row and column bound of the model as built, within tol."""
     activity = model.matrix @ values
@@ -260,9 +272,9 @@ class TestTimeBoundRows:
 
     def test_bundled_solve_matches_the_oracle(self):
         statuses = []
-        for inst, g, model in _varied_sweep():
+        for inst, g, model in itertools.chain(_varied_sweep(), _tight_draws()):
             outcome = solve(model, SolveLimits(time_limit_s=60))
-            oracle = exact_solve_tiny(inst)
+            oracle = exact_solve_tiny(inst, limit=inst.n)
             statuses.append(outcome.status)
             if oracle.solution is None:
                 assert outcome.status is SolveStatus.INFEASIBLE
@@ -273,21 +285,6 @@ class TestTimeBoundRows:
             sol = extract_solution(model, outcome.values)
             assert validate_solution(sol, inst, g.windows).ok
         assert SolveStatus.INFEASIBLE in statuses
-
-    def test_bundled_solve_matches_the_oracle_at_n_8_to_9(self):
-        # tight windows keep the oracle's search to milliseconds past its
-        # default limit; every draw is feasible by construction
-        rng = np.random.default_rng(89)
-        for _ in range(12):
-            inst = random_instance(rng, int(rng.integers(8, 10)), int(rng.integers(1, 4)))
-            g = build_multigraph(inst)
-            model = build_model(g, inst)
-            outcome = solve(model, SolveLimits(time_limit_s=60))
-            oracle = exact_solve_tiny(inst, limit=inst.n)
-            assert outcome.status is SolveStatus.OPTIMAL
-            assert outcome.objective == pytest.approx(oracle.best_total, rel=1e-6)
-            sol = extract_solution(model, outcome.values)
-            assert validate_solution(sol, inst, g.windows).ok
 
     def test_oracle_optima_satisfy_the_rows_and_use_no_fixed_carry(self):
         explicit = capped = fixed = 0
