@@ -191,6 +191,11 @@ def _load_instance(args):
         raise _failure(path, exc) from None
 
 
+def _printable(text: str) -> str:
+    """text with each non-printable character escaped as in repr (NUL: \\x00)."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 def _failure(path, exc: Exception) -> SystemExit:
     """Exit status 1 with one ``cdsp: <path>: <reason>`` line on stderr."""
     reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
@@ -266,7 +271,7 @@ def main(argv=None) -> int:
         print(report_table(report), end="")
         for record in report.records:
             if record.status == SolveStatus.ERROR.value:
-                print(f"{record.label}: error ({record.message})")
+                print(f"{_printable(record.label)}: error ({_printable(record.message)})")
         for key, value in report.fingerprint.items():
             print(f"# {key}: {value}")
         if args.out:

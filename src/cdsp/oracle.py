@@ -1,23 +1,21 @@
 """Exhaustive exact solver for desk-scale instances.
 
 Ground truth for tests. One depth-first search from the depot builds every
-visit order and trip split of every request set: it extends the open trip by
-one stop, or returns to the depot and starts the next trip. It carries the
-earliest schedule, the departure-0 forward pass of `schedule_tour` with the
-same float operations in the same order. A prefix whose earliest visit
-misses a deadline is cut with all its extensions; this loses nothing,
-because appending stops leaves the prefix's earliest times as they are and
-no timing visits earlier than those. Every return to the depot closes a
-complete tour of the set visited so far. When delaying its departure by the
-minimum accumulated waiting meets the shift cap, its total is read off the
-pass; otherwise `schedule_tour` times it from the smallest departure that
-meets the cap. The best tour per set is then combined over every partition
-of the requests into at most K blocks. Exponential in n; refuses instances
-beyond a small size. An n = 7 instance takes milliseconds.
+visit order and trip split of every request set, one stop or one return to
+the depot at a time, on the earliest schedule: the departure-0 forward pass
+of `schedule_tour`, operation for operation. A prefix whose earliest visit
+misses a deadline is cut with all its extensions; this loses nothing, as no
+timing visits earlier and appending stops leaves its earliest times as they
+are. Each return to the depot closes a tour of the visited set, whose total
+is read off the pass when delaying its departure by the minimum accumulated
+waiting meets the shift cap, and timed by `schedule_tour` otherwise. A
+dynamic program over request sets combines the best tours into at most K
+blocks. Exponential in n: n = 10 takes up to seconds, and more is refused.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +30,7 @@ from .routes import (
     schedule_tour,
 )
 
-DEFAULT_LIMIT = 7
+DEFAULT_LIMIT = 10
 
 
 class OracleSizeError(ValueError):
@@ -67,24 +65,9 @@ def exact_solve_tiny(inst: Instance, limit: int = DEFAULT_LIMIT) -> OracleResult
     windows = preprocess_time_windows(inst)
 
     max_blocks = min(inst.fleet_size, n)
-    best_by_set = _best_tours(inst, windows, max_blocks)
-    best_total = math.inf
-    best_routes: tuple[Trips, ...] | None = None
     candidates = _candidate_count(n, max_blocks)
-    for masks in _set_partitions(list(inst.points_of_care), max_blocks):
-        total = 0.0
-        for mask in masks:
-            found = best_by_set.get(mask)
-            if found is None:
-                break
-            total += found[0]
-        else:
-            # the routes are sorted only for a partition that can win
-            if total <= best_total:
-                encoding = tuple(sorted(best_by_set[mask][1] for mask in masks))
-                if total < best_total or encoding < best_routes:
-                    best_total, best_routes = total, encoding
-
+    best_by_set = _best_tours(inst, windows, max_blocks)
+    best_total, best_routes = _combine(best_by_set, (1 << (n + 1)) - 2, max_blocks)
     if best_routes is None:
         return OracleResult(solution=None, best_total=math.inf, candidates=candidates)
     solution = assemble_solution(best_routes, inst, windows)
@@ -151,6 +134,41 @@ def _best_tours(
     return best
 
 
+def _combine(best_by_set: dict[int, tuple[float, Trips]], everyone: int, max_blocks: int):
+    """Least (total, sorted routes) over the partitions of everyone into at
+    most max_blocks blocks of best_by_set; routes None if there is none.
+
+    The block holding a set's highest request is added last, so a total is
+    summed from 0.0 in ascending order of its blocks' highest request, as the
+    partition loop summed it. Adding a block can round two rest totals to one
+    sum, so ties go to the least sorted routes among all optimal partitions.
+    """
+
+    def blocks(rest: int, k: int):  # (block, total, route) holding rest's highest request
+        block, top = rest, 1 << rest.bit_length() >> 1
+        while block & top:
+            if block in best_by_set:
+                yield block, *best_by_set[block]
+            block = block - 1 & rest if k > 1 else 0  # the last block is all of rest
+
+    @functools.cache
+    def least(rest: int, k: int) -> float:
+        totals = (least(rest ^ block, k - 1) + total for block, total, _ in blocks(rest, k))
+        return min(totals, default=math.inf) if rest else 0.0
+
+    def tied(rest, k, after):  # partitions of rest whose sum, followed by after's, is best
+        if not rest:
+            yield ()
+        for block, total, route in blocks(rest, k):
+            then = (total, *after)
+            if functools.reduce(float.__add__, then, least(rest ^ block, k - 1)) == best:
+                yield from ((*others, route) for others in tied(rest ^ block, k - 1, then))
+
+    best = least(everyone, max_blocks)
+    found = tied(everyone, max_blocks, ()) if best < math.inf else ()
+    return best, min((tuple(sorted(routes)) for routes in found), default=None)
+
+
 def _candidate_count(n: int, max_blocks: int) -> int:
     """The (partition into at most max_blocks blocks, visit order, trip
     split) candidates of n requests: sum_k L(n, k) * 2^(n - k), where the
@@ -160,18 +178,3 @@ def _candidate_count(n: int, max_blocks: int) -> int:
         math.comb(n - 1, k - 1) * math.factorial(n) // math.factorial(k) << (n - k)
         for k in range(1, min(max_blocks, n) + 1)
     )
-
-
-def _set_partitions(items: list[int], max_blocks: int):
-    """All partitions of items into at most max_blocks nonempty blocks, each
-    as the blocks' bit masks, in block order."""
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    bit = 1 << first
-    for masks in _set_partitions(rest, max_blocks):
-        for i, mask in enumerate(masks):
-            yield masks[:i] + (mask | bit,) + masks[i + 1 :]
-        if len(masks) < max_blocks:
-            yield (bit, *masks)

@@ -32,11 +32,13 @@ from cdsp.harness import (
     run_suite,
     write_report,
 )
+from cdsp.oracle import DEFAULT_LIMIT
 
 from conftest import DATA_DIR, TINY2_FILE
 from gen import random_instance
 
 LIMITS = SolveLimits(time_limit_s=60.0)
+GEN10 = Path(__file__).parent / "data" / "gen10.txt"
 GEN20 = Path(__file__).parent / "data" / "gen20.txt"
 CAPPED2 = Path(__file__).parent / "data" / "capped2.txt"
 WIDE5 = Path(__file__).parent / "data" / "wide5.txt"
@@ -557,6 +559,19 @@ class TestCli:
         assert "wide5: error (fractional arc value x_0 = " in out
         assert "tiny2: error" not in out
 
+    def test_suite_escapes_a_nul_byte_in_an_error_label(self, tmp_path, tiny2_file, capsys):
+        from cdsp.cli import main
+
+        manifest = tmp_path / "m.json"
+        entries = [{"path": str(tiny2_file)}, {"path": str(tmp_path / "ti\0ny.txt")}]
+        manifest.write_text(json.dumps(entries))
+        code = main(["suite", str(manifest), "--fleet", "file", "--time-limit", "60"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "\0" not in out
+        assert "\nti\\x00ny: error (embedded null byte)\n" in out
+        assert "Avg F' over 1 of 2 instances" in out
+
     @pytest.mark.parametrize(
         "content, reason",
         [
@@ -712,7 +727,8 @@ class TestCli:
 
         with pytest.raises(SystemExit) as exc:
             main(["oracle", str(GEN20), "--fleet", "file"])
-        assert exc.value.code == f"cdsp: {GEN20}: n=20 exceeds the exhaustive-search limit 7"
+        limit = f"the exhaustive-search limit {DEFAULT_LIMIT}"
+        assert exc.value.code == f"cdsp: {GEN20}: n=20 exceeds {limit}"
         assert capsys.readouterr().out == ""
 
     def test_solve_oracle_cross_check(self, tiny2_file, capsys):
@@ -724,6 +740,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "oracle check: OK" in out
+
+    def test_solve_oracle_cross_check_at_n10(self, capsys):
+        # gen10, the n = 10 file of CI's console-script oracle check: seed 10
+        # of gen.random_instance with 2 vehicles, written by write_solomon
+        from cdsp.cli import main
+
+        inst = random_instance(np.random.default_rng(10), 10, 2)
+        raw = RawInstance("gen10", inst.fleet_size, 200.0, inst.sites, (0.0,) * 11)
+        assert GEN10.read_text() == write_solomon(raw)
+        code = main(["solve", str(GEN10), "--fleet", "file", "--oracle"])
+        assert code == 0
+        assert "oracle check: OK (F = 2827.492803)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("cap, total", [("40", 25.0), ("16", 28.0), ("15.5", 28.5)])
     def test_solve_oracle_cross_check_shift_capped(self, cap, total, capsys):
