@@ -2,10 +2,11 @@
 
 Adapters take a built model plus limits and return a SolveOutcome carrying
 status, incumbent values, the solver-reported dual bound and wall time.
-Two implementations ship: the bundled HiGHS backend (scipy.optimize.milp),
-in which HiGHS gets `solver_view(model)`, and a file-based adapter that
-writes the model as built, invokes an arbitrary external solver executable
-and parses its solution file.
+Two implementations ship: the bundled HiGHS backend, which hands
+`solver_view(model)` straight to the HiGHS binding that scipy bundles for
+`scipy.optimize.milp` (without `milp` itself), and a file-based adapter
+that writes the model as built, invokes an arbitrary external solver
+executable and parses its solution file.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ class SolveStatus(str, enum.Enum):
 
 
 class SolverConfigError(RuntimeError):
-    """An adapter is configured with an unknown model or solution format."""
+    """An adapter is configured with an unknown model or solution format, or
+    HiGHS rejects an option the bundled adapter sets."""
 
 
 @dataclass(frozen=True)
@@ -296,18 +298,67 @@ def solver_view(model: MipModel) -> tuple[MipModel, Callable[[np.ndarray], np.nd
     return view, restore
 
 
+#: The options `ScipyMilpAdapter` may skip: heuristic toggles that an
+#: older HiGHS lacks, where HiGHS runs on its own default instead.
+OPTIONAL_OPTIONS = frozenset(
+    {"mip_heuristic_run_feasibility_jump", "mip_heuristic_run_root_reduced_cost"}
+)
+
+
+def _highs_lp(highspy, model: MipModel):
+    """A HighsLp of the binding module ``highspy`` holding the model's own
+    arrays, its CSR matrix passed row-wise as it is."""
+    c, matrix, row_lb, row_ub, lb, ub, integrality = model_to_arrays(model)
+    lp = highspy.HighsLp()
+    lp.num_row_, lp.num_col_ = matrix.shape
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lb, ub
+    lp.row_lower_, lp.row_upper_ = row_lb, row_ub
+    a = lp.a_matrix_
+    a.format_ = highspy.MatrixFormat.kRowwise
+    a.num_row_, a.num_col_ = matrix.shape
+    a.start_, a.index_, a.value_ = matrix.indptr, matrix.indices, matrix.data
+    kinds = (highspy.HighsVarType.kContinuous, highspy.HighsVarType.kInteger)
+    lp.integrality_ = [kinds[kind] for kind in integrality.tolist()]
+    return lp
+
+
+def _highs_run(highspy, lp, options: dict):
+    """One HiGHS solve of ``lp`` under ``options``: the Highs object and its
+    model status, kModelError where HiGHS refuses the model. An option that
+    HiGHS rejects raises SolverConfigError, except those in OPTIONAL_OPTIONS."""
+    highs = highspy._Highs()
+    for name, value in options.items():
+        if highs.setOptionValue(name, value) == highspy.HighsStatus.kError:
+            if name not in OPTIONAL_OPTIONS:
+                raise SolverConfigError(f"HiGHS rejects option {name} = {value!r}")
+    if highs.passModel(lp) == highspy.HighsStatus.kError:
+        return highs, highspy.HighsModelStatus.kModelError
+    highs.run()
+    return highs, highs.getModelStatus()
+
+
 @dataclass(frozen=True)
 class ScipyMilpAdapter:
-    """Bundled backend: HiGHS through scipy.optimize.milp.
-
-    HiGHS gets no thread setting: it runs with its own default whatever
-    `limits.threads` says, which only `FileSolverAdapter`'s ``{threads}``
-    placeholder reads. Deterministic for fixed inputs.
+    """Bundled backend: HiGHS through the binding that scipy bundles for
+    `scipy.optimize.milp` (``scipy.optimize._highspy._core``), called
+    directly.
 
     HiGHS gets `solver_view(model)`, built here on each call: the same
     optima as the model as built, in far fewer branch-and-bound nodes. The
     returned values are the model's. HiGHS's relative gap target is 0, so
     a reported optimum is a proven one.
+
+    The view's arrays go to HiGHS as they are, the CSR matrix row-wise.
+    `milp` would check its inputs first: finite costs, integrality codes in
+    0-3, bounds and row bounds of the right lengths, a matrix of the right
+    shape. `MipModel` holds those invariants by construction and
+    `solver_view` keeps them, so the checks are left out with the rest of
+    the wrapper. So are row duals, bound marginals and the basis, which
+    nothing here reads.
+
+    HiGHS gets no thread setting: it runs with its own default whatever
+    `limits.threads` says, which only `FileSolverAdapter`'s ``{threads}``
+    placeholder reads. Deterministic for fixed inputs.
 
     Feasibility tolerances are FEASIBILITY_TOL (1e-9), well below HiGHS's
     1e-6 MIP default: incumbents may shave binding constraints by up to that
@@ -315,79 +366,71 @@ class ScipyMilpAdapter:
     HiGHS's feasibility-jump heuristic is off (FEASIBILITY_JUMP): a fixed
     cost per solve that saved no branch-and-bound node on the benchmark.
     So is its root reduced-cost heuristic (ROOT_REDUCED_COST), most of the
-    root work on small models.
-    A HiGHS solve error is retried once without presolve, within the time
-    left; the outcome's message says so.
+    root work on small models. A HiGHS that lacks one of those two toggles
+    runs on its default; any other option it rejects raises
+    SolverConfigError naming it.
+
+    HiGHS's model status sets the outcome's status, and its text the
+    message. A model that HiGHS refuses to load (a "Model error", such as
+    coefficients of 1e15 and up) is an error, not infeasible. Any other
+    status without an answer is retried once without presolve, within the
+    time left; the outcome's message says so.
     """
 
     name: ClassVar[str] = "scipy-highs"
 
     def solve(self, model: MipModel, limits: SolveLimits) -> SolveOutcome:
-        import warnings
-
-        from scipy.optimize import Bounds, LinearConstraint, milp
+        from scipy.optimize._highspy import _core as highspy
 
         start = time.perf_counter()
         view, restore = solver_view(model)
-        c, matrix, row_lb, row_ub, lb, ub, integrality = model_to_arrays(view)
-        problem = dict(
-            c=c,
-            constraints=LinearConstraint(matrix, row_lb, row_ub),
-            integrality=integrality,
-            bounds=Bounds(lb, ub),
-        )
+        lp = _highs_lp(highspy, view)
         options = {
-            "time_limit": limits.time_limit_s,
+            "log_to_console": False,
+            "time_limit": float(limits.time_limit_s),
             "mip_rel_gap": 0.0,
             "mip_feasibility_tolerance": FEASIBILITY_TOL,
             "primal_feasibility_tolerance": FEASIBILITY_TOL,
             "mip_heuristic_run_feasibility_jump": FEASIBILITY_JUMP,
             "mip_heuristic_run_root_reduced_cost": ROOT_REDUCED_COST,
         }
+        answers = {
+            highspy.HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
+            highspy.HighsModelStatus.kTimeLimit: SolveStatus.FEASIBLE_TIME_LIMIT,
+            highspy.HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
+        }
+        refused = (highspy.HighsModelStatus.kModelError, highspy.HighsModelStatus.kLoadError)
         note = ""
-        with warnings.catch_warnings(), _stdout_to_stderr():
-            # scipy warns about non-scipy option names but forwards them to
-            # HiGHS, which is exactly what the tolerance options need; a
-            # HiGHS that lacks an option warns and keeps its default
-            warnings.filterwarnings("ignore", message="Unrecognized options detected")
-            warnings.filterwarnings("ignore", message="Invalid option name")
-            res = milp(**problem, options=options)
+        with _stdout_to_stderr():
+            highs, status = _highs_run(highspy, lp, options)
             remaining = limits.time_limit_s - (time.perf_counter() - start)
-            if res.status == 4 and remaining > 0:
+            if status not in answers and status not in refused and remaining > 0:
                 # HiGHS checks the optimum it accepted on the presolved model
                 # again on the original one, and reports a solve error when
                 # postsolve round-off leaves it a hair over the tolerance
                 # there ("MIP solver claims optimality, but with ...
                 # infeasibilities"). Without presolve there is no round trip.
-                note = f" (re-solved without presolve after: {res.message})"
-                res = milp(**problem, options={**options, "presolve": False, "time_limit": remaining})
-        wall = time.perf_counter() - start
-        bound = getattr(res, "mip_dual_bound", None)
-        bound = float(bound) if bound is not None else None
-        values = restore(np.asarray(res.x, dtype=float)) if res.x is not None else None
-        objective = float(res.fun) if values is not None else None
-        if res.status == 0:
-            status = SolveStatus.OPTIMAL
-            if bound is None:
-                bound = objective
-        elif res.status == 1:
-            status = (
-                SolveStatus.FEASIBLE_TIME_LIMIT
-                if values is not None
-                else SolveStatus.NO_SOLUTION_TIME_LIMIT
+                note = f" (re-solved without presolve after: {highs.modelStatusToString(status)})"
+                highs, status = _highs_run(
+                    highspy, lp, {**options, "presolve": "off", "time_limit": remaining}
+                )
+            info = highs.getInfo()
+            found = status in answers and (
+                info.primal_solution_status == highspy.kSolutionStatusFeasible
             )
-        elif res.status == 2:
-            status = SolveStatus.INFEASIBLE
-        else:
-            status = SolveStatus.ERROR
+            values = restore(np.array(highs.getSolution().col_value)) if found else None
+        wall = time.perf_counter() - start
+        kind = answers.get(status, SolveStatus.ERROR)
+        if kind is SolveStatus.FEASIBLE_TIME_LIMIT and not found:
+            kind = SolveStatus.NO_SOLUTION_TIME_LIMIT
         return SolveOutcome(
-            status=status,
-            objective=objective,
-            bound=bound,
+            status=kind,
+            objective=float(info.objective_function_value) if found else None,
+            bound=float(info.mip_dual_bound) if found else None,
             values=values,
             wall_s=wall,
-            message=str(res.message) + note,
-            nodes=getattr(res, "mip_node_count", None),
+            message=highs.modelStatusToString(status) + note,
+            nodes=int(info.mip_node_count) if found else None,
         )
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core as highspy
 
 from cdsp import (
     InstanceConfig,
@@ -29,8 +30,14 @@ from cdsp import (
 )
 from cdsp.formulation import FileSolverAdapter, model_to_arrays
 from cdsp.formulation.solvers import (
+    FEASIBILITY_JUMP,
     FEASIBILITY_TOL,
+    OPTIONAL_OPTIONS,
+    ROOT_REDUCED_COST,
     SHIFT_FAMILIES,
+    ScipyMilpAdapter,
+    _highs_lp,
+    _highs_run,
     _parse_cbc,
     _parse_highs,
     _parse_plain,
@@ -54,6 +61,34 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 @pytest.fixture
 def tiny2_model(tiny2):
     return build_model(build_multigraph(tiny2), tiny2)
+
+
+@pytest.fixture
+def highs_spy(monkeypatch):
+    """The bundled HiGHS binding's ``_Highs``, replaced by a subclass that
+    keeps every object made (``made``), the options set on each
+    (``options``) and the model passed to it (``lp``). Tests subclass it
+    further to change what HiGHS does."""
+
+    class Spy(highspy._Highs):
+        made = []
+
+        def __init__(self):
+            super().__init__()
+            self.options = {}
+            self.lp = None
+            Spy.made.append(self)
+
+        def setOptionValue(self, name, value):
+            self.options[name] = value
+            return super().setOptionValue(name, value)
+
+        def passModel(self, lp):
+            self.lp = lp
+            return super().passModel(lp)
+
+    monkeypatch.setattr(highspy, "_Highs", Spy)
+    return Spy
 
 
 class TestLimits:
@@ -101,80 +136,107 @@ class TestScipyAdapter:
             SolveStatus.NO_SOLUTION_TIME_LIMIT,
         )
 
-    def test_solve_error_is_retried_without_presolve(self, tiny2_model, monkeypatch):
-        import scipy.optimize
+    def test_solve_error_is_retried_without_presolve(self, tiny2_model, highs_spy, monkeypatch):
+        class FirstRunFails(highs_spy):
+            def run(self):
+                if self is highs_spy.made[0]:
+                    return highspy.HighsStatus.kError
+                return super().run()
 
-        real_milp = scipy.optimize.milp
-        calls = []
+            def getModelStatus(self):
+                if self is highs_spy.made[0]:
+                    return highspy.HighsModelStatus.kSolveError
+                return super().getModelStatus()
 
-        def first_call_fails(*args, options, **kwargs):
-            calls.append(options)
-            if len(calls) == 1:
-                return scipy.optimize.OptimizeResult(status=4, message="Solve error", x=None)
-            return real_milp(*args, options=options, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "milp", first_call_fails)
+        monkeypatch.setattr(highspy, "_Highs", FirstRunFails)
         outcome = solve(tiny2_model, SolveLimits(time_limit_s=60))
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.objective == pytest.approx(20.0, abs=1e-6)
+        calls = [highs.options for highs in highs_spy.made]
+        assert len(calls) == 2
         assert "presolve" not in calls[0]
-        assert calls[1]["presolve"] is False
+        assert calls[1]["presolve"] == "off"
         assert 0 < calls[1]["time_limit"] <= 60
         assert all(call["mip_heuristic_run_feasibility_jump"] is False for call in calls)
         assert all(call["mip_heuristic_run_root_reduced_cost"] is False for call in calls)
         assert all(call["mip_rel_gap"] == 0.0 for call in calls)
         assert "re-solved without presolve after: Solve error" in outcome.message
 
-    def test_highs_without_an_option_solves_on_its_defaults(self, tiny2_model, monkeypatch):
-        # a HiGHS that lacks an option name warns "Invalid option name." and
-        # ignores it; the adapter keeps that warning out of the caller's way
-        import scipy.optimize
+    def test_highs_without_an_option_solves_on_its_defaults(
+        self, tiny2_model, highs_spy, monkeypatch
+    ):
+        # a HiGHS that lacks one of the two optional heuristic toggles
+        # rejects its name; the adapter skips it, warns nothing and solves
+        class OlderHighs(highs_spy):
+            def setOptionValue(self, name, value):
+                if name in OPTIONAL_OPTIONS:
+                    self.options[name] = value
+                    return highspy.HighsStatus.kError
+                return super().setOptionValue(name, value)
 
-        real_milp = scipy.optimize.milp
-
-        def older_highs(*args, options, **kwargs):
-            warnings.warn("Invalid option name.", scipy.optimize.OptimizeWarning)
-            options = dict(options)
-            del options["mip_heuristic_run_feasibility_jump"]
-            del options["mip_heuristic_run_root_reduced_cost"]
-            return real_milp(*args, options=options, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "milp", older_highs)
+        monkeypatch.setattr(highspy, "_Highs", OlderHighs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             outcome = solve(tiny2_model, SolveLimits(time_limit_s=60))
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.objective == pytest.approx(20.0, abs=1e-6)
+        (highs,) = highs_spy.made
+        assert OPTIONAL_OPTIONS <= set(highs.options)
+        defaults = highs_spy.__base__()
+        for name in OPTIONAL_OPTIONS:
+            # the toggle never reached HiGHS: it runs on its default
+            assert highs.getOptionValue(name) == defaults.getOptionValue(name), name
 
-    def test_this_highs_knows_every_option_the_adapter_sets(self, tiny2_model, monkeypatch):
-        # the adapter silences HiGHS's word on an option it does not know,
-        # so a misspelt name would be a silent no-op: hand this scipy's
-        # HiGHS each option on a 1-column MIP and let nothing pass unseen
-        import scipy.optimize
+    def test_any_other_rejected_option_is_a_config_error(self, tiny2_model, highs_spy, monkeypatch):
+        class Strict(highs_spy):
+            def setOptionValue(self, name, value):
+                if name == "mip_feasibility_tolerance":
+                    return highspy.HighsStatus.kError
+                return super().setOptionValue(name, value)
 
-        real_milp = scipy.optimize.milp
-        calls = []
+        monkeypatch.setattr(highspy, "_Highs", Strict)
+        with pytest.raises(SolverConfigError, match="mip_feasibility_tolerance = 1e-09"):
+            ScipyMilpAdapter().solve(tiny2_model, SolveLimits(time_limit_s=60))
+        outcome = solve(tiny2_model, SolveLimits(time_limit_s=60))
+        assert outcome.status is SolveStatus.ERROR
+        assert "mip_feasibility_tolerance" in outcome.message
 
-        def spy(*args, options, **kwargs):
-            calls.append(options)
-            return real_milp(*args, options=options, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "milp", spy)
+    def test_this_highs_knows_every_option_the_adapter_sets(self, tiny2_model, highs_spy):
+        # the adapter skips the optional toggles where HiGHS rejects them,
+        # so a misspelt toggle would be a silent no-op: hand this scipy's
+        # HiGHS each option the adapter sets, and the retry's presolve
+        # setting, read each back and solve a 1-column MIP under it
         assert solve(tiny2_model, SolveLimits(time_limit_s=60)).status is SolveStatus.OPTIMAL
-        (options,) = calls
+        (highs,) = highs_spy.made
+        options = {**highs.options, "presolve": "off"}
+        assert OPTIONAL_OPTIONS <= set(options)
+        lp = highspy.HighsLp()
+        lp.num_col_, lp.col_cost_, lp.col_lower_, lp.col_upper_ = 1, [1.0], [0.0], [1.0]
+        lp.a_matrix_.start_ = [0, 0]
+        lp.integrality_ = [highspy.HighsVarType.kInteger]
         for name, value in options.items():
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                res = real_milp(
-                    np.array([1.0]), integrality=np.array([1]), bounds=Bounds(0, 1),
-                    options={name: value},
-                )
-            assert res.status == 0, (name, res.message)
-            # scipy's own notice that it passes a non-scipy name on to
-            # HiGHS is the one warning allowed; HiGHS's "Unrecognized
-            # options", "Invalid option name" or "Invalid option value" fail
-            heard = [str(w.message) for w in caught]
-            assert [m for m in heard if "passed to HiGHS verbatim" not in m] == [], name
+            fresh = highs_spy.__base__()
+            fresh.setOptionValue("log_to_console", False)
+            assert fresh.setOptionValue(name, value) == highspy.HighsStatus.kOk, name
+            assert fresh.getOptionValue(name) == (highspy.HighsStatus.kOk, value), name
+            assert fresh.passModel(lp) == highspy.HighsStatus.kOk, name
+            fresh.run()
+            assert fresh.getModelStatus() == highspy.HighsModelStatus.kOptimal, name
+
+    def test_model_error_is_an_error_not_infeasible(self):
+        # due dates of 1e15 put big-M coefficients of 1e15 in the model,
+        # which HiGHS refuses to load ("Model error"); with the original due
+        # dates of 30 and 10 the instance solves to F = 20
+        text = TINY2_FILE.replace(" 30          0\n", " 1e15          0\n").replace(
+            " 10          0\n", " 1e15          0\n"
+        )
+        assert text.count("1e15") == 3
+        inst = build_instance(parse_solomon(text), InstanceConfig(fleet_size="file"), label="big")
+        model = build_model(build_multigraph(inst), inst)
+        outcome = solve(model, SolveLimits(time_limit_s=60))
+        assert outcome.status is SolveStatus.ERROR
+        assert outcome.message == "Model error"
+        assert outcome.values is None and outcome.objective is None
 
     def test_adapter_crash_becomes_error_outcome(self, tiny2_model):
         class Exploding:
@@ -374,6 +436,31 @@ class TestTimeBoundRows:
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.objective == pytest.approx(oracle.best_total, rel=1e-9)
 
+    @pytest.mark.parametrize("seed", [25, 38])
+    @pytest.mark.parametrize("rule", [12, 13])
+    def test_one_presolve_rule_off_gives_the_paper_model_its_optimum(self, seed, rule):
+        # with presolve on, the paper model alone reports optimal 2992.0096
+        # (seed 25) and 1253.2053 (seed 38) on HiGHS 1.12; turning off only
+        # presolve rule 12 (the aggregator, in HiGHS's rule order) or only
+        # rule 13 (parallel rows and columns) gives the oracle's optimum
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, int(rng.integers(8, 11)), int(rng.integers(2, 4)))
+        model = build_model(build_multigraph(inst), inst)
+        options = {
+            "log_to_console": False,
+            "time_limit": 60.0,
+            "mip_rel_gap": 0.0,
+            "mip_feasibility_tolerance": FEASIBILITY_TOL,
+            "primal_feasibility_tolerance": FEASIBILITY_TOL,
+            "presolve_rule_off": 1 << rule,
+        }
+        highs, status = _highs_run(highspy, _highs_lp(highspy, model), options)
+        assert status == highspy.HighsModelStatus.kOptimal
+        oracle = exact_solve_tiny(inst, limit=inst.n)
+        assert highs.getInfo().objective_function_value == pytest.approx(
+            oracle.best_total, rel=1e-9
+        )
+
     def test_n25_counterexample_is_solved_to_the_true_optimum(self):
         # the paper model alone reports optimal F = 6772.464 here at 1e-9
         inst = random_instance(np.random.default_rng(5), 25, 6)
@@ -492,36 +579,135 @@ class TestSolverView:
             assert (model.matrix != matrix).nnz == 0
             np.testing.assert_array_equal(model.col_upper, col_upper)
 
-    def test_highs_gets_the_arrays_of_the_view(self, monkeypatch):
-        import scipy.optimize
-
-        real_milp = scipy.optimize.milp
-        seen = []
-
-        def spy(c, *, constraints, integrality, bounds, options):
-            seen.append((c, constraints, integrality, bounds))
-            return real_milp(
-                c, constraints=constraints, integrality=integrality, bounds=bounds, options=options
-            )
-
-        monkeypatch.setattr(scipy.optimize, "milp", spy)
+    def test_highs_gets_the_arrays_of_the_view(self, highs_spy):
         for cap in ("depot-deadline", 16.0):
             model = _capped2_model(cap)
             assert solve(model, SolveLimits(time_limit_s=60)).status is SolveStatus.OPTIMAL
-            c, constraint, integrality, bounds = seen.pop()
-            want_c, matrix, row_lb, row_ub, lb, ub, want_integrality = model_to_arrays(
+            lp = highs_spy.made.pop().lp
+            c, matrix, row_lb, row_ub, lb, ub, integrality = model_to_arrays(
                 solver_view(model)[0]
             )
-            assert (constraint.A != matrix).nnz == 0
+            a = lp.a_matrix_
+            assert a.format_ == highspy.MatrixFormat.kRowwise
+            assert (lp.num_row_, lp.num_col_) == (a.num_row_, a.num_col_) == matrix.shape
             for got, want in (
-                (c, want_c),
-                (constraint.lb, row_lb),
-                (constraint.ub, row_ub),
-                (bounds.lb, lb),
-                (bounds.ub, ub),
-                (integrality, want_integrality),
+                (a.start_, matrix.indptr),
+                (a.index_, matrix.indices),
+                (a.value_, matrix.data),
+                (lp.col_cost_, c),
+                (lp.row_lower_, row_lb),
+                (lp.row_upper_, row_ub),
+                (lp.col_lower_, lb),
+                (lp.col_upper_, ub),
+                ([int(kind) for kind in lp.integrality_], integrality),
             ):
                 np.testing.assert_array_equal(got, want)
+
+
+def _milp_outcome(model, time_limit_s):
+    """scipy's milp on `solver_view(model)` with the bundled adapter's
+    options, as the SolveOutcome the adapter made of it before it called
+    the binding itself."""
+    view, restore = solver_view(model)
+    c, matrix, row_lb, row_ub, lb, ub, integrality = model_to_arrays(view)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="Unrecognized options detected")
+        res = milp(
+            c,
+            constraints=LinearConstraint(matrix, row_lb, row_ub),
+            integrality=integrality,
+            bounds=Bounds(lb, ub),
+            options={
+                "time_limit": time_limit_s,
+                "mip_rel_gap": 0.0,
+                "mip_feasibility_tolerance": FEASIBILITY_TOL,
+                "primal_feasibility_tolerance": FEASIBILITY_TOL,
+                "mip_heuristic_run_feasibility_jump": FEASIBILITY_JUMP,
+                "mip_heuristic_run_root_reduced_cost": ROOT_REDUCED_COST,
+            },
+        )
+    values = restore(res.x) if res.x is not None else None
+    if res.status == 1:
+        status = SolveStatus.FEASIBLE_TIME_LIMIT if values is not None else (
+            SolveStatus.NO_SOLUTION_TIME_LIMIT
+        )
+    else:
+        status = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE}.get(
+            res.status, SolveStatus.ERROR
+        )
+    return status, res.fun, res.mip_dual_bound, values, res.mip_node_count
+
+
+def test_bundled_solve_gives_what_milp_gives():
+    """The adapter hands HiGHS what `milp` would, minus the wrapper: on 24
+    seeded draws at n = 2-8 (4 of them infeasible, a quarter of the
+    `varied_instance` ones with explicit rows) and on a time-limited n = 30
+    solve, the status, objective, bound, node count and the bytes of the
+    values are milp's."""
+    rng = np.random.default_rng(29)
+    cases = []
+    for _ in range(8):
+        inst = random_instance(rng, int(rng.integers(3, 9)), int(rng.integers(1, 4)))
+        cases.append((build_model(build_multigraph(inst), inst), 60.0))
+    for _ in range(16):
+        inst = varied_instance(rng, int(rng.integers(2, 7)))
+        explicit = bool(rng.random() < 0.25)
+        cases.append((build_model(build_multigraph(inst), inst, explicit_bounds=explicit), 60.0))
+    inst = random_instance(np.random.default_rng(13), 30, 3)
+    cases.append((build_model(build_multigraph(inst), inst), 1e-6))
+    statuses = []
+    for model, time_limit_s in cases:
+        outcome = solve(model, SolveLimits(time_limit_s=time_limit_s))
+        status, objective, bound, values, nodes = _milp_outcome(model, time_limit_s)
+        statuses.append(outcome.status)
+        assert outcome.status is status, outcome.message
+        assert (outcome.objective, outcome.bound, outcome.nodes) == (objective, bound, nodes)
+        if values is None:
+            assert outcome.values is None
+        else:
+            assert outcome.values.tobytes() == values.tobytes()
+    assert statuses.count(SolveStatus.OPTIMAL) == 20
+    assert statuses.count(SolveStatus.INFEASIBLE) == 4
+    assert statuses[-1] is SolveStatus.NO_SOLUTION_TIME_LIMIT
+
+
+def test_the_bundled_highs_binding_has_what_the_adapter_uses():
+    # the adapter calls scipy's private HiGHS binding: a scipy that moves
+    # or renames one of these members fails here, by name
+    used = {
+        "": [
+            "_Highs", "HighsLp", "MatrixFormat.kRowwise", "HighsVarType.kContinuous",
+            "HighsVarType.kInteger", "HighsStatus.kError", "HighsModelStatus.kOptimal",
+            "HighsModelStatus.kTimeLimit", "HighsModelStatus.kInfeasible",
+            "HighsModelStatus.kModelError", "HighsModelStatus.kLoadError",
+            "kSolutionStatusFeasible",
+        ],
+        "_Highs.": [
+            "setOptionValue", "passModel", "run", "getModelStatus", "getInfo", "getSolution",
+            "modelStatusToString",
+        ],
+        "HighsLp.": [
+            "num_row_", "num_col_", "col_cost_", "col_lower_", "col_upper_", "row_lower_",
+            "row_upper_", "a_matrix_", "integrality_",
+        ],
+        "HighsSparseMatrix.": ["format_", "num_row_", "num_col_", "start_", "index_", "value_"],
+        "HighsInfo.": [
+            "primal_solution_status", "objective_function_value", "mip_dual_bound",
+            "mip_node_count",
+        ],
+        "HighsSolution.": ["col_value"],
+    }
+
+    def found(path):
+        obj = highspy
+        for part in path.split("."):
+            if not hasattr(obj, part):
+                return False
+            obj = getattr(obj, part)
+        return True
+
+    missing = [prefix + name for prefix, names in used.items() for name in names]
+    assert [path for path in missing if not found(path)] == []
 
 
 class TestFileAdapter:
