@@ -305,33 +305,31 @@ OPTIONAL_OPTIONS = frozenset(
 )
 
 
-def _highs_lp(highspy, model: MipModel):
-    """A HighsLp of the binding module ``highspy`` holding the model's own
-    arrays, its CSR matrix passed row-wise as it is."""
+def _highs_model(highspy, model: MipModel) -> tuple:
+    """The arguments of the binding's array overload of ``_Highs.passModel``
+    for the model: its own arrays, the CSR matrix row-wise as it is, the
+    integrality as int32 codes (0 continuous, 1 integer)."""
     c, matrix, row_lb, row_ub, lb, ub, integrality = model_to_arrays(model)
-    lp = highspy.HighsLp()
-    lp.num_row_, lp.num_col_ = matrix.shape
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lb, ub
-    lp.row_lower_, lp.row_upper_ = row_lb, row_ub
-    a = lp.a_matrix_
-    a.format_ = highspy.MatrixFormat.kRowwise
-    a.num_row_, a.num_col_ = matrix.shape
-    a.start_, a.index_, a.value_ = matrix.indptr, matrix.indices, matrix.data
-    kinds = (highspy.HighsVarType.kContinuous, highspy.HighsVarType.kInteger)
-    lp.integrality_ = [kinds[kind] for kind in integrality.tolist()]
-    return lp
+    num_row, num_col = matrix.shape
+    rowwise, minimize = highspy.MatrixFormat.kRowwise, highspy.ObjSense.kMinimize
+    return (
+        num_col, num_row, matrix.nnz, int(rowwise), int(minimize), 0.0,
+        c, lb, ub, row_lb, row_ub,
+        matrix.indptr, matrix.indices, matrix.data, integrality.astype(np.int32),
+    )
 
 
-def _highs_run(highspy, lp, options: dict):
-    """One HiGHS solve of ``lp`` under ``options``: the Highs object and its
-    model status, kModelError where HiGHS refuses the model. An option that
-    HiGHS rejects raises SolverConfigError, except those in OPTIONAL_OPTIONS."""
+def _highs_run(highspy, arrays: tuple, options: dict):
+    """One HiGHS solve of the model `_highs_model` gave as ``arrays`` under
+    ``options``: the Highs object and its model status, kModelError where
+    HiGHS refuses the model. An option that HiGHS rejects raises
+    SolverConfigError, except those in OPTIONAL_OPTIONS."""
     highs = highspy._Highs()
     for name, value in options.items():
         if highs.setOptionValue(name, value) == highspy.HighsStatus.kError:
             if name not in OPTIONAL_OPTIONS:
                 raise SolverConfigError(f"HiGHS rejects option {name} = {value!r}")
-    if highs.passModel(lp) == highspy.HighsStatus.kError:
+    if highs.passModel(*arrays) == highspy.HighsStatus.kError:
         return highs, highspy.HighsModelStatus.kModelError
     highs.run()
     return highs, highs.getModelStatus()
@@ -348,7 +346,11 @@ class ScipyMilpAdapter:
     returned values are the model's. HiGHS's relative gap target is 0, so
     a reported optimum is a proven one.
 
-    The view's arrays go to HiGHS as they are, the CSR matrix row-wise.
+    The view's arrays go to HiGHS as they are, through the binding's array
+    overload of ``passModel``, the CSR matrix row-wise. The binding casts
+    index arrays to HiGHS's int32 without a check, so a matrix whose
+    indices scipy keeps as int64 (past 2**31 - 1 nonzeros) is an error
+    outcome saying so, not a solve of a truncated matrix.
     `milp` would check its inputs first: finite costs, integrality codes in
     0-3, bounds and row bounds of the right lengths, a matrix of the right
     shape. `MipModel` holds those invariants by construction and
@@ -384,7 +386,17 @@ class ScipyMilpAdapter:
 
         start = time.perf_counter()
         view, restore = solver_view(model)
-        lp = _highs_lp(highspy, view)
+        matrix = view.matrix
+        index_dtype = np.result_type(matrix.indptr, matrix.indices)
+        if index_dtype != np.int32:
+            # the binding would cast them to HiGHS's int32 without a check
+            return SolveOutcome(
+                status=SolveStatus.ERROR,
+                wall_s=time.perf_counter() - start,
+                message=f"HiGHS takes int32 matrix indices; this matrix's are {index_dtype}"
+                f" ({matrix.nnz} nonzeros)",
+            )
+        arrays = _highs_model(highspy, view)
         options = {
             "log_to_console": False,
             "time_limit": float(limits.time_limit_s),
@@ -402,7 +414,7 @@ class ScipyMilpAdapter:
         refused = (highspy.HighsModelStatus.kModelError, highspy.HighsModelStatus.kLoadError)
         note = ""
         with _stdout_to_stderr():
-            highs, status = _highs_run(highspy, lp, options)
+            highs, status = _highs_run(highspy, arrays, options)
             remaining = limits.time_limit_s - (time.perf_counter() - start)
             if status not in answers and status not in refused and remaining > 0:
                 # HiGHS checks the optimum it accepted on the presolved model
@@ -412,7 +424,7 @@ class ScipyMilpAdapter:
                 # infeasibilities"). Without presolve there is no round trip.
                 note = f" (re-solved without presolve after: {highs.modelStatusToString(status)})"
                 highs, status = _highs_run(
-                    highspy, lp, {**options, "presolve": "off", "time_limit": remaining}
+                    highspy, arrays, {**options, "presolve": "off", "time_limit": remaining}
                 )
             info = highs.getInfo()
             found = status in answers and (

@@ -5,15 +5,16 @@ constraint names carry their family tags. Emitting the same model twice
 yields identical bytes.
 
 Each format has one writer: a generator of the file's text in file order,
-section headers and blocks of rows. `write_lp` and `write_mps` join that
-stream into one str. `str.join` drains the generator before it allocates
-the result, so the writer's arrays are freed by then; past 32 Mi
-characters they then hand the heap pages the blocks held back to the OS
-(glibc's `malloc_trim`, where there is one). `write_model` writes
-the stream to an open text file block by block, so the whole text is never
-held at once. The arrays a section builds are freed when it ends; the MPS
-row-name codes, which three sections share, are dropped after the last of
-them.
+section headers and blocks of rows. `write_lp` and `write_mps` grow one str
+from that stream, a block at a time. CPython resizes a str that has a
+single reference in place (a large one by `mremap`), so they hold the text
+and one block, not every block and a joined copy of them: `str.join`
+would hold two texts at its peak. Past 32 Mi characters they then hand the
+heap pages the writer freed back to the OS (glibc's `malloc_trim`, where
+there is one). `write_model` writes the stream to an open text file block
+by block, so the whole text is never held at once. The arrays a section
+builds are freed when it ends; the MPS row-name codes, which three sections
+share, are dropped after the last of them.
 
 The text is assembled from small token tables: the column names, the row
 name heads and tails (`MipModel.row_name_codes`: two int32 codes per row
@@ -46,13 +47,16 @@ MODEL_FORMATS = ("lp", "mps")
 
 _LINE_WIDTH = 78
 _BLOCK_PIECES = 1 << 16
-#: Length of joined text past which `write_lp`/`write_mps` call glibc's
-#: malloc_trim. Until the join, the blocks sit on the malloc heap, which
-#: they grow by about the text's size. glibc gives that memory back only when
-#: it ends up above its trim threshold (up to 64 MiB) and nothing is left
-#: above it; a small chunk kept in malloc's per-size cache is enough to hold
-#: it. At n = 100 (48 and 133 MB of text) that kept 40-100 MB resident in
-#: some runs. Under this length the blocks grow the heap by little.
+#: Length of text past which `write_lp`/`write_mps` call glibc's
+#: malloc_trim. The text grows on the malloc heap until it passes the mmap
+#: threshold, and the writer's tables, codes and blocks come and go there
+#: beside it. glibc gives the freed memory back only when it ends up above
+#: its trim threshold (up to 64 MiB) and nothing is left above it; a small
+#: chunk kept in malloc's per-size cache is enough to hold it. At n = 100
+#: (49 and 133 MiB of text), the peak RSS of a process that builds the
+#: model, writes both texts and encodes them was 415-417 MB with the trim
+#: on all four of `perfbench`'s n = 100 cases, and 416-450 MB without it
+#: (450 MB on two). Under this length the writer grows the heap by little.
 _TRIM_CHARS = 1 << 25
 
 
@@ -79,9 +83,16 @@ def write_mps(model: MipModel) -> str:
 
 
 def _joined(stream: Iterator[str]) -> str:
-    """The stream's text as one str; past _TRIM_CHARS, the heap pages its
-    blocks held are then handed back to the OS."""
-    text = "".join(stream)
+    """The stream's text as one str, grown block by block; past _TRIM_CHARS,
+    the heap pages the writer's blocks and arrays held are then handed back
+    to the OS.
+
+    ``text += block`` resizes ``text`` in place only while ``text`` is the
+    str's one reference: bind no other name to it before the loop ends.
+    """
+    text = ""
+    for block in stream:
+        text += block
     if len(text) >= _TRIM_CHARS and _malloc_trim is not None:
         _malloc_trim(0)
     return text

@@ -28,7 +28,7 @@ from cdsp import (
     solve,
     validate_solution,
 )
-from cdsp.formulation import FileSolverAdapter, model_to_arrays
+from cdsp.formulation import FileSolverAdapter, model_to_arrays, solvers
 from cdsp.formulation.solvers import (
     FEASIBILITY_JUMP,
     FEASIBILITY_TOL,
@@ -36,7 +36,7 @@ from cdsp.formulation.solvers import (
     ROOT_REDUCED_COST,
     SHIFT_FAMILIES,
     ScipyMilpAdapter,
-    _highs_lp,
+    _highs_model,
     _highs_run,
     _parse_cbc,
     _parse_highs,
@@ -67,8 +67,8 @@ def tiny2_model(tiny2):
 def highs_spy(monkeypatch):
     """The bundled HiGHS binding's ``_Highs``, replaced by a subclass that
     keeps every object made (``made``), the options set on each
-    (``options``) and the model passed to it (``lp``). Tests subclass it
-    further to change what HiGHS does."""
+    (``options``) and the arguments of its ``passModel`` call (``arrays``).
+    Tests subclass it further to change what HiGHS does."""
 
     class Spy(highspy._Highs):
         made = []
@@ -76,16 +76,16 @@ def highs_spy(monkeypatch):
         def __init__(self):
             super().__init__()
             self.options = {}
-            self.lp = None
+            self.arrays = None
             Spy.made.append(self)
 
         def setOptionValue(self, name, value):
             self.options[name] = value
             return super().setOptionValue(name, value)
 
-        def passModel(self, lp):
-            self.lp = lp
-            return super().passModel(lp)
+        def passModel(self, *arrays):
+            self.arrays = arrays
+            return super().passModel(*arrays)
 
     monkeypatch.setattr(highspy, "_Highs", Spy)
     return Spy
@@ -205,23 +205,21 @@ class TestScipyAdapter:
         # the adapter skips the optional toggles where HiGHS rejects them,
         # so a misspelt toggle would be a silent no-op: hand this scipy's
         # HiGHS each option the adapter sets, and the retry's presolve
-        # setting, read each back and solve a 1-column MIP under it
+        # setting, read each back and solve tiny2 under it again, from the
+        # arrays the adapter passed
         assert solve(tiny2_model, SolveLimits(time_limit_s=60)).status is SolveStatus.OPTIMAL
         (highs,) = highs_spy.made
         options = {**highs.options, "presolve": "off"}
         assert OPTIONAL_OPTIONS <= set(options)
-        lp = highspy.HighsLp()
-        lp.num_col_, lp.col_cost_, lp.col_lower_, lp.col_upper_ = 1, [1.0], [0.0], [1.0]
-        lp.a_matrix_.start_ = [0, 0]
-        lp.integrality_ = [highspy.HighsVarType.kInteger]
         for name, value in options.items():
             fresh = highs_spy.__base__()
             fresh.setOptionValue("log_to_console", False)
             assert fresh.setOptionValue(name, value) == highspy.HighsStatus.kOk, name
             assert fresh.getOptionValue(name) == (highspy.HighsStatus.kOk, value), name
-            assert fresh.passModel(lp) == highspy.HighsStatus.kOk, name
+            assert fresh.passModel(*highs.arrays) == highspy.HighsStatus.kOk, name
             fresh.run()
             assert fresh.getModelStatus() == highspy.HighsModelStatus.kOptimal, name
+            assert fresh.getInfo().objective_function_value == pytest.approx(20.0), name
 
     def test_model_error_is_an_error_not_infeasible(self):
         # due dates of 1e15 put big-M coefficients of 1e15 in the model,
@@ -454,7 +452,7 @@ class TestTimeBoundRows:
             "primal_feasibility_tolerance": FEASIBILITY_TOL,
             "presolve_rule_off": 1 << rule,
         }
-        highs, status = _highs_run(highspy, _highs_lp(highspy, model), options)
+        highs, status = _highs_run(highspy, _highs_model(highspy, model), options)
         assert status == highspy.HighsModelStatus.kOptimal
         oracle = exact_solve_tiny(inst, limit=inst.n)
         assert highs.getInfo().objective_function_value == pytest.approx(
@@ -583,25 +581,39 @@ class TestSolverView:
         for cap in ("depot-deadline", 16.0):
             model = _capped2_model(cap)
             assert solve(model, SolveLimits(time_limit_s=60)).status is SolveStatus.OPTIMAL
-            lp = highs_spy.made.pop().lp
+            arrays = highs_spy.made.pop().arrays
             c, matrix, row_lb, row_ub, lb, ub, integrality = model_to_arrays(
                 solver_view(model)[0]
             )
-            a = lp.a_matrix_
-            assert a.format_ == highspy.MatrixFormat.kRowwise
-            assert (lp.num_row_, lp.num_col_) == (a.num_row_, a.num_col_) == matrix.shape
-            for got, want in (
-                (a.start_, matrix.indptr),
-                (a.index_, matrix.indices),
-                (a.value_, matrix.data),
-                (lp.col_cost_, c),
-                (lp.row_lower_, row_lb),
-                (lp.row_upper_, row_ub),
-                (lp.col_lower_, lb),
-                (lp.col_upper_, ub),
-                ([int(kind) for kind in lp.integrality_], integrality),
-            ):
-                np.testing.assert_array_equal(got, want)
+            num_row, num_col = matrix.shape
+            assert arrays[:6] == (
+                num_col, num_row, matrix.nnz, int(highspy.MatrixFormat.kRowwise),
+                int(highspy.ObjSense.kMinimize), 0.0,
+            )
+            want = c, lb, ub, row_lb, row_ub, matrix.indptr, matrix.indices, matrix.data, integrality
+            for got, expected in zip(arrays[6:], want, strict=True):
+                np.testing.assert_array_equal(got, expected)
+            # what the binding reads without converting: a cast would copy
+            # them, and a cast of int64 indices truncates
+            dtypes = [a.dtype for a in arrays[6:]]
+            assert dtypes == ["float64"] * 5 + ["int32", "int32", "float64", "int32"]
+
+    def test_wide_indices_are_an_error_not_a_truncated_matrix(
+        self, tiny2_model, highs_spy, monkeypatch
+    ):
+        # past 2**31 - 1 nonzeros scipy keeps the indices as int64, which the
+        # binding would cast to HiGHS's int32 without a check
+        view, restore = solver_view(tiny2_model)
+        matrix = view.matrix.copy()
+        matrix.indices = matrix.indices.astype(np.int64)
+        wide = dataclasses.replace(view, matrix=matrix)
+        monkeypatch.setattr(solvers, "solver_view", lambda model: (wide, restore))
+        outcome = solve(tiny2_model, SolveLimits(time_limit_s=60))
+        assert outcome.status is SolveStatus.ERROR
+        assert outcome.message == (
+            f"HiGHS takes int32 matrix indices; this matrix's are int64 ({matrix.nnz} nonzeros)"
+        )
+        assert highs_spy.made == []
 
 
 def _milp_outcome(model, time_limit_s):
@@ -676,21 +688,15 @@ def test_the_bundled_highs_binding_has_what_the_adapter_uses():
     # or renames one of these members fails here, by name
     used = {
         "": [
-            "_Highs", "HighsLp", "MatrixFormat.kRowwise", "HighsVarType.kContinuous",
-            "HighsVarType.kInteger", "HighsStatus.kError", "HighsModelStatus.kOptimal",
-            "HighsModelStatus.kTimeLimit", "HighsModelStatus.kInfeasible",
-            "HighsModelStatus.kModelError", "HighsModelStatus.kLoadError",
-            "kSolutionStatusFeasible",
+            "_Highs", "MatrixFormat.kRowwise", "ObjSense.kMinimize", "HighsStatus.kError",
+            "HighsModelStatus.kOptimal", "HighsModelStatus.kTimeLimit",
+            "HighsModelStatus.kInfeasible", "HighsModelStatus.kModelError",
+            "HighsModelStatus.kLoadError", "kSolutionStatusFeasible",
         ],
         "_Highs.": [
             "setOptionValue", "passModel", "run", "getModelStatus", "getInfo", "getSolution",
             "modelStatusToString",
         ],
-        "HighsLp.": [
-            "num_row_", "num_col_", "col_cost_", "col_lower_", "col_upper_", "row_lower_",
-            "row_upper_", "a_matrix_", "integrality_",
-        ],
-        "HighsSparseMatrix.": ["format_", "num_row_", "num_col_", "start_", "index_", "value_"],
         "HighsInfo.": [
             "primal_solution_status", "objective_function_value", "mip_dual_bound",
             "mip_node_count",
@@ -708,6 +714,32 @@ def test_the_bundled_highs_binding_has_what_the_adapter_uses():
 
     missing = [prefix + name for prefix, names in used.items() for name in names]
     assert [path for path in missing if not found(path)] == []
+
+
+def test_the_binding_reads_the_arrays_as_the_adapter_passes_them(tiny2_model):
+    # passModel's array overload takes its arguments by position: HiGHS's
+    # copy of the model, read back, must be the view's, column by column
+    # (HiGHS stores the matrix column-wise)
+    view = solver_view(tiny2_model)[0]
+    highs = highspy._Highs()
+    assert highs.passModel(*_highs_model(highspy, view)) == highspy.HighsStatus.kOk
+    lp = highs.getLp()
+    c, matrix, row_lb, row_ub, lb, ub, integrality = model_to_arrays(view)
+    assert (lp.num_row_, lp.num_col_, lp.offset_) == (*matrix.shape, 0.0)
+    assert lp.sense_ == highspy.ObjSense.kMinimize
+    for got, want in (
+        (lp.col_cost_, c),
+        (lp.col_lower_, lb),
+        (lp.col_upper_, ub),
+        (lp.row_lower_, row_lb),
+        (lp.row_upper_, row_ub),
+        ([int(kind) for kind in lp.integrality_], integrality),
+    ):
+        np.testing.assert_array_equal(got, want)
+    a = lp.a_matrix_
+    assert a.format_ == highspy.MatrixFormat.kColwise
+    got = sp.csc_matrix((a.value_, a.index_, a.start_), shape=matrix.shape)
+    assert (got != matrix).nnz == 0
 
 
 class TestFileAdapter:

@@ -281,10 +281,12 @@ class _Sink:
 
 
 def test_write_model_never_holds_the_text(tmp_path):
-    # write_mps holds its blocks and the joined text at once: two texts. A
-    # stream holds one block besides the writer's own arrays: the CSC index,
+    # write_mps grows its text in place, block by block: at its peak it
+    # holds the text, one block and the writer's own arrays (the CSC index,
     # the value codes and two int32 row-name codes per row, with O(n^2)
-    # strings in their tables. Together they stay under 0.8 texts here.
+    # strings in their tables), under 1.5 texts here; joining the blocks
+    # would hold them all and the joined copy, two texts. A stream holds
+    # one block besides the writer's arrays: under 0.8 texts.
     inst = random_instance(np.random.default_rng(50), 50, 12)
     model = build_model(build_multigraph(inst), inst)
     path = tmp_path / "model.mps"
@@ -301,6 +303,7 @@ def test_write_model_never_holds_the_text(tmp_path):
         tracemalloc.stop()
     assert path.stat().st_size == size
     assert sink.largest < size / 10
+    assert joined < 1.5 * size, (joined, size)
     assert streamed < joined - size / 2, (streamed, joined, size)
     assert streamed < 0.8 * size, (streamed, size)
 
