@@ -3,9 +3,10 @@
 
 Builds a manifest by inspecting each file (size class from the number of
 customer rows; spatial class C/R/RC from the instance name; tight/wide
-windows from the series digit, 1xx vs 2xx), then runs the full suite under
-the benchmark protocol's time limit and thread cap, `SolveLimits`'s
-defaults, and prints the aggregate table.
+windows from the series digit, 1xx vs 2xx), writes it to the output
+directory and runs `cdsp suite` on it, which prints the aggregate table.
+`--time-limit`, `--threads` and `--workers` go to `cdsp suite` as given;
+left out, its defaults (the benchmark protocol's) hold.
 
 Examples:
     python scripts/reproduce_benchmark.py data/ --manifest-only --out results/
@@ -20,8 +21,7 @@ import re
 import sys
 from pathlib import Path
 
-from cdsp import InstanceConfig, Setting, SolveLimits, parse_solomon
-from cdsp.harness import ManifestEntry, report_table, run_suite
+from cdsp import Setting, cli, parse_solomon
 
 NAME_RE = re.compile(r"^(RC|C|R)(\d)", re.IGNORECASE)
 
@@ -48,9 +48,9 @@ def main(argv=None) -> int:
     parser.add_argument("--pattern", default="**/*.txt", help="glob under data_dir")
     parser.add_argument("--out", default="benchmark-results", help="output directory")
     parser.add_argument("--sizes", type=int, nargs="*", help="restrict to these size classes")
-    parser.add_argument("--time-limit", type=float, default=SolveLimits.time_limit_s)
-    parser.add_argument("--threads", type=int, default=SolveLimits.threads)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--time-limit", help="seconds per instance (cdsp suite's default)")
+    parser.add_argument("--threads", help="thread cap (cdsp suite's default)")
+    parser.add_argument("--workers", help="parallel instances (cdsp suite's default)")
     parser.add_argument(
         "--manifest-only", action="store_true", help="write manifest.csv and stop"
     )
@@ -61,44 +61,33 @@ def main(argv=None) -> int:
         print(f"no instance files match {args.pattern} under {args.data_dir}", file=sys.stderr)
         return 1
 
-    entries = []
+    rows = []
     for path in files:
         setting = classify(path)
-        if setting is None:
+        if setting is None or (args.sizes and setting.size not in args.sizes):
             continue
-        if args.sizes and setting.size not in args.sizes:
-            continue
-        entries.append(ManifestEntry(path=path, setting=setting))
-    print(f"{len(entries)} instances manifested from {len(files)} files")
+        rows.append(
+            [str(path.resolve()), setting.size or "", setting.klass or "", setting.tw or ""]
+        )
+    print(f"{len(rows)} instances manifested from {len(files)} files")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "manifest.csv", "w", newline="") as handle:
+    manifest = out / "manifest.csv"
+    with open(manifest, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["path", "size", "class", "tw"])
-        for entry in entries:
-            writer.writerow(
-                [
-                    str(entry.path.resolve()),
-                    entry.setting.size or "",
-                    entry.setting.klass or "",
-                    entry.setting.tw or "",
-                ]
-            )
-    print(f"manifest written to {out / 'manifest.csv'}")
+        writer.writerows(rows)
+    print(f"manifest written to {manifest}")
     if args.manifest_only:
         return 0
 
-    report = run_suite(
-        entries,
-        InstanceConfig(),
-        SolveLimits(time_limit_s=args.time_limit, threads=args.threads),
-        workers=args.workers,
-        out_dir=out,
-    )
-    print(report_table(report), end="")
-    print(f"report written to {out}")
-    return 1 if report.has_errors else 0
+    suite = ["suite", str(manifest), "--out", str(out)]
+    given = {"--time-limit": args.time_limit, "--threads": args.threads, "--workers": args.workers}
+    for flag, value in given.items():
+        if value is not None:
+            suite += [flag, value]
+    return cli.main(suite)
 
 
 if __name__ == "__main__":

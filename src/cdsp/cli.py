@@ -16,32 +16,28 @@ from .formulation.writers import MODEL_FORMATS
 from .harness import (
     OBJECTIVE_MATCH_TOL,
     config_fingerprint,
+    load_instance,
     load_manifest,
     report_table,
     run_instance,
     run_suite,
 )
-from .instances import (
-    InstanceConfig,
-    InstanceError,
-    SolomonParseError,
-    build_instance,
-    parse_solomon,
-)
+from .instances import InstanceConfig
 from .network import InfeasibleWindowError, build_multigraph
 from .oracle import DEFAULT_LIMIT, OracleResult, OracleSizeError, exact_solve_tiny
 from .routes import solution_to_json
 
 
-def _flag_type(expected: str, number, words=None, ok=None):
-    """An argparse ``type=`` taking one of ``words`` (mapped) or a ``number``
-    that ``ok`` accepts; else a usage error naming the flag (exit status 2)."""
+def _flag_type(expected: str, parse, words=None, ok=None):
+    """An argparse ``type=`` taking one of ``words`` (mapped) or a value that
+    ``parse`` makes and ``ok`` accepts; else a usage error naming the flag
+    (exit status 2)."""
 
     def convert(text: str):
         if words and text in words:
             return words[text]
         with contextlib.suppress(ValueError):
-            value = number(text)
+            value = parse(text)
             if ok is None or ok(value):
                 return value
         raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
@@ -54,6 +50,9 @@ _SHIFT_CAP = _flag_type("a number or 'depot-deadline'", float, {"depot-deadline"
 _ROUNDING = _flag_type("'none' or an integer >= 0", int, {"none": None}, lambda v: v >= 0)
 _SECONDS = _flag_type("a number of seconds > 0", float, ok=lambda v: v > 0)
 _COUNT = _flag_type("an integer >= 1", int, ok=lambda v: v >= 1)
+_COMMAND = _flag_type(
+    "a command of one or more words", lambda text: tuple(shlex.split(text)), ok=bool
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--solver-cmd",
+            type=_COMMAND,
             default=None,
             help="external solver command template with {model} {solution} "
             "{time_limit} {threads} placeholders (bundled HiGHS if omitted)",
@@ -166,10 +166,10 @@ def _instance_config(args) -> InstanceConfig:
 
 def _adapter(args):
     """The external-solver adapter for --solver-cmd, else the bundled HiGHS."""
-    if not args.solver_cmd:
+    if args.solver_cmd is None:
         return ScipyMilpAdapter()
     return FileSolverAdapter(
-        command=tuple(shlex.split(args.solver_cmd)),
+        command=args.solver_cmd,
         model_format=args.solver_format,
         solution_format=args.solution_format,
     )
@@ -180,15 +180,13 @@ def _limits(args) -> SolveLimits:
 
 
 def _load_instance(args):
-    """The instance file as configured; a file that cannot be read, decoded,
-    parsed or built ends the command with one ``cdsp: <path>: <reason>``
-    line on stderr and exit status 1."""
-    path = Path(args.instance)
+    """The instance file as configured; a file that `load_instance` fails on
+    ends the command with one ``cdsp: <path>: <reason>`` line on stderr and
+    exit status 1."""
     try:
-        raw = parse_solomon(path.read_text())
-        return build_instance(raw, _instance_config(args), label=path.stem)
-    except (OSError, UnicodeDecodeError, SolomonParseError, InstanceError) as exc:
-        raise _failure(path, exc) from None
+        return load_instance(args.instance, _instance_config(args))
+    except (OSError, ValueError) as exc:
+        raise _failure(args.instance, exc) from None
 
 
 def _printable(text: str) -> str:
@@ -204,6 +202,11 @@ def _failure(path, exc: Exception) -> SystemExit:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "out", None):
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            raise _failure(args.out, exc) from None
 
     if args.command == "solve":
         record = run_instance(
@@ -286,9 +289,7 @@ def main(argv=None) -> int:
             raise _failure(args.instance, exc) from None
         model = build_model(graph, inst, explicit_bounds=args.explicit_rows)
         if args.out:
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            target = out / f"{inst.label}.{args.format}"
+            target = Path(args.out) / f"{inst.label}.{args.format}"
             with open(target, "w", encoding="utf-8", newline="") as file:
                 write_model(model, args.format, file)
             print(f"wrote {target}")

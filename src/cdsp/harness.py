@@ -31,14 +31,7 @@ from .formulation import (
     solve,
 )
 from .formulation.solvers import FEASIBILITY_TOL
-from .instances import (
-    InstanceConfig,
-    InstanceError,
-    Setting,
-    SolomonParseError,
-    build_instance,
-    parse_solomon,
-)
+from .instances import Instance, InstanceConfig, Setting, build_instance, parse_solomon
 from .network import InfeasibleWindowError, build_multigraph
 from .routes import solution_to_json, validate_solution
 
@@ -166,6 +159,17 @@ def config_fingerprint(
     }
 
 
+def load_instance(path, cfg: InstanceConfig, setting: Setting | None = None) -> Instance:
+    """Read, parse and build the instance in one file, labelled by its stem.
+
+    A file that cannot be read raises OSError; one that is not UTF-8 or
+    does not parse or build, or a path holding a NUL byte, ValueError.
+    """
+    path = Path(path)
+    raw = parse_solomon(path.read_text())
+    return build_instance(raw, cfg, setting=setting, label=path.stem)
+
+
 def run_instance(
     path,
     cfg: InstanceConfig,
@@ -177,11 +181,12 @@ def run_instance(
 ) -> RunRecord:
     """Solve one instance file end to end and return its record.
 
-    Parse/build/read errors become status "error"; an empty preprocessed
-    window becomes status "infeasible". An incumbent that does not decode
-    raises ModelDecodeError; one that fails validation or (when proven
-    optimal) disagrees with the decoded objective raises
-    IncumbentValidationError: that is a bug, not a result.
+    A file `load_instance` fails on is status "error", and an empty
+    preprocessed window status "infeasible". An incumbent that does not
+    decode (ModelDecodeError), fails validation or, when proven optimal,
+    disagrees with the decoded objective (IncumbentValidationError) is a
+    model or decoder bug, not a result: it is status "error" with the
+    exception's message, so that one such instance does not sink a suite.
 
     F' subtracts the tightened releases, as the decoded solution does, or
     with raw_release the releases as the file gives them; the record, the
@@ -194,13 +199,8 @@ def run_instance(
         return RunRecord(label=label, setting=setting, status=status, message=message)
 
     try:
-        text = path.read_text()
-    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, or a NUL in the path
-        return failed(SolveStatus.ERROR.value, str(exc))
-    try:
-        raw = parse_solomon(text)
-        inst = build_instance(raw, cfg, setting=setting, label=label)
-    except (SolomonParseError, InstanceError) as exc:
+        inst = load_instance(path, cfg, setting)
+    except (OSError, ValueError) as exc:
         return failed(SolveStatus.ERROR.value, str(exc))
 
     build_start = time.perf_counter()
@@ -214,22 +214,26 @@ def run_instance(
     outcome = solve(model, limits, adapter)
     total = net = gap = None
     if outcome.has_incumbent:
-        sol = extract_solution(model, outcome.values)
-        verdict = validate_solution(sol, inst, graph.windows)
-        if not verdict.ok:
-            raise IncumbentValidationError(
-                f"{label}: incumbent failed validation: " + "; ".join(verdict.violations)
-            )
-        total, net = sol.total_completion, sol.net_completion
+        try:
+            sol = extract_solution(model, outcome.values)
+            verdict = validate_solution(sol, inst, graph.windows)
+            if not verdict.ok:
+                raise IncumbentValidationError(
+                    f"{label}: incumbent failed validation: " + "; ".join(verdict.violations)
+                )
+            total = sol.total_completion
+            if (
+                outcome.status is SolveStatus.OPTIMAL
+                and abs(total - outcome.objective) > OBJECTIVE_MATCH_TOL
+            ):
+                raise IncumbentValidationError(
+                    f"{label}: decoded objective {total!r} != solver optimum {outcome.objective!r}"
+                )
+        except (ModelDecodeError, IncumbentValidationError) as exc:
+            return failed(SolveStatus.ERROR.value, str(exc))
+        net = sol.net_completion
         if raw_release:
             net = total - float(sum(site.release for site in inst.sites[1:]))
-        if (
-            outcome.status is SolveStatus.OPTIMAL
-            and abs(total - outcome.objective) > OBJECTIVE_MATCH_TOL
-        ):
-            raise IncumbentValidationError(
-                f"{label}: decoded objective {total!r} != solver optimum {outcome.objective!r}"
-            )
         if outcome.bound is not None and total > 0:
             excess = total - outcome.bound
             if outcome.status is SolveStatus.OPTIMAL and abs(excess) <= OBJECTIVE_MATCH_TOL:
@@ -322,40 +326,26 @@ def run_suite(
 ) -> BenchmarkReport:
     """Run every manifest entry (see `load_manifest`) and aggregate per setting.
 
-    Missing instance files, and incumbents that do not decode or fail
-    validation, yield per-instance error records, not a crash.
-    Instances run in parallel across worker processes when workers > 1.
+    Each entry is one `run_instance` record, so a missing instance file or
+    an incumbent that does not decode or fails validation is that entry's
+    error record, not a crash. Instances run in parallel across worker
+    processes when workers > 1.
     """
     solutions_dir = Path(out_dir) / "solutions" if out_dir is not None else None
-
-    args = [
-        (e.path, cfg, limits, adapter, e.setting, raw_release, solutions_dir) for e in entries
-    ]
+    calls = [(e.path, cfg, limits, adapter, e.setting) for e in entries]
+    options = dict(raw_release=raw_release, out_dir=solutions_dir)
     if workers > 1 and len(entries) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_entry, args))
+            futures = [pool.submit(run_instance, *call, **options) for call in calls]
+            records = [future.result() for future in futures]
     else:
-        records = [_run_entry(a) for a in args]
+        records = [run_instance(*call, **options) for call in calls]
 
     fingerprint = config_fingerprint(cfg, limits, adapter.name, raw_release)
     report = BenchmarkReport(records=records, fingerprint=fingerprint)
     if out_dir is not None:
         write_report(report, out_dir)
     return report
-
-
-def _run_entry(args) -> RunRecord:
-    """run_instance for one suite entry; an incumbent that does not decode
-    or fails validation becomes an error record, so the other entries
-    still report."""
-    path, cfg, limits, adapter, setting, raw_release, out_dir = args
-    try:
-        return run_instance(
-            path, cfg, limits, adapter, setting=setting, raw_release=raw_release, out_dir=out_dir
-        )
-    except (ModelDecodeError, IncumbentValidationError) as exc:
-        status = SolveStatus.ERROR.value
-        return RunRecord(label=Path(path).stem, setting=setting, status=status, message=str(exc))
 
 
 def _setting_label(key: tuple) -> str:

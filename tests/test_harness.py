@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import shlex
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -132,6 +133,20 @@ class TestRunInstance:
     def test_unreadable_path_is_error_status(self, tmp_path):
         record = run_instance(tmp_path / "missing.txt", InstanceConfig(), LIMITS)
         assert record.status == "error"
+
+    def test_undecodable_incumbent_is_error_status(self, fractional_on_wide5):
+        adapter = FileSolverAdapter(command=fractional_on_wide5)
+        record = run_instance(WIDE5, InstanceConfig(fleet_size="file"), LIMITS, adapter)
+        assert (record.label, record.status) == ("wide5", "error")
+        assert record.message.startswith("fractional arc value x_0 = ")
+        assert record.total is None and record.wall_s is None
+
+    def test_failed_validation_is_error_status(self, tmp_path, tiny2_file):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(tiny2_file.read_text())
+        record = run_instance(bad, InstanceConfig(fleet_size="file"), LIMITS, OffByOneAdapter())
+        assert record.status == "error"
+        assert record.message.startswith("bad: decoded objective ")
 
     def test_malformed_file_is_error_status(self, tmp_path):
         path = tmp_path / "garbage.txt"
@@ -464,6 +479,36 @@ class TestCli:
         code = main(["solve", str(tmp_path / "missing.txt")])
         assert code == 1
 
+    def test_solve_prints_an_undecodable_incumbent_as_an_error(self, fractional_on_wide5, capsys):
+        from cdsp.cli import main
+
+        command = shlex.join(fractional_on_wide5)
+        code = main(["solve", str(WIDE5), "--fleet", "file", "--solver-cmd", command])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.startswith("wide5: error\n  note: fractional arc value x_0 = ")
+
+    @pytest.mark.parametrize(
+        "command",
+        [["solve", "{instance}"], ["suite", "{manifest}"], ["emit", "{instance}", "--format", "lp"]],
+    )
+    def test_out_naming_a_file_fails_before_any_work(self, tmp_path, monkeypatch, command):
+        from cdsp import cli
+
+        def work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("load_instance", "load_manifest", "run_instance"):
+            monkeypatch.setattr(cli, name, work)
+        out = tmp_path / "taken"
+        out.write_text("")
+        paths = {"instance": DATA_DIR / "tiny2.txt", "manifest": tmp_path / "m.csv"}
+        argv = [word.format(**paths) for word in command]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(out)])
+        assert exc.value.code == f"cdsp: {out}: File exists"
+        assert out.read_text() == ""
+
     @pytest.mark.parametrize(
         "command", [["oracle"], ["emit", "--format", "lp"], ["solve", "--oracle"]]
     )
@@ -614,6 +659,8 @@ class TestCli:
             ("--time-limit", "nan", "a number of seconds > 0"),
             ("--threads", "0", "an integer >= 1"),
             ("--workers", "0", "an integer >= 1"),
+            ("--solver-cmd", "foo 'bar", "a command of one or more words"),
+            ("--solver-cmd", "   ", "a command of one or more words"),
         ],
     )
     def test_bad_flag_value_is_a_usage_error(self, tiny2_file, capsys, flag, value, expected):
