@@ -72,7 +72,10 @@ def main(argv=None) -> int:
     print(f"{len(rows)} instances manifested from {len(files)} files")
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # as `cdsp suite --out` reports it
+        raise cli._failure(args.out, exc) from None
     manifest = out / "manifest.csv"
     with open(manifest, "w", newline="") as handle:
         writer = csv.writer(handle)

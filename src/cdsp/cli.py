@@ -229,32 +229,32 @@ def main(argv=None) -> int:
             print(f"  nodes = {record.nodes}")
         if record.message:
             print(f"  note: {record.message}")
-        if args.oracle:
+        checked = record.status in (SolveStatus.OPTIMAL.value, SolveStatus.INFEASIBLE.value)
+        if args.oracle and not checked:
+            print(f"  oracle check skipped: solver status {record.status}")
+        elif args.oracle:
             inst = _load_instance(args)
-            result = None
             try:
                 result = exact_solve_tiny(inst)
             except OracleSizeError as exc:
                 print(f"  oracle check skipped: {exc}")
+                return 0
             except InfeasibleWindowError:
                 # an empty tightened window: no solution at all
                 result = OracleResult(solution=None, best_total=math.inf, candidates=0)
-            if result is not None:
-                if record.status == SolveStatus.OPTIMAL.value:
-                    if abs(result.best_total - record.total) > OBJECTIVE_MATCH_TOL:
-                        print(
-                            f"  oracle check FAILED: oracle F = {result.best_total!r} "
-                            f"!= solver F = {record.total!r}"
-                        )
-                        return 1
-                    print(f"  oracle check: OK (F = {result.best_total:.6f})")
-                elif record.status == SolveStatus.INFEASIBLE.value:
-                    if result.solution is not None:
-                        print("  oracle check FAILED: oracle found a feasible solution")
-                        return 1
-                    print("  oracle check: OK (infeasible)")
-                else:
-                    print(f"  oracle check skipped: solver status {record.status}")
+            if record.status == SolveStatus.OPTIMAL.value:
+                if abs(result.best_total - record.total) > OBJECTIVE_MATCH_TOL:
+                    print(
+                        f"  oracle check FAILED: oracle F = {result.best_total!r} "
+                        f"!= solver F = {record.total!r}"
+                    )
+                    return 1
+                print(f"  oracle check: OK (F = {result.best_total:.6f})")
+            elif result.solution is not None:
+                print("  oracle check FAILED: oracle found a feasible solution")
+                return 1
+            else:
+                print("  oracle check: OK (infeasible)")
         return 0 if record.status != SolveStatus.ERROR.value else 1
 
     if args.command == "suite":

@@ -1,10 +1,11 @@
 """Decode incumbent column values into multi-trip tours.
 
-Decoding follows traversed arcs out of the depot; replenishment arcs expand
-into depot visits that split trips. Visit times come from the incumbent;
-completion times are recomputed from the decoded trips (the carry binaries
-are ignored, since minimization already pins them down), and departures are
-set to the latest time that reaches the first stop without waiting.
+Routes come from the arcs: decoding follows traversed arcs out of the depot,
+and replenishment arcs expand into depot visits that split trips. Times come
+from `schedule_tour`, which times the oracle's tours and is the rule
+`validate_solution` checks. The continuous columns (z, tau, C) are not read
+and the carry binaries are only checked for integrality, so the decoded
+solution does not depend on the solver's float bits.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..network import ArcKind
-from ..routes import EvaluatedSolution, Tour, evaluated_solution
+from ..routes import EvaluatedSolution, InfeasibleTourError, assemble_solution
 from .model import MipModel
 
 INTEGRALITY_TOL = 1e-6
@@ -27,12 +28,12 @@ def extract_solution(model: MipModel, values) -> EvaluatedSolution:
     incumbent column values over the model's graph and instance.
 
     Raises ModelDecodeError on binaries more than INTEGRALITY_TOL from an
-    integer or on arc degrees violating the flow clauses (both signal
+    integer, on arc degrees violating the flow clauses, or on a tour that
+    `schedule_tour` cannot time, with its message (all signal
     solver-tolerance or model bugs rather than recoverable outcomes).
     """
     vec = _as_vector(model, values)
-    graph, lay, travel = model.graph, model.layout, model.inst.travel
-    n = model.n
+    graph, lay, n = model.graph, model.layout, model.n
 
     x = vec[: lay.num_arcs]  # lay.x is the identity on arc ids
     rounded = np.round(x)
@@ -78,8 +79,7 @@ def extract_solution(model: MipModel, values) -> EvaluatedSolution:
     succ[src[leaves]] = leaves
     succ, targets, kinds = succ.tolist(), tgt.tolist(), table["kind"].tolist()
     depot, replenish = ArcKind.DEPOT.code, ArcKind.REPLENISH.code
-    visit = dict(zip(range(1, n + 1), vec[lay.z(1) : lay.z(n) + 1].tolist()))
-    tours: list[Tour] = []
+    routes: list[list[list[int]]] = []
     used = 0
     # every point of care has one arc in and one out, so the depot's two
     # degrees are equal and each walk is a simple path back to the depot: a
@@ -96,17 +96,17 @@ def extract_solution(model: MipModel, values) -> EvaluatedSolution:
                 trips[-1].append(current)
             pos = succ[current]
         used += sum(map(len, trips)) + 1
-        first = trips[0][0]
-        departure = visit[first] - float(travel[0, first])
-        deliveries = [visit[trip[-1]] + float(travel[trip[-1], 0]) for trip in trips]
-        tours.append(Tour(trips, departure, deliveries))
+        routes.append(trips)
 
     if used != len(traversed):
         raise ModelDecodeError(
             f"{len(traversed) - used} traversed arcs unreachable from the depot"
         )
 
-    return evaluated_solution(tours, visit, graph.windows)
+    try:
+        return assemble_solution(routes, model.inst, graph.windows)
+    except InfeasibleTourError as exc:
+        raise ModelDecodeError(str(exc)) from exc
 
 
 def _as_vector(model: MipModel, values) -> np.ndarray:

@@ -363,8 +363,8 @@ class ScipyMilpAdapter:
     placeholder reads. Deterministic for fixed inputs.
 
     Feasibility tolerances are FEASIBILITY_TOL (1e-9), well below HiGHS's
-    1e-6 MIP default: incumbents may shave binding constraints by up to that
-    tolerance, which would blur objective comparisons at the 1e-6 level.
+    1e-6 MIP default. The decoded F is exact (the decoder times the routes
+    itself); what remains is comparing it with HiGHS's objective at 1e-6.
     HiGHS's feasibility-jump heuristic is off (FEASIBILITY_JUMP): a fixed
     cost per solve that saved no branch-and-bound node on the benchmark.
     So is its root reduced-cost heuristic (ROOT_REDUCED_COST), most of the

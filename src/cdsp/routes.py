@@ -181,11 +181,6 @@ def assemble_solution(vehicle_trips, inst: Instance, windows: TimeWindows) -> Ev
         tour, tour_visit = schedule_tour(trips, inst, windows)
         tours.append(tour)
         visit.update(tour_visit)
-    return evaluated_solution(tours, visit, windows)
-
-
-def evaluated_solution(tours, visit: dict, windows: TimeWindows) -> EvaluatedSolution:
-    """The solution with both objectives."""
     tours = tuple(tours)
     total, net = _objectives(tours, windows)
     return EvaluatedSolution(tours=tours, visit=visit, total_completion=total, net_completion=net)

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from cdsp import (
     ArcKind,
+    InfeasibleTourError,
     ModelDecodeError,
     SolveLimits,
+    assemble_solution,
     build_model,
     build_multigraph,
     extract_solution,
@@ -201,6 +203,7 @@ STRUCTURE_MESSAGES = re.compile(
     r"|node \d+ has out-degree \d+, in-degree \d+ \(must be 1/1\)"
     r"|\d+ vehicles leave the depot, fleet size \d+"
     r"|\d+ traversed arcs unreachable from the depot"
+    r"|tour infeasible at (node \d+|shift): .+"
 )
 
 
@@ -214,7 +217,8 @@ def _fleet_of_two(n):
 @st.composite
 def near_routings(draw):
     """A routing of all n nodes, as trips cut by replenishment or by a return
-    to the depot, with up to three arc values then flipped."""
+    to the depot, with up to three arc values then flipped, and random
+    carry and visit-time values."""
     n = draw(st.integers(2, 5))
     g, model = _fleet_of_two(n)
     order = draw(st.permutations(range(1, n + 1)))
@@ -247,19 +251,28 @@ def near_routings(draw):
 @settings(max_examples=300, deadline=None)
 @given(near_routings())
 def test_binary_vectors_decode_or_name_a_structural_fault(case):
+    """Without flips, the decoded solution is the drawn routing as
+    `assemble_solution` times it, whatever the visit times say: the same
+    solution, or the same scheduler message when it has no timing."""
     g, model, vec, tours = case
+    fits = tours is not None and len(tours) <= model.inst.fleet_size
+    if fits:
+        # the decoder lists tours in depot arc order, by first node
+        tours = sorted(tours, key=lambda tour: tour[0][0])
+        try:
+            want = assemble_solution(tours, model.inst, g.windows)
+        except InfeasibleTourError as err:
+            want = err
     try:
         sol = extract_solution(model, vec)
     except ModelDecodeError as err:
         assert STRUCTURE_MESSAGES.fullmatch(str(err)), str(err)
-        assert tours is None or len(tours) > model.inst.fleet_size
+        assert not fits or (isinstance(want, InfeasibleTourError) and str(err) == str(want))
         return
     visited = [node for tour in sol.tours for trip in tour.trips for node in trip]
     assert sorted(visited) == list(range(1, model.n + 1))
     assert len(sol.tours) <= model.inst.fleet_size
-    if tours is not None:
-        want = sorted(tuple(tuple(trip) for trip in tour) for tour in tours)
-        assert sorted(trips_by_vehicle(sol)) == want
+    assert not fits or sol == want
 
 
 class TestEmbedDecodeConsistency:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cdsp import (
+    ArcKind,
     FileSolverAdapter,
     InstanceConfig,
     RawInstance,
@@ -18,7 +19,7 @@ from cdsp import (
     SolveLimits,
     write_solomon,
 )
-from cdsp.formulation import INTEGRALITY_TOL
+from cdsp.formulation import INTEGRALITY_TOL, SolveOutcome, SolveStatus
 from cdsp.formulation.solvers import FEASIBILITY_TOL
 from cdsp.harness import (
     SCHEMA_TAG,
@@ -81,6 +82,22 @@ class OffByOneAdapter:
 
 
 @dataclasses.dataclass(frozen=True)
+class LateRouteAdapter:
+    """Reports capped2's single trip 0 -> 2 -> 1 -> 0 as optimal: node 2
+    opens at 15, so node 1 (deadline 8) is reached too late."""
+
+    name: str = "late-route"
+
+    def solve(self, model, limits):
+        depot, inter = ArcKind.DEPOT.code, ArcKind.INTER.code
+        route = {(depot, 0, 2), (inter, 2, 1), (depot, 1, 0)}
+        values = np.zeros(model.num_columns)
+        for a, (source, target, kind, _) in enumerate(model.graph.arcs.tolist()):
+            values[a] = (kind, source, target) in route
+        return SolveOutcome(SolveStatus.OPTIMAL, objective=0.0, values=values)
+
+
+@dataclasses.dataclass(frozen=True)
 class BoundAboveAdapter:
     """Reports a dual bound `excess` above the optimum it proves."""
 
@@ -140,6 +157,12 @@ class TestRunInstance:
         assert (record.label, record.status) == ("wide5", "error")
         assert record.message.startswith("fractional arc value x_0 = ")
         assert record.total is None and record.wall_s is None
+
+    def test_untimeable_route_is_error_status(self):
+        adapter = LateRouteAdapter()
+        record = run_instance(CAPPED2, InstanceConfig(fleet_size="file"), LIMITS, adapter)
+        assert (record.label, record.status) == ("capped2", "error")
+        assert record.message == "tour infeasible at node 1: earliest visit 20 beyond deadline 8"
 
     def test_failed_validation_is_error_status(self, tmp_path, tiny2_file):
         bad = tmp_path / "bad.txt"
@@ -509,10 +532,7 @@ class TestCli:
         assert exc.value.code == f"cdsp: {out}: File exists"
         assert out.read_text() == ""
 
-    @pytest.mark.parametrize(
-        "command", [["oracle"], ["emit", "--format", "lp"], ["solve", "--oracle"]]
-    )
-    @pytest.mark.parametrize(
+    unreadable = pytest.mark.parametrize(
         "content, reason",
         [
             (None, "No such file or directory"),
@@ -522,6 +542,9 @@ class TestCli:
         ],
         ids=["missing", "non-utf8", "malformed", "fractional-fleet"],
     )
+
+    @pytest.mark.parametrize("command", [["oracle"], ["emit", "--format", "lp"]])
+    @unreadable
     def test_unreadable_instance_is_one_stderr_line(self, tmp_path, command, content, reason):
         from cdsp.cli import main
 
@@ -532,6 +555,25 @@ class TestCli:
             main([command[0], str(path), "--fleet", "file", *command[1:]])
         assert str(exc.value.code).startswith(f"cdsp: {path}: {reason}")
         assert "\n" not in str(exc.value.code)
+
+    @unreadable
+    def test_solve_oracle_on_an_unreadable_instance_is_one_error_record(
+        self, tmp_path, capsys, content, reason
+    ):
+        # the oracle runs only on an optimal or infeasible solve, so the
+        # file is not read again and its failure not reported twice
+        from cdsp.cli import main
+
+        path = tmp_path / "bad.txt"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["solve", str(path), "--fleet", "file", "--oracle"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith("bad: error\n  note: ")
+        assert reason in out
+        assert out.endswith("\n  oracle check skipped: solver status error\n")
+        assert out.count("\n") == 3
 
     @pytest.fixture
     def empty_window_file(self, tmp_path):

@@ -94,3 +94,12 @@ def test_reproduce_benchmark_forwards_only_the_flags_given(data, tmp_path, monke
         ["suite", manifest, "--out", out],
         ["suite", manifest, "--out", out, "--threads", "4", "--workers", "2"],
     ]
+
+
+def test_reproduce_benchmark_out_naming_a_file_is_one_stderr_line(data, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        load_script().main([str(data), "--out", str(taken)])
+    assert exc.value.code == f"cdsp: {taken}: File exists"
+    assert taken.read_text() == ""
