@@ -5,7 +5,7 @@ Builds a manifest by inspecting each file (size class from the number of
 customer rows; spatial class C/R/RC from the instance name; tight/wide
 windows from the series digit, 1xx vs 2xx), writes it to the output
 directory and runs `cdsp suite` on it, which prints the aggregate table.
-`--time-limit`, `--threads` and `--workers` go to `cdsp suite` as given;
+`--time-limit` and `--workers` go to `cdsp suite` as given;
 left out, its defaults (the benchmark protocol's) hold.
 
 Examples:
@@ -49,7 +49,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="benchmark-results", help="output directory")
     parser.add_argument("--sizes", type=int, nargs="*", help="restrict to these size classes")
     parser.add_argument("--time-limit", help="seconds per instance (cdsp suite's default)")
-    parser.add_argument("--threads", help="thread cap (cdsp suite's default)")
     parser.add_argument("--workers", help="parallel instances (cdsp suite's default)")
     parser.add_argument(
         "--manifest-only", action="store_true", help="write manifest.csv and stop"
@@ -86,7 +85,7 @@ def main(argv=None) -> int:
         return 0
 
     suite = ["suite", str(manifest), "--out", str(out)]
-    given = {"--time-limit": args.time_limit, "--threads": args.threads, "--workers": args.workers}
+    given = {"--time-limit": args.time_limit, "--workers": args.workers}
     for flag, value in given.items():
         if value is not None:
             suite += [flag, value]

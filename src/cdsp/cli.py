@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .formulation import FileSolverAdapter, SolveLimits, SolveStatus, build_model, write_model
-from .formulation.solvers import SOLUTION_PARSERS, ScipyMilpAdapter
+from .formulation.solvers import SOLUTION_PARSERS, ScipyMilpAdapter, SolverConfigError
 from .formulation.writers import MODEL_FORMATS
 from .harness import (
     OBJECTIVE_MATCH_TOL,
@@ -53,6 +53,16 @@ _COUNT = _flag_type("an integer >= 1", int, ok=lambda v: v >= 1)
 _COMMAND = _flag_type(
     "a command of one or more words", lambda text: tuple(shlex.split(text)), ok=bool
 )
+
+
+def _solver_command(text: str) -> tuple[str, ...]:
+    """--solver-cmd's words, which FileSolverAdapter must accept."""
+    command = _COMMAND(text)
+    try:
+        FileSolverAdapter(command)
+    except SolverConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return command
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,18 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="seconds per instance",
         )
         p.add_argument(
-            "--threads",
-            type=_COUNT,
-            default=SolveLimits.threads,
-            help="fills --solver-cmd's {threads} placeholder only; the bundled "
-            "HiGHS solve gets no thread setting",
-        )
-        p.add_argument(
             "--solver-cmd",
-            type=_COMMAND,
+            type=_solver_command,
             default=None,
             help="external solver command template with {model} {solution} "
-            "{time_limit} {threads} placeholders (bundled HiGHS if omitted)",
+            "{time_limit} placeholders (bundled HiGHS if omitted)",
         )
         p.add_argument("--solver-format", choices=MODEL_FORMATS, default="lp")
         p.add_argument("--solution-format", choices=list(SOLUTION_PARSERS), default="plain")
@@ -176,7 +179,7 @@ def _adapter(args):
 
 
 def _limits(args) -> SolveLimits:
-    return SolveLimits(time_limit_s=args.time_limit, threads=args.threads)
+    return SolveLimits(time_limit_s=args.time_limit)
 
 
 def _load_instance(args):

@@ -1,7 +1,8 @@
 """MILP solving behind a small stateless adapter contract.
 
 Adapters take a built model plus limits and return a SolveOutcome carrying
-status, incumbent values, the solver-reported dual bound and wall time.
+status, incumbent values and the solver-reported dual bound; the caller
+times the solve.
 Two implementations ship: the bundled HiGHS backend, which hands
 `solver_view(model)` straight to the HiGHS binding that scipy bundles for
 `scipy.optimize.milp` (without `milp` itself), and a file-based adapter
@@ -72,20 +73,18 @@ class SolveStatus(str, enum.Enum):
 
 
 class SolverConfigError(RuntimeError):
-    """An adapter is configured with an unknown model or solution format, or
-    HiGHS rejects an option the bundled adapter sets."""
+    """An adapter is configured with an unknown model or solution format or
+    a command holding {threads}, or HiGHS rejects an option the bundled
+    adapter sets."""
 
 
 @dataclass(frozen=True)
 class SolveLimits:
     time_limit_s: float = 3600.0
-    threads: int = 16
 
     def __post_init__(self):
-        if self.time_limit_s <= 0:
+        if not self.time_limit_s > 0:  # NaN too
             raise ValueError("time limit must be positive")
-        if self.threads < 1:
-            raise ValueError("thread cap must be >= 1")
 
 
 @dataclass
@@ -94,7 +93,6 @@ class SolveOutcome:
     objective: float | None = None
     bound: float | None = None
     values: np.ndarray | None = None
-    wall_s: float = 0.0
     message: str = ""
     nodes: int | None = None  # branch-and-bound nodes, where the solver reports them
 
@@ -358,9 +356,8 @@ class ScipyMilpAdapter:
     the wrapper. So are row duals, bound marginals and the basis, which
     nothing here reads.
 
-    HiGHS gets no thread setting: it runs with its own default whatever
-    `limits.threads` says, which only `FileSolverAdapter`'s ``{threads}``
-    placeholder reads. Deterministic for fixed inputs.
+    HiGHS gets no thread setting and runs with its own default.
+    Deterministic for fixed inputs.
 
     Feasibility tolerances are FEASIBILITY_TOL (1e-9), well below HiGHS's
     1e-6 MIP default. The decoded F is exact (the decoder times the routes
@@ -384,7 +381,7 @@ class ScipyMilpAdapter:
     def solve(self, model: MipModel, limits: SolveLimits) -> SolveOutcome:
         from scipy.optimize._highspy import _core as highspy
 
-        start = time.perf_counter()
+        start = time.perf_counter()  # for the time left to a retry
         view, restore = solver_view(model)
         matrix = view.matrix
         index_dtype = np.result_type(matrix.indptr, matrix.indices)
@@ -392,7 +389,6 @@ class ScipyMilpAdapter:
             # the binding would cast them to HiGHS's int32 without a check
             return SolveOutcome(
                 status=SolveStatus.ERROR,
-                wall_s=time.perf_counter() - start,
                 message=f"HiGHS takes int32 matrix indices; this matrix's are {index_dtype}"
                 f" ({matrix.nnz} nonzeros)",
             )
@@ -431,7 +427,6 @@ class ScipyMilpAdapter:
                 info.primal_solution_status == highspy.kSolutionStatusFeasible
             )
             values = restore(np.array(highs.getSolution().col_value)) if found else None
-        wall = time.perf_counter() - start
         kind = answers.get(status, SolveStatus.ERROR)
         if kind is SolveStatus.FEASIBLE_TIME_LIMIT and not found:
             kind = SolveStatus.NO_SOLUTION_TIME_LIMIT
@@ -440,7 +435,6 @@ class ScipyMilpAdapter:
             objective=float(info.objective_function_value) if found else None,
             bound=float(info.mip_dual_bound) if found else None,
             values=values,
-            wall_s=wall,
             message=highs.modelStatusToString(status) + note,
             nodes=int(info.mip_node_count) if found else None,
         )
@@ -493,9 +487,13 @@ def _stdout_to_stderr():
 class FileSolverAdapter:
     """Drive any external MILP solver through model/solution files.
 
-    The command is a template; {model}, {solution}, {time_limit} and
-    {threads} placeholders are substituted per call. The solver must write
-    a solution file that one of the bundled parsers understands:
+    The command is a template; {model}, {solution} and {time_limit}
+    placeholders are substituted per call. A thread count, if the solver
+    takes one, is written into the command itself: a command holding
+    {threads} raises SolverConfigError. The solver's stdout is discarded,
+    and the tail of its stderr goes into the message when it writes no
+    solution file. The solver must write a solution file that one of the
+    bundled parsers understands:
 
     - "plain": optional ``status <word>`` / ``objective <num>`` /
       ``bound <num>`` headers, then one ``<variable> <value>`` per line
@@ -525,10 +523,14 @@ class FileSolverAdapter:
                 f"unknown solution format {self.solution_format!r} "
                 f"(known: {sorted(SOLUTION_PARSERS)})"
             )
+        if any("{threads}" in part for part in self.command):
+            raise SolverConfigError(
+                "the {threads} placeholder is not filled in; write the thread count "
+                "into the command"
+            )
 
     def solve(self, model: MipModel, limits: SolveLimits) -> SolveOutcome:
         parser = SOLUTION_PARSERS[self.solution_format]
-        start = time.perf_counter()
         with tempfile.TemporaryDirectory(prefix="cdsp-solve-") as tmp:
             model_path = Path(tmp) / f"model.{self.model_format}"
             solution_path = Path(tmp) / "model.sol"
@@ -538,7 +540,6 @@ class FileSolverAdapter:
                 "{model}": str(model_path),
                 "{solution}": str(solution_path),
                 "{time_limit}": f"{limits.time_limit_s:g}",
-                "{threads}": str(limits.threads),
             }
 
             def fill(part: str) -> str:
@@ -551,40 +552,38 @@ class FileSolverAdapter:
             try:
                 proc = subprocess.run(
                     cmd,
-                    capture_output=True,
+                    stdout=subprocess.DEVNULL,
+                    stderr=subprocess.PIPE,
                     text=True,
+                    errors="replace",
                     timeout=limits.time_limit_s * 1.5 + 30.0,
                 )
             except subprocess.TimeoutExpired:
                 return SolveOutcome(
                     status=SolveStatus.NO_SOLUTION_TIME_LIMIT,
-                    wall_s=time.perf_counter() - start,
                     message="external solver killed after exceeding the time limit",
                 )
             except OSError as exc:
                 return SolveOutcome(
                     status=SolveStatus.ERROR,
-                    wall_s=time.perf_counter() - start,
                     message=f"cannot run {cmd[0]!r}: {exc}",
                 )
-            wall = time.perf_counter() - start
             if not solution_path.exists():
                 return SolveOutcome(
                     status=SolveStatus.ERROR,
-                    wall_s=wall,
                     message=(
                         f"solver wrote no solution file (exit {proc.returncode}): "
                         + proc.stderr.strip()[-500:]
                     ),
                 )
             parsed = parser(solution_path.read_text())
-        return self._to_outcome(model, parsed, wall, proc.returncode)
+        return self._to_outcome(model, parsed, proc.returncode)
 
-    def _to_outcome(self, model, parsed: "_ParsedSolution", wall, returncode) -> SolveOutcome:
+    def _to_outcome(self, model, parsed: "_ParsedSolution", returncode) -> SolveOutcome:
         status_word = (parsed.status or "").lower()
         if "infeasible" in status_word:
             return SolveOutcome(
-                status=SolveStatus.INFEASIBLE, bound=parsed.bound, wall_s=wall, message=status_word
+                status=SolveStatus.INFEASIBLE, bound=parsed.bound, message=status_word
             )
         values = None
         objective = None
@@ -600,7 +599,6 @@ class FileSolverAdapter:
             if matched == 0:
                 return SolveOutcome(
                     status=SolveStatus.ERROR,
-                    wall_s=wall,
                     message="solution file contains no recognizable variables",
                 )
             costed = np.flatnonzero(model.c)
@@ -613,7 +611,6 @@ class FileSolverAdapter:
             if values is None:
                 return SolveOutcome(
                     status=SolveStatus.ERROR,
-                    wall_s=wall,
                     message="solver claims optimal but reported no values",
                 )
             bound = parsed.bound if parsed.bound is not None else objective
@@ -622,7 +619,6 @@ class FileSolverAdapter:
                 objective=objective,
                 bound=bound,
                 values=values,
-                wall_s=wall,
                 message=status_word,
             )
         if values is not None:
@@ -631,17 +627,13 @@ class FileSolverAdapter:
                 objective=objective,
                 bound=parsed.bound,
                 values=values,
-                wall_s=wall,
                 message=status_word or "stopped before proving optimality",
             )
         if returncode != 0:
-            return SolveOutcome(
-                status=SolveStatus.ERROR, wall_s=wall, message=f"solver exit {returncode}"
-            )
+            return SolveOutcome(status=SolveStatus.ERROR, message=f"solver exit {returncode}")
         return SolveOutcome(
             status=SolveStatus.NO_SOLUTION_TIME_LIMIT,
             bound=parsed.bound,
-            wall_s=wall,
             message=status_word or "no incumbent reported",
         )
 

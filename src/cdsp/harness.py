@@ -151,9 +151,6 @@ def config_fingerprint(
         # the bundled HiGHS's; any other solver keeps its own (null here)
         "feasibility_tol": FEASIBILITY_TOL if bundled else None,
         "time_limit_s": None if limits is None else limits.time_limit_s,
-        # the bundled solve gives HiGHS no thread setting; a solver command
-        # gets limits.threads through its {threads} placeholder
-        "threads": None if limits is None or bundled else limits.threads,
         "gap_target": 0.0 if bundled else None,
         "solver": solver_name,
     }
@@ -188,6 +185,9 @@ def run_instance(
     model or decoder bug, not a result: it is status "error" with the
     exception's message, so that one such instance does not sink a suite.
 
+    wall_s is the adapter's solve as timed here, an adapter that crashes
+    included.
+
     F' subtracts the tightened releases, as the decoded solution does, or
     with raw_release the releases as the file gives them; the record, the
     report and the solution file all carry that value.
@@ -211,7 +211,9 @@ def run_instance(
     model = build_model(graph, inst)
     build_s = time.perf_counter() - build_start
 
+    solve_start = time.perf_counter()
     outcome = solve(model, limits, adapter)
+    wall_s = time.perf_counter() - solve_start
     total = net = gap = None
     if outcome.has_incumbent:
         try:
@@ -256,7 +258,7 @@ def run_instance(
         total=total,
         net=net,
         gap_pct=gap,
-        wall_s=outcome.wall_s,
+        wall_s=wall_s,
         build_s=build_s,
         nodes=outcome.nodes,
         message=outcome.message,

@@ -162,7 +162,7 @@ def test_benchmark_reproduction_small_instances():
         report = run_suite(
             entries,
             InstanceConfig(),
-            SolveLimits(time_limit_s=3600.0, threads=16),
+            SolveLimits(time_limit_s=3600.0),
             workers=int(os.environ.get("CDSP_BENCHMARK_WORKERS", "1")),
         )
         agg = report.settings[(25, "C", "tight")]

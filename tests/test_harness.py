@@ -3,6 +3,7 @@ import dataclasses
 import json
 import shlex
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -79,6 +80,17 @@ class OffByOneAdapter:
         if model.inst.label != "bad":
             return outcome
         return dataclasses.replace(outcome, objective=outcome.objective + 1.0)
+
+
+@dataclasses.dataclass(frozen=True)
+class SlowCrashAdapter:
+    """Works for 0.2 s, then raises."""
+
+    name: str = "slow-crash"
+
+    def solve(self, model, limits):
+        time.sleep(0.2)
+        raise RuntimeError("boom")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,6 +175,15 @@ class TestRunInstance:
         record = run_instance(CAPPED2, InstanceConfig(fleet_size="file"), LIMITS, adapter)
         assert (record.label, record.status) == ("capped2", "error")
         assert record.message == "tour infeasible at node 1: earliest visit 20 beyond deadline 8"
+
+    def test_crashed_adapter_record_carries_its_time(self, tiny2_file):
+        cfg = InstanceConfig(fleet_size="file")
+        report = run_suite([ManifestEntry(tiny2_file)], cfg, LIMITS, SlowCrashAdapter())
+        (record,) = report.records
+        assert record.status == "error"
+        assert record.message == "adapter slow-crash crashed: RuntimeError('boom')"
+        assert record.wall_s >= 0.2
+        assert report.settings[(None, None, None)].avg_time_s >= 0.2
 
     def test_failed_validation_is_error_status(self, tmp_path, tiny2_file):
         bad = tmp_path / "bad.txt"
@@ -475,14 +496,13 @@ class TestReporting:
         assert fingerprint["integrality_tol"] == INTEGRALITY_TOL
         assert fingerprint["feasibility_tol"] == FEASIBILITY_TOL == 1e-9
         assert fingerprint["gap_target"] == 0.0
-        # the bundled solve gives HiGHS no thread setting
-        assert fingerprint["threads"] is None
         # an external solver runs at its own tolerance and gap, which cdsp
-        # does not set; its {threads} placeholder gets the thread cap
+        # does not set
         external = config_fingerprint(InstanceConfig(), LIMITS, "file", raw_release=False)
         assert external["feasibility_tol"] is None
         assert external["gap_target"] is None
-        assert external["threads"] == LIMITS.threads
+        # no solver gets a thread count from cdsp
+        assert "threads" not in fingerprint and "threads" not in external
 
 
 class TestCli:
@@ -699,7 +719,6 @@ class TestCli:
             ("--shift-cap", "nope", "a number or 'depot-deadline'"),
             ("--time-limit", "0", "a number of seconds > 0"),
             ("--time-limit", "nan", "a number of seconds > 0"),
-            ("--threads", "0", "an integer >= 1"),
             ("--workers", "0", "an integer >= 1"),
             ("--solver-cmd", "foo 'bar", "a command of one or more words"),
             ("--solver-cmd", "   ", "a command of one or more words"),
@@ -716,6 +735,16 @@ class TestCli:
         assert f"error: argument {flag}: expected {expected}, got {value!r}" in err
         assert "Traceback" not in err
 
+    def test_threads_placeholder_is_a_usage_error(self, tiny2_file, capsys):
+        from cdsp.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(tiny2_file), "--solver-cmd", "x {threads}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --solver-cmd: the {threads} placeholder is not filled in" in err
+        assert "Traceback" not in err
+
     def test_flag_words_and_numbers_reach_the_config(self):
         from cdsp.cli import _instance_config, _limits, build_parser
 
@@ -725,10 +754,10 @@ class TestCli:
         assert _limits(args) == SolveLimits()
         args = parse(
             ["solve", "x", "--fleet", "3", "--shift-cap", "16.5", "--rounding", "2"]
-            + ["--time-limit", "7.5", "--threads", "2"]
+            + ["--time-limit", "7.5"]
         )
         assert _instance_config(args) == InstanceConfig(fleet_size=3, shift_cap=16.5, rounding=2)
-        assert _limits(args) == SolveLimits(time_limit_s=7.5, threads=2)
+        assert _limits(args) == SolveLimits(time_limit_s=7.5)
         assert _instance_config(parse(["solve", "x", "--fleet", "file"])).fleet_size == "file"
         assert parse(["suite", "m.csv", "--workers", "2"]).workers == 2
 
@@ -808,8 +837,9 @@ class TestCli:
         # solver tolerances
         fingerprint = json.loads(out[out.index("{") :])["config"]
         assert fingerprint["solver"] == "oracle"
-        for key in ("time_limit_s", "threads", "integrality_tol", "feasibility_tol", "gap_target"):
+        for key in ("time_limit_s", "integrality_tol", "feasibility_tol", "gap_target"):
             assert fingerprint[key] is None, key
+        assert "threads" not in fingerprint
 
     def test_oracle_above_limit_is_one_stderr_line(self, capsys):
         from cdsp.cli import main

@@ -161,27 +161,14 @@ def test_values_every_caller_passes_have_no_default():
 
 
 def test_limit_defaults_have_one_owner(monkeypatch):
-    # the CLI's --time-limit and --threads defaults are SolveLimits's
+    # the CLI's --time-limit default is SolveLimits's, its only limit
     from cdsp.cli import build_parser
 
+    assert [f.name for f in dataclasses.fields(cdsp.SolveLimits)] == ["time_limit_s"]
     monkeypatch.setattr(cdsp.SolveLimits, "time_limit_s", 120.0)
-    monkeypatch.setattr(cdsp.SolveLimits, "threads", 4)
     for command in ("solve", "suite"):
         args = build_parser().parse_args([command, "x"])
-        assert (args.time_limit, args.threads) == (120.0, 4), command
-
-
-@pytest.mark.parametrize("command", ["solve", "suite"])
-def test_threads_help_names_its_only_reader(command, capsys):
-    # the bundled HiGHS solve gets no thread setting, so --threads must not
-    # read as a cap on it
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--help"])
-    assert exc.value.code == 0
-    text = " ".join(capsys.readouterr().out.split())
-    assert "--threads THREADS fills --solver-cmd's {threads} placeholder only;" in text
-    assert "the bundled HiGHS solve gets no thread setting" in text
-    assert "thread cap" not in text
+        assert args.time_limit == 120.0, command
 
 
 def test_fixed_values_are_not_fields():

@@ -89,10 +89,10 @@ def test_reproduce_benchmark_forwards_only_the_flags_given(data, tmp_path, monke
     out = str(tmp_path / "out")
     manifest = str(tmp_path / "out" / "manifest.csv")
     assert script.main([str(data), "--out", out]) == 0
-    assert script.main([str(data), "--out", out, "--workers", "2", "--threads", "4"]) == 0
+    assert script.main([str(data), "--out", out, "--workers", "2", "--time-limit", "9"]) == 0
     assert calls == [
         ["suite", manifest, "--out", out],
-        ["suite", manifest, "--out", out, "--threads", "4", "--workers", "2"],
+        ["suite", manifest, "--out", out, "--time-limit", "9", "--workers", "2"],
     ]
 
 

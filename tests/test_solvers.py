@@ -93,15 +93,13 @@ def highs_spy(monkeypatch):
 
 class TestLimits:
     def test_positive_required(self):
-        with pytest.raises(ValueError):
-            SolveLimits(time_limit_s=0)
-        with pytest.raises(ValueError):
-            SolveLimits(threads=0)
+        for bad in (0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                SolveLimits(time_limit_s=bad)
 
     def test_defaults_match_benchmark_protocol(self):
         limits = SolveLimits()
         assert limits.time_limit_s == 3600.0
-        assert limits.threads == 16
 
 
 class TestScipyAdapter:
@@ -808,6 +806,22 @@ class TestFileAdapter:
     def test_unknown_model_format_fails_at_construction(self):
         with pytest.raises(SolverConfigError, match="unknown model format 'gms'"):
             FileSolverAdapter(command=(sys.executable, "{model}"), model_format="gms")
+
+    def test_threads_placeholder_fails_at_construction(self):
+        with pytest.raises(SolverConfigError, match="write the thread count into the command"):
+            FileSolverAdapter(command=("mysolver", "{model}", "--threads={threads}"))
+
+    def test_bytes_that_are_not_utf8_lose_no_solve(self, tiny2_model):
+        # the solver's stdout is not read; its stderr decodes with replacement
+        stub = (
+            "import sys; sys.stdout.buffer.write(b'\\xff'); sys.stderr.buffer.write(b'\\xff');"
+            f"sys.path.insert(0, {str(FAKE_SOLVER.parent)!r}); from fake_solver import main;"
+            "sys.exit(main(*sys.argv[1:]))"
+        )
+        adapter = FileSolverAdapter(command=(sys.executable, "-c", stub, "{model}", "{solution}"))
+        outcome = solve(tiny2_model, SolveLimits(time_limit_s=60), adapter=adapter)
+        assert outcome.status is SolveStatus.OPTIMAL, outcome.message
+        assert outcome.objective == pytest.approx(20.0, abs=1e-6)
 
     def test_unknown_solution_format_fails_at_construction(self):
         with pytest.raises(SolverConfigError, match="unknown solution format 'sol'"):
