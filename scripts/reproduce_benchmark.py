@@ -28,7 +28,7 @@ NAME_RE = re.compile(r"^(RC|C|R)(\d)", re.IGNORECASE)
 
 def classify(path: Path) -> Setting | None:
     try:
-        raw = parse_solomon(path.read_text())
+        raw = parse_solomon(path.read_text(encoding="utf-8"))
     except Exception as exc:
         print(f"skipping {path}: {exc}", file=sys.stderr)
         return None
@@ -76,7 +76,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # as `cdsp suite --out` reports it
         raise cli._failure(args.out, exc) from None
     manifest = out / "manifest.csv"
-    with open(manifest, "w", newline="") as handle:
+    with open(manifest, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["path", "size", "class", "tw"])
         writer.writerows(rows)

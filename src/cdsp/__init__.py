@@ -28,6 +28,7 @@ from .harness import (
     BenchmarkReport,
     ManifestEntry,
     RunRecord,
+    f_prime,
     load_manifest,
     report_table,
     run_instance,
@@ -104,6 +105,7 @@ __all__ = [
     "emit_model",
     "exact_solve_tiny",
     "extract_solution",
+    "f_prime",
     "load_manifest",
     "parse_solomon",
     "preprocess_time_windows",

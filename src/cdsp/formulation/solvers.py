@@ -576,7 +576,7 @@ class FileSolverAdapter:
                         + proc.stderr.strip()[-500:]
                     ),
                 )
-            parsed = parser(solution_path.read_text())
+            parsed = parser(solution_path.read_text(encoding="utf-8", errors="replace"))
         return self._to_outcome(model, parsed, proc.returncode)
 
     def _to_outcome(self, model, parsed: "_ParsedSolution", returncode) -> SolveOutcome:

@@ -19,6 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .formulation import (
     INTEGRALITY_TOL,
     ModelDecodeError,
@@ -32,7 +34,7 @@ from .formulation import (
 )
 from .formulation.solvers import FEASIBILITY_TOL
 from .instances import Instance, InstanceConfig, Setting, build_instance, parse_solomon
-from .network import InfeasibleWindowError, build_multigraph
+from .network import InfeasibleWindowError, TimeWindows, build_multigraph
 from .routes import solution_to_json, validate_solution
 
 SCHEMA_TAG = "cdsp-report-v1"
@@ -156,14 +158,23 @@ def config_fingerprint(
     }
 
 
+def f_prime(total: float, inst: Instance, windows: TimeWindows, raw_release: bool) -> float:
+    """F', the total completion time F less the requests' releases: the
+    tightened ones, or with raw_release the ones the file gives."""
+    if raw_release:
+        return total - float(sum(site.release for site in inst.sites[1:]))
+    return total - float(np.sum(windows.release[1:]))
+
+
 def load_instance(path, cfg: InstanceConfig, setting: Setting | None = None) -> Instance:
     """Read, parse and build the instance in one file, labelled by its stem.
 
-    A file that cannot be read raises OSError; one that is not UTF-8 or
-    does not parse or build, or a path holding a NUL byte, ValueError.
+    A file that cannot be read raises OSError; one that is not UTF-8
+    (whatever the locale), or does not parse or build, or a path holding a
+    NUL byte, ValueError.
     """
     path = Path(path)
-    raw = parse_solomon(path.read_text())
+    raw = parse_solomon(path.read_text(encoding="utf-8"))
     return build_instance(raw, cfg, setting=setting, label=path.stem)
 
 
@@ -188,9 +199,8 @@ def run_instance(
     wall_s is the adapter's solve as timed here, an adapter that crashes
     included.
 
-    F' subtracts the tightened releases, as the decoded solution does, or
-    with raw_release the releases as the file gives them; the record, the
-    report and the solution file all carry that value.
+    F' is `f_prime` under the release convention raw_release chooses; the
+    record, the report and the solution file all carry that value.
     """
     path = Path(path)
     label = path.stem
@@ -233,9 +243,7 @@ def run_instance(
                 )
         except (ModelDecodeError, IncumbentValidationError) as exc:
             return failed(SolveStatus.ERROR.value, str(exc))
-        net = sol.net_completion
-        if raw_release:
-            net = total - float(sum(site.release for site in inst.sites[1:]))
+        net = f_prime(total, inst, graph.windows, raw_release)
         if outcome.bound is not None and total > 0:
             excess = total - outcome.bound
             if outcome.status is SolveStatus.OPTIMAL and abs(excess) <= OBJECTIVE_MATCH_TOL:
@@ -246,10 +254,11 @@ def run_instance(
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
             fingerprint = config_fingerprint(cfg, limits, adapter.name, raw_release)
-            payload = solution_to_json(sol, fingerprint)
-            payload["F_prime"] = net
+            payload = solution_to_json(sol, net, fingerprint)
             payload["status"] = outcome.status.value
-            (out / f"{label}.solution.json").write_text(json.dumps(payload, indent=2))
+            (out / f"{label}.solution.json").write_text(
+                json.dumps(payload, indent=2), encoding="utf-8"
+            )
 
     return RunRecord(
         label=label,
@@ -301,12 +310,12 @@ def load_manifest(path) -> list[ManifestEntry]:
         return ManifestEntry(path=rel if rel.is_absolute() else base / rel, setting=setting)
 
     if path.suffix.lower() == ".json":
-        rows = json.loads(path.read_text())
+        rows = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(rows, list):
             raise ValueError("JSON manifest must be a list of objects")
         entries = [entry(row, f"entry {i}") for i, row in enumerate(rows)]
     else:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.DictReader(handle)
             try:
                 for row in reader:
@@ -436,8 +445,8 @@ def report_json(report: BenchmarkReport) -> dict:
 def write_report(report: BenchmarkReport, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.csv").write_text(report_csv(report))
-    (out / "report.json").write_text(json.dumps(report_json(report), indent=2))
+    (out / "report.csv").write_text(report_csv(report), encoding="utf-8")
+    (out / "report.json").write_text(json.dumps(report_json(report), indent=2), encoding="utf-8")
 
 
 def report_table(report: BenchmarkReport) -> str:

@@ -127,7 +127,6 @@ class Instance:
     shift_cap: float
     depot_deadline: float
     label: str = ""
-    setting: Setting | None = None
 
     def __post_init__(self):
         n = len(self.sites) - 1
@@ -351,7 +350,6 @@ def build_instance(
         shift_cap=shift_cap,
         depot_deadline=depot_deadline,
         label=label if label is not None else raw.name,
-        setting=setting,
     )
 
 

@@ -114,7 +114,7 @@ def _best_tours(
             total: float | None = done
             if ret - min_cum_wait > cap:
                 try:
-                    timed = schedule_tour(tour, inst, windows)[0]
+                    timed = schedule_tour(tour, inst, windows)
                 except InfeasibleTourError:
                     total = None
                 else:

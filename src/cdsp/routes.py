@@ -14,8 +14,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .instances import Instance
 from .network import TimeWindows
 
@@ -39,18 +37,22 @@ Trips = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class Tour:
-    """One vehicle's schedule: its trips, its depot departure and the return
-    time of each trip."""
+    """One vehicle's schedule: its trips, its depot departure, the visit
+    time of each stop (one tuple per trip) and the return time of each trip."""
 
     trips: Trips
     departure: float
+    visits: tuple[tuple[float, ...], ...]
     deliveries: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "trips", _trips(self.trips))
+        object.__setattr__(self, "visits", tuple(map(tuple, self.visits)))
         object.__setattr__(self, "deliveries", tuple(self.deliveries))
         if len(self.deliveries) != len(self.trips):
             raise ValueError(f"{len(self.deliveries)} deliveries for {len(self.trips)} trips")
+        if list(map(len, self.visits)) != list(map(len, self.trips)):
+            raise ValueError(f"visit times {self.visits} do not match trips {self.trips}")
 
     @property
     def shift(self) -> float:
@@ -72,16 +74,36 @@ def _trips(trips) -> Trips:
 
 @dataclass(frozen=True)
 class EvaluatedSolution:
+    """A routed solution: its timed tours, one per vehicle. Visit times,
+    completions and F are read off the tours."""
+
     tours: tuple[Tour, ...]
-    visit: dict[int, float]
-    total_completion: float  # F
-    net_completion: float  # F', release-corrected
+
+    @property
+    def visit(self) -> dict[int, float]:
+        """Each request's visit time."""
+        return {
+            node: z
+            for tour in self.tours
+            for trip, times in zip(tour.trips, tour.visits)
+            for node, z in zip(trip, times)
+        }
 
     @property
     def completion(self) -> dict[int, float]:
         """Each request's completion time, the return of the trip carrying
         it, in tour, trip and visit order."""
-        return _completion(self.tours)
+        return {
+            node: delivered
+            for tour in self.tours
+            for trip, delivered in zip(tour.trips, tour.deliveries)
+            for node in trip
+        }
+
+    @property
+    def total_completion(self) -> float:
+        """F, the completion times summed in tour, trip and visit order."""
+        return float(sum(self.completion.values()))
 
 
 @dataclass(frozen=True)
@@ -93,9 +115,9 @@ class ValidationReport:
         return not self.violations
 
 
-def schedule_tour(trips, inst: Instance, windows: TimeWindows) -> tuple[Tour, dict[int, float]]:
-    """The timed `Tour` and its visit times for fixed trips (node sequences),
-    minimizing the sum of trip return times.
+def schedule_tour(trips, inst: Instance, windows: TimeWindows) -> Tour:
+    """The timed `Tour` for fixed trips (node sequences), minimizing the sum
+    of trip return times.
 
     A forward pass from departure 0 computes earliest visit times (wait when
     early). If the resulting shift fits the cap, the departure is delayed by
@@ -123,35 +145,37 @@ def schedule_tour(trips, inst: Instance, windows: TimeWindows) -> tuple[Tour, di
     if len(set(flat)) != len(flat):
         raise ValueError(f"node repeated across trips: {trips}")
 
-    visit, deliveries, min_cum_wait = _forward_pass(trips, inst, windows, departure=0.0)
+    visits, deliveries, min_cum_wait = _forward_pass(trips, inst, windows, departure=0.0)
     # Delaying by the minimum accumulated waiting keeps every visit and
     # delivery in place, so it is free; take it whenever it already meets
     # the cap, otherwise leave at the smallest departure that meets it.
     if deliveries[-1] - min_cum_wait <= inst.shift_cap + TIME_TOL:
-        return Tour(trips, min_cum_wait, deliveries), visit
+        return Tour(trips, min_cum_wait, visits, deliveries)
     departure = deliveries[-1] - inst.shift_cap
-    visit, deliveries, _ = _forward_pass(trips, inst, windows, departure)
+    visits, deliveries, _ = _forward_pass(trips, inst, windows, departure)
     if deliveries[-1] - departure > inst.shift_cap + TIME_TOL:
         raise InfeasibleTourError(None, "no timing satisfies the shift cap")
-    return Tour(trips, departure, deliveries), visit
+    return Tour(trips, departure, visits, deliveries)
 
 
 def _forward_pass(trips, inst, windows, departure):
     """Earliest feasible visit times from a fixed departure.
 
-    Returns (visit, deliveries, min_cum_wait) where min_cum_wait is the
-    minimum over visits of accumulated waiting up to that visit; it is the
-    largest departure delay that changes nothing downstream.
+    Returns (visits, deliveries, min_cum_wait): the visit times one tuple per
+    trip, each trip's return, and the minimum over visits of accumulated
+    waiting up to that visit; it is the largest departure delay that changes
+    nothing downstream.
     """
     travel = inst.travel
     release, deadline = windows.release, windows.deadline
-    visit: dict[int, float] = {}
+    visits: list[list[float]] = []
     deliveries: list[float] = []
     clock = departure
     at = 0
     cum_wait = 0.0
     min_cum_wait = math.inf
     for trip in trips:
+        times = []
         for node in trip:
             arrive = float(clock + travel[at, node])
             z = max(arrive, float(release[node]))
@@ -161,12 +185,13 @@ def _forward_pass(trips, inst, windows, departure):
                 )
             cum_wait += z - arrive
             min_cum_wait = min(min_cum_wait, cum_wait)
-            visit[node] = z
+            times.append(z)
             clock, at = z, node
+        visits.append(times)
         clock = float(clock + travel[at, 0])
         deliveries.append(clock)
         at = 0
-    return visit, deliveries, min_cum_wait
+    return visits, deliveries, min_cum_wait
 
 
 def assemble_solution(vehicle_trips, inst: Instance, windows: TimeWindows) -> EvaluatedSolution:
@@ -175,33 +200,9 @@ def assemble_solution(vehicle_trips, inst: Instance, windows: TimeWindows) -> Ev
     vehicle_trips: sequence of tours, each a sequence of trips (node lists).
     Raises InfeasibleTourError if any tour has no feasible timing.
     """
-    tours: list[Tour] = []
-    visit: dict[int, float] = {}
-    for trips in vehicle_trips:
-        tour, tour_visit = schedule_tour(trips, inst, windows)
-        tours.append(tour)
-        visit.update(tour_visit)
-    tours = tuple(tours)
-    total, net = _objectives(tours, windows)
-    return EvaluatedSolution(tours=tours, visit=visit, total_completion=total, net_completion=net)
-
-
-def _completion(tours) -> dict[int, float]:
-    """Each request completes when its trip delivers."""
-    return {
-        node: delivered
-        for tour in tours
-        for trip, delivered in zip(tour.trips, tour.deliveries)
-        for node in trip
-    }
-
-
-def _objectives(tours, windows: TimeWindows) -> tuple[float, float]:
-    """F sums the completion times in tour, trip and visit order; F'
-    subtracts the tightened releases (the raw-release F' is a reporting
-    choice of the harness)."""
-    total = float(sum(_completion(tours).values()))
-    return total, total - float(np.sum(windows.release[1:]))
+    return EvaluatedSolution(
+        tours=tuple(schedule_tour(trips, inst, windows) for trips in vehicle_trips)
+    )
 
 
 def validate_solution(
@@ -210,8 +211,7 @@ def validate_solution(
     """Check a solution against every feasibility clause; collect all violations.
 
     Checks: request partition, fleet bound, window containment, leg-by-leg
-    time consistency (waiting allowed), shift caps, depot deadline, and the
-    reported objectives.
+    time consistency (waiting allowed), shift caps and the depot deadline.
     """
     travel = inst.travel
     release, deadline = windows.release, windows.deadline
@@ -230,20 +230,13 @@ def validate_solution(
     if len(sol.tours) > inst.fleet_size:
         bad.append(f"{len(sol.tours)} tours exceed fleet size {inst.fleet_size}")
 
-    visit = sol.visit
     for vehicle, tour in enumerate(sol.tours, start=1):
         if tour.departure < -TIME_TOL:
             bad.append(f"vehicle {vehicle}: negative departure {tour.departure:.6g}")
         clock = tour.departure
         at = 0
-        broken = False
-        for trip, ret in zip(tour.trips, tour.deliveries):
-            for node in trip:
-                z = visit.get(node)
-                if z is None:
-                    bad.append(f"node {node} routed but has no visit time")
-                    broken = True
-                    break
+        for trip, times, ret in zip(tour.trips, tour.visits, tour.deliveries):
+            for node, z in zip(trip, times):
                 if z < release[node] - TIME_TOL or z > deadline[node] + TIME_TOL:
                     bad.append(
                         f"node {node} visited at {z:.6g} outside window "
@@ -255,8 +248,6 @@ def validate_solution(
                         f"before reachable time {clock + travel[at, node]:.6g}"
                     )
                 clock, at = z, node
-            if broken:
-                break
             expected = clock + travel[at, 0]
             if abs(ret - expected) > TIME_TOL:
                 bad.append(
@@ -264,8 +255,6 @@ def validate_solution(
                     f"last visit + depot leg {expected:.6g}"
                 )
             clock, at = ret, 0
-        if broken:
-            continue
         if tour.shift > inst.shift_cap + TIME_TOL:
             bad.append(
                 f"vehicle {vehicle}: shift {tour.shift:.6g} exceeds cap {inst.shift_cap:.6g}"
@@ -276,21 +265,12 @@ def validate_solution(
                 f"after depot deadline {inst.depot_deadline:.6g}"
             )
 
-    total, net = _objectives(sol.tours, windows)
-    if abs(sol.total_completion - total) > TIME_TOL:
-        bad.append(
-            f"reported total completion {sol.total_completion:.6g} != recomputed {total:.6g}"
-        )
-    if abs(sol.net_completion - net) > TIME_TOL:
-        bad.append(
-            f"reported net completion {sol.net_completion:.6g} != recomputed {net:.6g}"
-        )
-
     return ValidationReport(violations=tuple(bad))
 
 
-def solution_to_json(sol: EvaluatedSolution, fingerprint: dict) -> dict:
-    """JSON-serializable form: tours, timing, objectives, config fingerprint."""
+def solution_to_json(sol: EvaluatedSolution, f_prime: float, fingerprint: dict) -> dict:
+    """JSON-serializable form: tours, timing, F, the given F' (see
+    `harness.f_prime`) and the config fingerprint."""
     return {
         "tours": [
             {
@@ -306,6 +286,6 @@ def solution_to_json(sol: EvaluatedSolution, fingerprint: dict) -> dict:
             "completion": {str(node): t for node, t in sorted(sol.completion.items())},
         },
         "F": sol.total_completion,
-        "F_prime": sol.net_completion,
+        "F_prime": f_prime,
         "config": dict(fingerprint),
     }

@@ -24,7 +24,7 @@ from cdsp import (
     validate_solution,
 )
 from cdsp.instances import InstanceConfig, triangle_violations
-from cdsp.harness import run_suite, load_manifest
+from cdsp.harness import f_prime, run_suite, load_manifest
 from cdsp.oracle import exact_solve_tiny
 
 import views
@@ -87,7 +87,8 @@ def test_tiny2_fixture():
         # the oracle verifies the values before the model is trusted
         oracle = exact_solve_tiny(inst)
         assert oracle.best_total == 20.0
-        assert oracle.solution.net_completion == 13.0
+        windows = preprocess_time_windows(inst)
+        assert f_prime(oracle.best_total, inst, windows, raw_release=False) == 13.0
         assert views.trips_by_vehicle(oracle.solution) == (((1,), (2,)),)
         graph = build_multigraph(inst)
         outcome = solve(build_model(graph, inst), LIMITS)

@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import json
+import os
 import shlex
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -515,6 +517,30 @@ class TestCli:
         assert "optimal" in out
         assert "F' = 13" in out
         assert "nodes = " in out
+
+    def test_solve_reads_utf8_under_a_c_locale(self, tmp_path):
+        # an instance file is UTF-8 whatever the locale's encoding
+        first, rest = (DATA_DIR / "tiny2.txt").read_text(encoding="utf-8").split("\n", 1)
+        path = tmp_path / "tiny2.txt"
+        path.write_text(f"{first} café\n{rest}", encoding="utf-8")
+        src = str(Path(__file__).parents[1] / "src")
+        env = {
+            **os.environ,
+            "LC_ALL": "C",
+            "PYTHONUTF8": "0",
+            "PYTHONCOERCECLOCALE": "0",
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "cdsp", "solve", str(path), "--fleet", "file"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.startswith("tiny2: optimal\n"), proc.stdout
+        assert "F  = 20.000000" in proc.stdout
 
     def test_solve_error_exit_code(self, tmp_path, capsys):
         from cdsp.cli import main

@@ -76,7 +76,7 @@ class TestTimingRelaxationIsExact:
                 continue  # no room to force the capped timing
             cap = float(rng.uniform(shift_min + 1e-4, shift0 - min_wait - 1e-4))
             capped = dataclasses.replace(inst, shift_cap=cap)
-            tour = schedule_tour(trips, capped, windows)[0]
+            tour = schedule_tour(trips, capped, windows)
             assert tour.shift <= cap + 1e-6
             # minimal feasible departure by bisection over the cap constraint
             lo, hi = 0.0, t0_max

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cdsp import preprocess_time_windows, validate_solution
+from cdsp import f_prime, preprocess_time_windows, validate_solution
 from cdsp.oracle import OracleSizeError, exact_solve_tiny
 
 from conftest import make_tiny2
@@ -15,7 +15,8 @@ class TestTiny2:
     def test_optimum(self, tiny2):
         result = exact_solve_tiny(tiny2)
         assert result.best_total == 20.0
-        assert result.solution.net_completion == 13.0
+        windows = preprocess_time_windows(tiny2)
+        assert f_prime(result.best_total, tiny2, windows, raw_release=False) == 13.0
         assert trips_by_vehicle(result.solution) == (((1,), (2,)),)
 
     def test_tight_second_deadline_forces_single_trip(self):

@@ -66,7 +66,7 @@ def _best_tour(block, inst, windows):
         for bits in range(1 << (len(perm) - 1)):
             trips = tuple(tuple(trip) for trip in split_bits(list(perm), bits))
             try:
-                tour = schedule_tour(trips, inst, windows)[0]
+                tour = schedule_tour(trips, inst, windows)
             except InfeasibleTourError:
                 continue
             total = sum(delivered * len(trip) for trip, delivered in zip(trips, tour.deliveries))

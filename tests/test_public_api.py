@@ -55,9 +55,15 @@ REMOVED_GRAPH_ATTRIBUTES = (
     "out_arcs",
 )
 REMOVED_ORACLE_RESULT_ATTRIBUTES = ("feasible",)
+# build_instance reads a setting only for the size-class fleet rule
+REMOVED_INSTANCE_ATTRIBUTES = ("setting",)
 # a tour holds its trips as node tuples and its own trip returns, a timed
 # tour is a Tour, and a solution's completions are derived from its tours
 REMOVED_ROUTES = ("Timing", "TourTiming", "Trip")
+# a solution is its timed tours: visit times, completions and F are read off
+# them, and F' is the harness's, under the run's release convention
+REMOVED_SOLUTION_FIELDS = ("visit", "total_completion", "net_completion")
+REMOVED_SOLUTION_ATTRIBUTES = ("net_completion",)
 
 
 @pytest.mark.parametrize("module", [cdsp, cdsp.formulation], ids=lambda m: m.__name__)
@@ -83,9 +89,13 @@ def test_removed_route_types_are_gone(name):
 
 def test_solution_stores_each_fact_once():
     fields = [f.name for f in dataclasses.fields(cdsp.EvaluatedSolution)]
-    assert fields == ["tours", "visit", "total_completion", "net_completion"]
+    assert fields == ["tours"]
+    assert not set(REMOVED_SOLUTION_FIELDS) & set(fields)
+    for name in REMOVED_SOLUTION_ATTRIBUTES:
+        assert not hasattr(cdsp.EvaluatedSolution, name), name
     # a tour's vehicle number is its position in the solution
-    assert [f.name for f in dataclasses.fields(cdsp.Tour)] == ["trips", "departure", "deliveries"]
+    tour_fields = [f.name for f in dataclasses.fields(cdsp.Tour)]
+    assert tour_fields == ["trips", "departure", "visits", "deliveries"]
 
 
 def test_removed_model_and_graph_views():
@@ -100,6 +110,9 @@ def test_removed_model_and_graph_views():
         assert not hasattr(cdsp.network.Multigraph, name), name
     for name in REMOVED_ORACLE_RESULT_ATTRIBUTES:
         assert not hasattr(cdsp.exact_solve_tiny(inst), name), name
+    for name in REMOVED_INSTANCE_ATTRIBUTES:
+        assert name not in {f.name for f in dataclasses.fields(cdsp.Instance)}, name
+        assert not hasattr(inst, name), name
     assert not hasattr(cdsp.network, "Arc")  # the arcs are one table
 
 
@@ -126,8 +139,9 @@ def test_bundled_adapter_is_the_default():
 
 
 def test_pipeline_facts_have_one_owner():
-    # the model carries its graph; the harness owns the raw-release F'
+    # the model carries its graph; the harness owns F' under both conventions
     params = {
+        cdsp.f_prime: ["total", "inst", "windows", "raw_release"],
         cdsp.extract_solution: ["model", "values"],
         cdsp.build_multigraph: ["inst"],
         cdsp.assemble_solution: ["vehicle_trips", "inst", "windows"],
@@ -145,7 +159,9 @@ def test_values_every_caller_passes_have_no_default():
         (cdsp.schedule_tour, "windows"),
         (cdsp.assemble_solution, "windows"),
         (cdsp.validate_solution, "windows"),
+        (cdsp.solution_to_json, "f_prime"),
         (cdsp.solution_to_json, "fingerprint"),
+        (cdsp.f_prime, "raw_release"),
         (cdsp.solve, "limits"),
         (cdsp.run_instance, "cfg"),
         (cdsp.run_instance, "limits"),

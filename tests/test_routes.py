@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdsp import (
+    EvaluatedSolution,
     InfeasibleTourError,
     Tour,
     assemble_solution,
+    f_prime,
     preprocess_time_windows,
     schedule_tour,
     solution_to_json,
@@ -26,17 +28,17 @@ from timing_lp import schedule_lp
 class TestScheduleTour:
     def test_tiny2_two_trips(self, tiny2):
         w = preprocess_time_windows(tiny2)
-        t, visit = schedule_tour([[1], [2]], tiny2, w)
+        t = schedule_tour([[1], [2]], tiny2, w)
         assert t.trips == ((1,), (2,))
-        assert visit == {1: 3.0, 2: 10.0}
+        assert t.visits == ((3.0,), (10.0,))
         assert t.deliveries == (6.0, 14.0)
         assert t.shift == 14.0
         assert t.departure == 0.0
 
     def test_single_trip_no_waiting(self, tiny2):
         w = preprocess_time_windows(tiny2)
-        t, visit = schedule_tour([[1]], tiny2, w)
-        assert visit == {1: 3.0}
+        t = schedule_tour([[1]], tiny2, w)
+        assert t.visits == ((3.0,),)
         assert t.deliveries == (6.0,)
         assert t.departure == 0.0
         assert t.shift == 6.0
@@ -53,8 +55,8 @@ class TestScheduleTour:
             ),
         )
         w = preprocess_time_windows(inst)
-        t, visit = schedule_tour([[1], [2]], inst, w)
-        assert visit == {1: 5.0, 2: 12.0}
+        t = schedule_tour([[1], [2]], inst, w)
+        assert t.visits == ((5.0,), (12.0,))
         assert t.deliveries == (8.0, 16.0)
         assert t.departure == 2.0
         assert t.shift == 14.0
@@ -80,7 +82,7 @@ class TestScheduleTour:
     def test_shift_cap_solved_by_timing_relaxation(self):
         inst = _cap_instance(first_deadline=150.0)
         w = preprocess_time_windows(inst)
-        t = schedule_tour([[1], [2]], inst, w)[0]
+        t = schedule_tour([[1], [2]], inst, w)
         assert t.shift <= inst.shift_cap + 1e-6
         assert t.deliveries[0] + t.deliveries[1] == pytest.approx(164.0)
 
@@ -88,7 +90,7 @@ class TestScheduleTour:
         w = preprocess_time_windows(tiny2)
         # a Tour may hold a node on two trips, which validate_solution
         # reports; schedule_tour refuses one before any timing
-        assert Tour([[1], [1]], 0.0, [6.0, 12.0]).trips == ((1,), (1,))
+        assert Tour([[1], [1]], 0.0, [[3.0], [9.0]], [6.0, 12.0]).trips == ((1,), (1,))
         monkeypatch.setattr(routes, "_forward_pass", None)
         with pytest.raises(ValueError, match="repeated"):
             schedule_tour([[1, 1]], tiny2, w)
@@ -108,7 +110,7 @@ class TestScheduleTour:
         # the same ValueError as Tour's, raised before any timing
         monkeypatch.setattr(routes, "_forward_pass", None)
         with pytest.raises(ValueError, match=message) as from_tour:
-            Tour(trips, 0.0, [0.0] * len(trips))
+            Tour(trips, 0.0, [[0.0] * len(trip) for trip in trips], [0.0] * len(trips))
         with pytest.raises(ValueError, match=message) as from_schedule:
             schedule_tour(trips, tiny2, preprocess_time_windows(tiny2))
         assert str(from_schedule.value) == str(from_tour.value)
@@ -123,11 +125,11 @@ class TestScheduleTour:
                 [int(x) for x in nodes], int(rng.integers(0, 1 << (inst.n - 1)))
             )
             try:
-                t, visit = schedule_tour(trips, inst, w)
+                t = schedule_tour(trips, inst, w)
             except InfeasibleTourError:
                 continue
-            visit2, deliveries2, _ = _forward_pass(trips, inst, w, departure=t.departure)
-            assert visit2 == pytest.approx(visit)
+            visits2, deliveries2, _ = _forward_pass(trips, inst, w, departure=t.departure)
+            assert visits2 == [pytest.approx(times) for times in t.visits]
             assert tuple(deliveries2) == pytest.approx(t.deliveries)
 
     @settings(max_examples=60, deadline=None)
@@ -142,7 +144,7 @@ class TestScheduleTour:
         nodes = [int(x) for x in rng.permutation(np.arange(1, n + 1))]
         trips = split_bits(nodes, int(rng.integers(0, 1 << (n - 1))))
         try:
-            t = schedule_tour(trips, inst, w)[0]
+            t = schedule_tour(trips, inst, w)
         except InfeasibleTourError:
             t = None
         scheduled = sum(t.deliveries) if t is not None else math.inf
@@ -188,11 +190,11 @@ class TestScheduleTour:
                 cap = float(rng.uniform(0.95 * travel, free - 1e-3))
                 capped = dataclasses.replace(inst, shift_cap=cap)
                 try:
-                    ref, ref_visit = schedule_lp(trips, capped, w)
+                    ref = schedule_lp(trips, capped, w)
                 except InfeasibleTourError:
                     ref = None
                 try:
-                    t, visit = schedule_tour(trips, capped, w)
+                    t = schedule_tour(trips, capped, w)
                 except InfeasibleTourError:
                     t = None
                 assert (t is None) == (ref is None), trips
@@ -202,9 +204,11 @@ class TestScheduleTour:
                 feasible += 1
                 # the closed form leaves at the smallest departure that meets
                 # the cap, and from it every visit and delivery is earliest
-                assert t.trips == ref.trips and visit.keys() == ref_visit.keys()
+                assert t.trips == ref.trips
                 assert t.departure <= ref.departure + 1e-6
-                assert all(visit[node] <= ref_visit[node] + 1e-6 for node in visit)
+                visits = [z for times in t.visits for z in times]
+                ref_visits = [z for times in ref.visits for z in times]
+                assert all(z <= r + 1e-6 for z, r in zip(visits, ref_visits))
                 weights = [len(trip) for trip in trips]
                 total = sum(k * d for k, d in zip(weights, t.deliveries))
                 ref_total = sum(k * d for k, d in zip(weights, ref.deliveries))
@@ -219,7 +223,7 @@ class TestValidateAndEvaluate:
         w = preprocess_time_windows(tiny2)
         sol = assemble_solution([[[1], [2]]], tiny2, w)
         assert sol.total_completion == 20.0
-        assert sol.net_completion == 13.0
+        assert f_prime(sol.total_completion, tiny2, w, raw_release=False) == 13.0
         assert validate_solution(sol, tiny2, w).ok
 
     def test_single_trip_variant_valid_but_worse(self, tiny2):
@@ -253,23 +257,27 @@ class TestValidateAndEvaluate:
     def test_window_violation_flagged(self, tiny2):
         w = preprocess_time_windows(tiny2)
         sol = assemble_solution([[[1], [2]]], tiny2, w)
-        bad = dataclasses.replace(sol, visit={**sol.visit, 1: 2.0})  # before release 3
-        report = validate_solution(bad, tiny2, w)
-        assert any("outside window" in v for v in report.violations)
+        (tour,) = sol.tours
+        early = dataclasses.replace(tour, visits=((2.0,), (10.0,)))  # before release 3
+        report = validate_solution(EvaluatedSolution((early,)), tiny2, w)
+        assert any("node 1 visited at 2 outside window" in v for v in report.violations)
 
-    def test_objective_mismatch_flagged(self, tiny2):
+    def test_visit_before_reachable_time_flagged(self, tiny2):
+        # node 2 lies 5 from node 1, visited at 3
         w = preprocess_time_windows(tiny2)
-        sol = assemble_solution([[[1], [2]]], tiny2, w)
-        bad = dataclasses.replace(sol, total_completion=19.0)
-        report = validate_solution(bad, tiny2, w)
-        assert any("reported total" in v for v in report.violations)
+        sol = assemble_solution([[[1, 2]]], tiny2, w)
+        (tour,) = sol.tours
+        assert tour.visits == ((3.0, 8.0),)
+        hasty = dataclasses.replace(tour, visits=((3.0, 7.0),))
+        report = validate_solution(EvaluatedSolution((hasty,)), tiny2, w)
+        assert any("visit of 2 at 7 before reachable time 8" in v for v in report.violations)
 
     def test_one_request_net(self):
         inst = _one_request_instance()
         w = preprocess_time_windows(inst)
         sol = assemble_solution([[[1]]], inst, w)
         assert sol.total_completion == 6.0
-        assert sol.net_completion == 3.0
+        assert f_prime(sol.total_completion, inst, w, raw_release=False) == 3.0
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -282,31 +290,43 @@ class TestValidateAndEvaluate:
         result = exact_solve_tiny(inst)
         sol = result.solution
         assert sol is not None
-        assert sol.net_completion == pytest.approx(
+        assert f_prime(sol.total_completion, inst, w, raw_release=False) == pytest.approx(
             sol.total_completion - float(np.sum(w.release[1:]))
         )
         assert validate_solution(sol, inst, w).ok
 
 
 def test_trip_invariants():
-    # a tour holds its trips as node tuples and one return time per trip
-    tour = Tour([[1, 2], [3]], 2.0, [8.0, 12.0])
+    # a tour holds its trips as node tuples, a visit time per stop and one
+    # return time per trip
+    tour = Tour([[1, 2], [3]], 2.0, [[3.0, 5.0], [10.0]], [8.0, 12.0])
     assert tour.trips == ((1, 2), (3,)) and tour.deliveries == (8.0, 12.0)
+    assert tour.visits == ((3.0, 5.0), (10.0,))
     assert tour.shift == 10.0
     with pytest.raises(ValueError, match="at least one trip"):
-        Tour((), 0.0, ())
+        Tour((), 0.0, (), ())
     with pytest.raises(ValueError, match="at least one point of care"):
-        Tour(((1,), ()), 0.0, (4.0, 4.0))
+        Tour(((1,), ()), 0.0, ((1.0,), ()), (4.0, 4.0))
     with pytest.raises(ValueError, match="repeated node within trip"):
-        Tour(((1, 2, 1),), 0.0, (9.0,))
+        Tour(((1, 2, 1),), 0.0, ((1.0, 2.0, 3.0),), (9.0,))
     with pytest.raises(ValueError, match="1 deliveries for 2 trips"):
-        Tour(((1,), (2,)), 0.0, (6.0,))
+        Tour(((1,), (2,)), 0.0, ((3.0,), (8.0,)), (6.0,))
+
+
+@pytest.mark.parametrize(
+    "visits",
+    [((3.0,),), ((3.0,), (10.0,), (11.0,)), ((3.0, 4.0), (10.0,)), ((3.0,), ())],
+    ids=["one-trip-short", "one-trip-over", "stop-over", "stop-short"],
+)
+def test_tour_rejects_visit_times_that_do_not_match_its_trips(visits):
+    with pytest.raises(ValueError, match="do not match trips"):
+        Tour(((1,), (2,)), 0.0, visits, (6.0, 14.0))
 
 
 def test_solution_json_roundtrips(tiny2):
     w = preprocess_time_windows(tiny2)
     sol = assemble_solution([[[1], [2]]], tiny2, w)
-    payload = solution_to_json(sol, {"service_mode": "ignore"})
+    payload = solution_to_json(sol, f_prime(20.0, tiny2, w, False), {"service_mode": "ignore"})
     text = json.dumps(payload)
     loaded = json.loads(text)
     assert loaded["F"] == 20.0

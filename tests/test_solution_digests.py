@@ -1,9 +1,9 @@
 """Byte identity of the solution files.
 
-Each digest is the SHA-256 of `json.dumps(solution_to_json(sol, {}),
-indent=2)`, the text `cdsp solve --out` and `cdsp suite --out` write less the
-config fingerprint, for the oracle's solution and for the bundled solve's
-decoded one. They were recorded with the solution held as `Trip` objects in
+Each digest is the SHA-256 of `json.dumps(solution_to_json(sol, F', {}),
+indent=2)`, F' over the tightened releases, the text `cdsp solve --out` and
+`cdsp suite --out` write less the config fingerprint, for the oracle's
+solution and for the bundled solve's decoded one. They were recorded with the solution held as `Trip` objects in
 each `Tour` and a separate `Timing` record, with scipy 1.17 and numpy 2.4 on
 x86-64 Linux. A change to how a solution is stored, scheduled, decoded or
 written shows up as a digest mismatch. The decoder times the routes it reads
@@ -28,6 +28,7 @@ from cdsp import (
     build_multigraph,
     exact_solve_tiny,
     extract_solution,
+    f_prime,
     parse_solomon,
     solution_to_json,
     solve,
@@ -57,8 +58,9 @@ DIGESTS = {
 }
 
 
-def _digest(sol) -> str:
-    text = json.dumps(solution_to_json(sol, {}), indent=2)
+def _digest(sol, inst, windows) -> str:
+    net = f_prime(sol.total_completion, inst, windows, raw_release=False)
+    text = json.dumps(solution_to_json(sol, net, {}), indent=2)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -82,15 +84,17 @@ def test_solution_digests(name, shift_cap):
     oracle = exact_solve_tiny(inst).solution
     decoded = extract_solution(model, values)
     assert validate_solution(decoded, inst, graph.windows).ok
-    assert (_digest(oracle), _digest(decoded)) == DIGESTS[name, shift_cap]
+    digests = _digest(oracle, inst, graph.windows), _digest(decoded, inst, graph.windows)
+    assert digests == DIGESTS[name, shift_cap]
 
 
 @pytest.mark.parametrize("name, shift_cap", list(DIGESTS))
 def test_decoded_solution_ignores_the_continuous_columns(name, shift_cap):
-    _, _, model, values = _solved(name, shift_cap)
+    inst, graph, model, values = _solved(name, shift_cap)
     continuous = slice(model.layout.num_binary, None)  # z, tau and C
     noise = np.random.default_rng(7).uniform(-1e3, 1e3, model.layout.num_continuous)
     for filler in (0.0, noise):
         vec = values.copy()
         vec[continuous] = filler
-        assert _digest(extract_solution(model, vec)) == DIGESTS[name, shift_cap][0]
+        decoded = extract_solution(model, vec)
+        assert _digest(decoded, inst, graph.windows) == DIGESTS[name, shift_cap][0]

@@ -812,11 +812,13 @@ class TestFileAdapter:
             FileSolverAdapter(command=("mysolver", "{model}", "--threads={threads}"))
 
     def test_bytes_that_are_not_utf8_lose_no_solve(self, tiny2_model):
-        # the solver's stdout is not read; its stderr decodes with replacement
+        # the solver's stdout is not read; its stderr and the solution file
+        # decode with replacement, here a byte in a comment line
         stub = (
             "import sys; sys.stdout.buffer.write(b'\\xff'); sys.stderr.buffer.write(b'\\xff');"
             f"sys.path.insert(0, {str(FAKE_SOLVER.parent)!r}); from fake_solver import main;"
-            "sys.exit(main(*sys.argv[1:]))"
+            "code = main(*sys.argv[1:]); open(sys.argv[2], 'ab').write(b'# \\xff\\n');"
+            "sys.exit(code)"
         )
         adapter = FileSolverAdapter(command=(sys.executable, "-c", stub, "{model}", "{solution}"))
         outcome = solve(tiny2_model, SolveLimits(time_limit_s=60), adapter=adapter)

@@ -14,9 +14,9 @@ import numpy as np
 from cdsp.routes import InfeasibleTourError, Tour
 
 
-def schedule_lp(trips, inst, windows) -> tuple[Tour, dict[int, float]]:
+def schedule_lp(trips, inst, windows) -> Tour:
     """Exact timing relaxation when the earliest schedule busts the shift cap,
-    in `schedule_tour`'s shape: the timed tour and its visit times.
+    in `schedule_tour`'s shape: the timed tour.
 
     min sum of trip returns s.t. leg precedences, windows, shift cap;
     variables are the departure and one visit time per node.
@@ -60,6 +60,6 @@ def schedule_lp(trips, inst, windows) -> tuple[Tour, dict[int, float]]:
     if not res.success:
         raise InfeasibleTourError(None, "no timing satisfies the shift cap")
     x = res.x
-    visit = {node: float(x[col[node]]) for node in order}
-    deliveries = tuple(float(x[col[trip[-1]]] + travel[trip[-1], 0]) for trip in trips)
-    return Tour(trips, float(x[0]), deliveries), visit
+    visits = [[float(x[col[node]]) for node in trip] for trip in trips]
+    deliveries = [float(x[col[trip[-1]]] + travel[trip[-1], 0]) for trip in trips]
+    return Tour(trips, float(x[0]), visits, deliveries)

@@ -395,9 +395,8 @@ def solution_column_values(
         vec[lay.y(j, j)] = 1.0  # also for unrouted nodes of partial solutions
 
     for tour in sol.tours:
-        for trip in tour.trips:
-            for node in trip:
-                z = sol.visit[node]
+        for trip, times in zip(tour.trips, tour.visits):
+            for node, z in zip(trip, times):
                 vec[lay.z(node)] = z
                 vec[lay.tau(node)] = z - tour.departure
     for j, completed in sol.completion.items():
