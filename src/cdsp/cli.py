@@ -205,6 +205,8 @@ def _failure(path, exc: Exception) -> SystemExit:
 
 
 def main(argv=None) -> int:
+    with contextlib.suppress(AttributeError):  # stdout escapes what it cannot encode, as stderr
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     if getattr(args, "out", None):
         try:
@@ -233,7 +235,7 @@ def main(argv=None) -> int:
             print(f"  nodes = {record.nodes}")
         if record.message:
             print(f"  note: {record.message}")
-        checked = record.status in (SolveStatus.OPTIMAL.value, SolveStatus.INFEASIBLE.value)
+        checked = record.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE)
         if args.oracle and not checked:
             print(f"  oracle check skipped: solver status {record.status}")
         elif args.oracle:
@@ -246,7 +248,7 @@ def main(argv=None) -> int:
             except InfeasibleWindowError:
                 # an empty tightened window: no solution at all
                 result = OracleResult(solution=None, best_total=math.inf, candidates=0)
-            if record.status == SolveStatus.OPTIMAL.value:
+            if record.status is SolveStatus.OPTIMAL:
                 if abs(result.best_total - record.total) > OBJECTIVE_MATCH_TOL:
                     print(
                         f"  oracle check FAILED: oracle F = {result.best_total!r} "
@@ -259,7 +261,7 @@ def main(argv=None) -> int:
                 return 1
             else:
                 print("  oracle check: OK (infeasible)")
-        return 0 if record.status != SolveStatus.ERROR.value else 1
+        return 0 if record.status is not SolveStatus.ERROR else 1
 
     if args.command == "suite":
         try:
@@ -277,7 +279,7 @@ def main(argv=None) -> int:
         )
         print(report_table(report), end="")
         for record in report.records:
-            if record.status == SolveStatus.ERROR.value:
+            if record.status is SolveStatus.ERROR:
                 print(f"{_printable(record.label)}: error ({_printable(record.message)})")
         for key, value in report.fingerprint.items():
             print(f"# {key}: {value}")

@@ -37,6 +37,9 @@ from .writers import MODEL_FORMATS, write_model
 #: HiGHS's MIP and primal feasibility tolerances in `ScipyMilpAdapter`.
 FEASIBILITY_TOL = 1e-9
 
+#: HiGHS's relative gap target in `ScipyMilpAdapter`: 0, so a reported optimum is proven.
+GAP_TARGET = 0.0
+
 #: Whether `ScipyMilpAdapter` lets HiGHS run its feasibility-jump heuristic
 #: (Luteberget & Sartor 2023), which HiGHS 1.12 runs before every root LP
 #: at a fixed cost per solve: 47-53 ms, against 1.3-1.6 ms without it, on a
@@ -71,6 +74,9 @@ class SolveStatus(str, enum.Enum):
     NO_SOLUTION_TIME_LIMIT = "no-solution-time-limit"
     ERROR = "error"
 
+    def __str__(self) -> str:  # the value, as print and f-strings show it on every Python
+        return self.value
+
 
 class SolverConfigError(RuntimeError):
     """An adapter is configured with an unknown model or solution format or
@@ -89,12 +95,23 @@ class SolveLimits:
 
 @dataclass
 class SolveOutcome:
+    """One solve as an adapter reports it. Two rules hold whatever the
+    adapter: a time-limit stop without values is no-solution-time-limit,
+    and an optimum claimed without values is an error saying so."""
+
     status: SolveStatus
     objective: float | None = None
     bound: float | None = None
     values: np.ndarray | None = None
     message: str = ""
     nodes: int | None = None  # branch-and-bound nodes, where the solver reports them
+
+    def __post_init__(self):
+        if self.values is None and self.status is SolveStatus.FEASIBLE_TIME_LIMIT:
+            self.status = SolveStatus.NO_SOLUTION_TIME_LIMIT
+        elif self.values is None and self.status is SolveStatus.OPTIMAL:
+            self.status = SolveStatus.ERROR
+            self.message = "solver claims optimal but reported no values"
 
     @property
     def has_incumbent(self) -> bool:
@@ -341,7 +358,7 @@ class ScipyMilpAdapter:
 
     HiGHS gets `solver_view(model)`, built here on each call: the same
     optima as the model as built, in far fewer branch-and-bound nodes. The
-    returned values are the model's. HiGHS's relative gap target is 0, so
+    returned values are the model's. HiGHS's relative gap target is 0 (GAP_TARGET), so
     a reported optimum is a proven one.
 
     The view's arrays go to HiGHS as they are, through the binding's array
@@ -396,7 +413,7 @@ class ScipyMilpAdapter:
         options = {
             "log_to_console": False,
             "time_limit": float(limits.time_limit_s),
-            "mip_rel_gap": 0.0,
+            "mip_rel_gap": GAP_TARGET,
             "mip_feasibility_tolerance": FEASIBILITY_TOL,
             "primal_feasibility_tolerance": FEASIBILITY_TOL,
             "mip_heuristic_run_feasibility_jump": FEASIBILITY_JUMP,
@@ -427,11 +444,8 @@ class ScipyMilpAdapter:
                 info.primal_solution_status == highspy.kSolutionStatusFeasible
             )
             values = restore(np.array(highs.getSolution().col_value)) if found else None
-        kind = answers.get(status, SolveStatus.ERROR)
-        if kind is SolveStatus.FEASIBLE_TIME_LIMIT and not found:
-            kind = SolveStatus.NO_SOLUTION_TIME_LIMIT
         return SolveOutcome(
-            status=kind,
+            status=answers.get(status, SolveStatus.ERROR),
             objective=float(info.objective_function_value) if found else None,
             bound=float(info.mip_dual_bound) if found else None,
             values=values,
@@ -502,7 +516,10 @@ class FileSolverAdapter:
     - "cbc": the COIN-OR CBC ``solve ... solu`` layout.
 
     Variables absent from the file default to 0 (the usual sparse-output
-    convention).
+    convention). The status text, stripped and lower-cased, decides the
+    outcome: one holding "infeasible" is infeasible and exactly "optimal"
+    is optimal; any other is feasible-time-limit with values, and without
+    them no-solution-time-limit, or error on a non-zero exit.
     """
 
     command: tuple[str, ...]
@@ -580,13 +597,10 @@ class FileSolverAdapter:
         return self._to_outcome(model, parsed, proc.returncode)
 
     def _to_outcome(self, model, parsed: "_ParsedSolution", returncode) -> SolveOutcome:
-        status_word = (parsed.status or "").lower()
+        status_word = (parsed.status or "").strip().lower()
         if "infeasible" in status_word:
-            return SolveOutcome(
-                status=SolveStatus.INFEASIBLE, bound=parsed.bound, message=status_word
-            )
-        values = None
-        objective = None
+            return SolveOutcome(SolveStatus.INFEASIBLE, bound=parsed.bound, message=status_word)
+        values = objective = None
         if parsed.values:
             columns = {name: col for col, name in enumerate(model.layout.names())}
             values = np.zeros(model.num_columns)
@@ -607,34 +621,16 @@ class FileSolverAdapter:
                 if parsed.objective is not None
                 else float(sum(model.c[costed] * values[costed]))
             )
-        if "optimal" in status_word:
-            if values is None:
-                return SolveOutcome(
-                    status=SolveStatus.ERROR,
-                    message="solver claims optimal but reported no values",
-                )
-            bound = parsed.bound if parsed.bound is not None else objective
-            return SolveOutcome(
-                status=SolveStatus.OPTIMAL,
-                objective=objective,
-                bound=bound,
-                values=values,
-                message=status_word,
-            )
-        if values is not None:
-            return SolveOutcome(
-                status=SolveStatus.FEASIBLE_TIME_LIMIT,
-                objective=objective,
-                bound=parsed.bound,
-                values=values,
-                message=status_word or "stopped before proving optimality",
-            )
-        if returncode != 0:
+        optimal = status_word == "optimal"
+        if values is None and returncode != 0 and not optimal:
             return SolveOutcome(status=SolveStatus.ERROR, message=f"solver exit {returncode}")
+        note = "no incumbent reported" if values is None else "stopped before proving optimality"
         return SolveOutcome(
-            status=SolveStatus.NO_SOLUTION_TIME_LIMIT,
-            bound=parsed.bound,
-            message=status_word or "no incumbent reported",
+            status=SolveStatus.OPTIMAL if optimal else SolveStatus.FEASIBLE_TIME_LIMIT,
+            objective=objective,
+            bound=objective if optimal and parsed.bound is None else parsed.bound,
+            values=values,
+            message=status_word or note,
         )
 
 
@@ -671,7 +667,6 @@ def _parse_plain(text: str) -> _ParsedSolution:
 def _parse_highs(text: str) -> _ParsedSolution:
     out = _ParsedSolution()
     lines = text.splitlines()
-    section = None
     expect_status = False
     in_columns = False
     for line in lines:

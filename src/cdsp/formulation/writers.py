@@ -289,9 +289,14 @@ def _lp_rows(ptr, indices, data, names, labels, senses=None, rhs=None) -> Iterat
     )
 
 
+def _label(model: MipModel) -> str:
+    """The label both writers give: each character outside [A-Za-z0-9_.-] as "_"."""
+    return re.sub(r"[^A-Za-z0-9_.-]", "_", model.inst.label)
+
+
 def _lp_stream(model: MipModel) -> Iterator[str]:
     inst = model.inst
-    yield f"\\ cdsp model  label={inst.label}  n={model.n}  K={inst.fleet_size}\nMinimize\n"
+    yield f"\\ cdsp model  label={_label(model)}  n={model.n}  K={inst.fleet_size}\nMinimize\n"
     names = model.layout.names()
     costed = np.flatnonzero(model.c)
     objective = (["obj"], [""], np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32))
@@ -323,8 +328,7 @@ def _lp_stream(model: MipModel) -> Iterator[str]:
 
 
 def _mps_stream(model: MipModel) -> Iterator[str]:
-    safe = re.sub(r"[^A-Za-z0-9_.-]", "_", model.inst.label or "model")
-    yield f"NAME {safe}\nROWS\n N obj\n"
+    yield f"NAME {_label(model) or 'model'}\nROWS\n N obj\n"
     names = model.layout.names()
     heads, tails, head_code, tail_code = model.row_name_codes()
     senses, rhs = model.row_senses()

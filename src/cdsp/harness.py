@@ -15,6 +15,7 @@ import dataclasses
 import io
 import json
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +33,7 @@ from .formulation import (
     extract_solution,
     solve,
 )
-from .formulation.solvers import FEASIBILITY_TOL
+from .formulation.solvers import FEASIBILITY_TOL, GAP_TARGET
 from .instances import Instance, InstanceConfig, Setting, build_instance, parse_solomon
 from .network import InfeasibleWindowError, TimeWindows, build_multigraph
 from .routes import solution_to_json, validate_solution
@@ -57,7 +58,7 @@ class ManifestEntry:
 class RunRecord:
     label: str
     setting: Setting | None
-    status: str
+    status: SolveStatus  # a value string is coerced to its member
     total: float | None = None  # F
     net: float | None = None  # F'
     gap_pct: float | None = None
@@ -65,6 +66,9 @@ class RunRecord:
     build_s: float | None = None
     nodes: int | None = None  # branch-and-bound nodes, where the solver reports them
     message: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "status", SolveStatus(self.status))
 
     def setting_key(self) -> tuple:
         return self.setting.as_tuple() if self.setting else (None, None, None)
@@ -100,7 +104,7 @@ class BenchmarkReport:
 
     @property
     def has_errors(self) -> bool:
-        return any(r.status == SolveStatus.ERROR.value for r in self.records)
+        return any(r.status is SolveStatus.ERROR for r in self.records)
 
 
 def _setting_sort(item):
@@ -112,11 +116,7 @@ def _aggregate(records: list[RunRecord]) -> SettingAggregate:
     nets = [r.net for r in records if r.net is not None]
     gaps = [r.gap_pct for r in records if r.gap_pct is not None]
     times = [r.wall_s for r in records if r.wall_s is not None]
-    n_tl = sum(
-        r.status
-        in (SolveStatus.FEASIBLE_TIME_LIMIT.value, SolveStatus.NO_SOLUTION_TIME_LIMIT.value)
-        for r in records
-    )
+    counts = Counter(r.status for r in records)
     return SettingAggregate(
         n_instances=len(records),
         avg_net=sum(nets) / len(nets) if nets else None,
@@ -125,13 +125,12 @@ def _aggregate(records: list[RunRecord]) -> SettingAggregate:
         gap_count=len(gaps),
         avg_time_s=sum(times) / len(times) if times else None,
         time_count=len(times),
-        n_opt=sum(r.status == SolveStatus.OPTIMAL.value for r in records),
-        n_time_limit=n_tl,
-        n_no_solution=sum(
-            r.status == SolveStatus.NO_SOLUTION_TIME_LIMIT.value for r in records
-        ),
-        n_infeasible=sum(r.status == SolveStatus.INFEASIBLE.value for r in records),
-        n_error=sum(r.status == SolveStatus.ERROR.value for r in records),
+        n_opt=counts[SolveStatus.OPTIMAL],
+        n_time_limit=counts[SolveStatus.FEASIBLE_TIME_LIMIT]
+        + counts[SolveStatus.NO_SOLUTION_TIME_LIMIT],
+        n_no_solution=counts[SolveStatus.NO_SOLUTION_TIME_LIMIT],
+        n_infeasible=counts[SolveStatus.INFEASIBLE],
+        n_error=counts[SolveStatus.ERROR],
     )
 
 
@@ -153,7 +152,7 @@ def config_fingerprint(
         # the bundled HiGHS's; any other solver keeps its own (null here)
         "feasibility_tol": FEASIBILITY_TOL if bundled else None,
         "time_limit_s": None if limits is None else limits.time_limit_s,
-        "gap_target": 0.0 if bundled else None,
+        "gap_target": GAP_TARGET if bundled else None,
         "solver": solver_name,
     }
 
@@ -205,19 +204,19 @@ def run_instance(
     path = Path(path)
     label = path.stem
 
-    def failed(status: str, message: str) -> RunRecord:
+    def failed(status: SolveStatus, message: str) -> RunRecord:
         return RunRecord(label=label, setting=setting, status=status, message=message)
 
     try:
         inst = load_instance(path, cfg, setting)
     except (OSError, ValueError) as exc:
-        return failed(SolveStatus.ERROR.value, str(exc))
+        return failed(SolveStatus.ERROR, str(exc))
 
     build_start = time.perf_counter()
     try:
         graph = build_multigraph(inst)
     except InfeasibleWindowError as exc:
-        return failed(SolveStatus.INFEASIBLE.value, str(exc))
+        return failed(SolveStatus.INFEASIBLE, str(exc))
     model = build_model(graph, inst)
     build_s = time.perf_counter() - build_start
 
@@ -242,7 +241,7 @@ def run_instance(
                     f"{label}: decoded objective {total!r} != solver optimum {outcome.objective!r}"
                 )
         except (ModelDecodeError, IncumbentValidationError) as exc:
-            return failed(SolveStatus.ERROR.value, str(exc))
+            return failed(SolveStatus.ERROR, str(exc))
         net = f_prime(total, inst, graph.windows, raw_release)
         if outcome.bound is not None and total > 0:
             excess = total - outcome.bound
@@ -255,7 +254,7 @@ def run_instance(
             out.mkdir(parents=True, exist_ok=True)
             fingerprint = config_fingerprint(cfg, limits, adapter.name, raw_release)
             payload = solution_to_json(sol, net, fingerprint)
-            payload["status"] = outcome.status.value
+            payload["status"] = outcome.status
             (out / f"{label}.solution.json").write_text(
                 json.dumps(payload, indent=2), encoding="utf-8"
             )
@@ -263,7 +262,7 @@ def run_instance(
     return RunRecord(
         label=label,
         setting=setting,
-        status=outcome.status.value,
+        status=outcome.status,
         total=total,
         net=net,
         gap_pct=gap,

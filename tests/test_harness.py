@@ -47,6 +47,7 @@ GEN10 = Path(__file__).parent / "data" / "gen10.txt"
 GEN20 = Path(__file__).parent / "data" / "gen20.txt"
 CAPPED2 = Path(__file__).parent / "data" / "capped2.txt"
 WIDE5 = Path(__file__).parent / "data" / "wide5.txt"
+FAKE_SOLVER = Path(__file__).parent / "fake_solver.py"
 
 # An external solver that solves like tests/fake_solver.py, except that on
 # the model of wide5 it writes an "optimal" solution with a fractional arc.
@@ -69,6 +70,21 @@ def fractional_on_wide5(tmp_path) -> tuple[str, ...]:
     script = tmp_path / "fractional_on_wide5.py"
     script.write_text(FRACTIONAL_ON_WIDE5)
     return (sys.executable, str(script), "{model}", "{solution}")
+
+
+def _cdsp_under_a_c_locale(*args) -> subprocess.CompletedProcess:
+    """``python -m cdsp`` with args under the C locale's ASCII encoding."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = {
+        **os.environ,
+        "LC_ALL": "C",
+        "PYTHONUTF8": "0",
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    return subprocess.run(
+        [sys.executable, "-m", "cdsp", *args], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,6 +137,16 @@ class BoundAboveAdapter:
     def solve(self, model, limits):
         outcome = ScipyMilpAdapter().solve(model, limits)
         return dataclasses.replace(outcome, bound=outcome.objective + self.excess)
+
+
+@dataclasses.dataclass(frozen=True)
+class ClaimsOptimalAdapter:
+    """Reports an optimum at 20 (tiny2's) without the values that show it."""
+
+    name: str = "claims-optimal"
+
+    def solve(self, model, limits):
+        return SolveOutcome(SolveStatus.OPTIMAL, objective=20.0, bound=20.0)
 
 
 INFEASIBLE_WINDOW_FILE = """\
@@ -340,6 +366,16 @@ class TestRunSuite:
         assert (tmp_path / "out" / "report.json").exists()
         assert (tmp_path / "out" / "solutions" / "tiny2.solution.json").exists()
 
+    def test_optimum_claimed_without_values_is_one_error_record(self, tiny2_file):
+        cfg = InstanceConfig(fleet_size="file")
+        report = run_suite([ManifestEntry(tiny2_file)], cfg, LIMITS, ClaimsOptimalAdapter())
+        (record,) = report.records
+        assert record.status is SolveStatus.ERROR
+        assert record.message == "solver claims optimal but reported no values"
+        assert record.total is None and record.net is None and record.gap_pct is None
+        agg = report.settings[(None, None, None)]
+        assert (agg.n_opt, agg.n_error) == (0, 1)
+
     def test_binary_instance_file_is_one_error_record(self, tmp_path, tiny2_file):
         binary = tmp_path / "binary.txt"
         binary.write_bytes(bytes(range(256)))
@@ -420,6 +456,14 @@ class TestReporting:
             records=records,
             fingerprint=config_fingerprint(cfg, LIMITS, "scipy-highs", raw_release=False),
         )
+
+    def test_record_holds_the_status_member(self):
+        record = RunRecord("a", None, "no-solution-time-limit")
+        assert record.status is SolveStatus.NO_SOLUTION_TIME_LIMIT
+        assert str(record.status) == f"{record.status}" == "no-solution-time-limit"
+        assert "%s" % record.status == "{}".format(record.status) == "no-solution-time-limit"
+        with pytest.raises(ValueError):
+            RunRecord("a", None, "timeout")
 
     def test_average_of_two(self):
         records = [
@@ -523,24 +567,55 @@ class TestCli:
         first, rest = (DATA_DIR / "tiny2.txt").read_text(encoding="utf-8").split("\n", 1)
         path = tmp_path / "tiny2.txt"
         path.write_text(f"{first} café\n{rest}", encoding="utf-8")
-        src = str(Path(__file__).parents[1] / "src")
-        env = {
-            **os.environ,
-            "LC_ALL": "C",
-            "PYTHONUTF8": "0",
-            "PYTHONCOERCECLOCALE": "0",
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-        }
-        proc = subprocess.run(
-            [sys.executable, "-m", "cdsp", "solve", str(path), "--fleet", "file"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
+        proc = _cdsp_under_a_c_locale("solve", str(path), "--fleet", "file")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.startswith("tiny2: optimal\n"), proc.stdout
         assert "F  = 20.000000" in proc.stdout
+
+    def test_solve_escapes_a_note_an_ascii_stdout_cannot_encode(self, tmp_path):
+        # site 1's XCOORD is "é": the record's note quotes it
+        text = (DATA_DIR / "tiny2.txt").read_text(encoding="utf-8")
+        path = tmp_path / "bad.txt"
+        path.write_text(text.replace("    1          0", "    1          é", 1), encoding="utf-8")
+        proc = _cdsp_under_a_c_locale("solve", str(path), "--fleet", "file")
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.stdout.startswith("bad: error\n"), proc.stdout
+        assert "  note: line 11: non-numeric field '\\xe9'\n" in proc.stdout, proc.stdout
+
+    def test_suite_escapes_a_setting_an_ascii_stdout_cannot_encode(self, tmp_path, tiny2_file):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([{"path": str(tiny2_file), "class": "\u00c7"}]))
+        out_dir = str(tmp_path / "out")
+        proc = _cdsp_under_a_c_locale("suite", str(manifest), "--fleet", "file", "--out", out_dir)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert "\nany-\\xc7-any " in proc.stdout, proc.stdout
+        assert "# gap_target: 0.0\n" in proc.stdout
+        assert "# report written to " in proc.stdout
+
+    def test_emit_and_solve_a_file_name_outside_the_filesystem_encoding(
+        self, tmp_path, tiny2_file, capsysbinary
+    ):
+        from cdsp.cli import main
+
+        # the name's byte \xe9 is no UTF-8; the stem keeps it as a surrogate
+        path = tmp_path / os.fsdecode(b"caf\xe9.txt")
+        path.write_bytes(tiny2_file.read_bytes())
+        for fmt, head in (("lp", b"\\ cdsp model  label=caf_  n=2"), ("mps", b"NAME caf_\n")):
+            out_dir = tmp_path / fmt
+            flags = ["--fleet", "file", "--format", fmt]
+            assert main(["emit", str(path), *flags, "--out", str(out_dir)]) == 0
+            capsysbinary.readouterr()
+            assert main(["emit", str(path), *flags]) == 0
+            written = (out_dir / f"{path.stem}.{fmt}").read_bytes()
+            assert capsysbinary.readouterr().out == written
+            assert written.startswith(head)
+        command = shlex.join([sys.executable, str(FAKE_SOLVER), "{model}", "{solution}"])
+        assert main(["solve", str(path), "--fleet", "file", "--solver-cmd", command]) == 0
+        out = capsysbinary.readouterr().out.decode()
+        assert out.startswith("caf\\udce9: optimal\n"), out
+        assert "  F  = 20.000000\n" in out
 
     def test_solve_error_exit_code(self, tmp_path, capsys):
         from cdsp.cli import main

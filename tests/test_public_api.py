@@ -121,6 +121,7 @@ def test_tolerances_are_module_constants():
     from cdsp.formulation import solvers
 
     assert solvers.FEASIBILITY_TOL == 1e-9
+    assert solvers.GAP_TARGET == 0.0
     assert "feasibility_tol" not in {f.name for f in dataclasses.fields(cdsp.ScipyMilpAdapter)}
 
 

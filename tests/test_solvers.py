@@ -36,6 +36,7 @@ from cdsp.formulation.solvers import (
     ROOT_REDUCED_COST,
     SHIFT_FAMILIES,
     ScipyMilpAdapter,
+    SolveOutcome,
     _highs_model,
     _highs_run,
     _parse_cbc,
@@ -89,6 +90,19 @@ def highs_spy(monkeypatch):
 
     monkeypatch.setattr(highspy, "_Highs", Spy)
     return Spy
+
+
+def test_outcome_without_values_follows_the_status_rules():
+    stopped = SolveOutcome(SolveStatus.FEASIBLE_TIME_LIMIT, bound=3.0, message="Time limit")
+    assert stopped.status is SolveStatus.NO_SOLUTION_TIME_LIMIT
+    assert (stopped.bound, stopped.message) == (3.0, "Time limit")
+    claimed = SolveOutcome(SolveStatus.OPTIMAL, objective=20.0, message="Optimal")
+    assert claimed.status is SolveStatus.ERROR
+    assert claimed.message == "solver claims optimal but reported no values"
+    for status in SolveStatus:
+        values = np.zeros(1)
+        assert SolveOutcome(status, values=values).status is status
+    assert SolveOutcome(SolveStatus.INFEASIBLE).status is SolveStatus.INFEASIBLE
 
 
 class TestLimits:
@@ -233,6 +247,22 @@ class TestScipyAdapter:
         assert outcome.status is SolveStatus.ERROR
         assert outcome.message == "Model error"
         assert outcome.values is None and outcome.objective is None
+
+    def test_highs_gets_the_gap_target_the_fingerprint_states(self, tiny2_model, monkeypatch):
+        from cdsp.harness import config_fingerprint
+
+        seen = []
+
+        def spy(highspy, arrays, options):
+            seen.append(options)
+            return _highs_run(highspy, arrays, options)
+
+        monkeypatch.setattr(solvers, "_highs_run", spy)
+        assert solve(tiny2_model, SolveLimits(time_limit_s=60)).status is SolveStatus.OPTIMAL
+        limits = SolveLimits(time_limit_s=60)
+        fingerprint = config_fingerprint(InstanceConfig(), limits, ScipyMilpAdapter.name, False)
+        assert [options["mip_rel_gap"] for options in seen] == [fingerprint["gap_target"]]
+        assert fingerprint["gap_target"] == solvers.GAP_TARGET
 
     def test_adapter_crash_becomes_error_outcome(self, tiny2_model):
         class Exploding:
@@ -824,6 +854,24 @@ class TestFileAdapter:
         outcome = solve(tiny2_model, SolveLimits(time_limit_s=60), adapter=adapter)
         assert outcome.status is SolveStatus.OPTIMAL, outcome.message
         assert outcome.objective == pytest.approx(20.0, abs=1e-6)
+
+    @pytest.mark.parametrize("word", ["suboptimal", "optimal_inaccurate"])
+    def test_a_status_that_only_contains_optimal_proves_nothing(self, tiny2, tiny2_model, word):
+        # fake_solver's solution, valid, under another status word
+        stub = (
+            f"import sys; sys.path.insert(0, {str(FAKE_SOLVER.parent)!r});"
+            "from fake_solver import main; code = main(*sys.argv[1:]);"
+            "path = sys.argv[2]; text = open(path).read();"
+            f"open(path, 'w').write(text.replace('status optimal', 'status {word}'));"
+            "sys.exit(code)"
+        )
+        adapter = FileSolverAdapter(command=(sys.executable, "-c", stub, "{model}", "{solution}"))
+        outcome = solve(tiny2_model, SolveLimits(time_limit_s=60), adapter=adapter)
+        assert outcome.status is SolveStatus.FEASIBLE_TIME_LIMIT, outcome.message
+        assert outcome.message == word
+        assert outcome.objective == pytest.approx(20.0, abs=1e-6)
+        sol = extract_solution(tiny2_model, outcome.values)
+        assert validate_solution(sol, tiny2, preprocess_time_windows(tiny2)).ok
 
     def test_unknown_solution_format_fails_at_construction(self):
         with pytest.raises(SolverConfigError, match="unknown solution format 'sol'"):
