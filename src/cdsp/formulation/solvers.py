@@ -320,6 +320,16 @@ OPTIONAL_OPTIONS = frozenset(
 )
 
 
+@functools.cache
+def load_highs():
+    """scipy's HiGHS binding, ``scipy.optimize._highspy._core``, imported on
+    the first call: 0.2-0.4 s on a 2-core x86-64 host, which `run_instance`
+    spends before it starts the solve clock."""
+    from scipy.optimize._highspy import _core
+
+    return _core
+
+
 def _highs_model(highspy, model: MipModel) -> tuple:
     """The arguments of the binding's array overload of ``_Highs.passModel``
     for the model: its own arrays, the CSR matrix row-wise as it is, the
@@ -396,8 +406,7 @@ class ScipyMilpAdapter:
     name: ClassVar[str] = "scipy-highs"
 
     def solve(self, model: MipModel, limits: SolveLimits) -> SolveOutcome:
-        from scipy.optimize._highspy import _core as highspy
-
+        highspy = load_highs()
         start = time.perf_counter()  # for the time left to a retry
         view, restore = solver_view(model)
         matrix = view.matrix

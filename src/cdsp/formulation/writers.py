@@ -300,7 +300,8 @@ def _lp_stream(model: MipModel) -> Iterator[str]:
     names = model.layout.names()
     costed = np.flatnonzero(model.c)
     objective = (["obj"], [""], np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32))
-    yield from _lp_rows(np.array([0, len(costed)]), costed, model.c[costed], names, objective)
+    ptr, own = np.array([0, len(costed)]), np.arange(len(costed))  # over the costed names only
+    yield from _lp_rows(ptr, own, model.c[costed], [names[k] for k in costed.tolist()], objective)
     yield "Subject To\n"
     matrix = model.matrix
     yield from _lp_rows(

@@ -72,19 +72,20 @@ def fractional_on_wide5(tmp_path) -> tuple[str, ...]:
     return (sys.executable, str(script), "{model}", "{solution}")
 
 
+def _python(*args, **env) -> subprocess.CompletedProcess:
+    """A new Python run with args and env added to the environment,
+    importing cdsp from src/."""
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **env, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 def _cdsp_under_a_c_locale(*args) -> subprocess.CompletedProcess:
     """``python -m cdsp`` with args under the C locale's ASCII encoding."""
-    src = str(Path(__file__).parents[1] / "src")
-    env = {
-        **os.environ,
-        "LC_ALL": "C",
-        "PYTHONUTF8": "0",
-        "PYTHONCOERCECLOCALE": "0",
-        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-    }
-    return subprocess.run(
-        [sys.executable, "-m", "cdsp", *args], capture_output=True, text=True, env=env, timeout=120
-    )
+    return _python("-m", "cdsp", *args, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -269,6 +270,22 @@ class TestRunInstance:
         assert report["settings"][0]["avg_net"] == pytest.approx(net, abs=1e-6)
         solution = json.loads((suite_dir / "solutions" / "capped2.solution.json").read_text())
         assert solution["F_prime"] == pytest.approx(net, abs=1e-6)
+
+    def test_first_bundled_solve_leaves_the_binding_import_off_its_clock(self):
+        # in a fresh interpreter: the one-time import of scipy's HiGHS
+        # binding takes 0.2-0.4 s, the tiny2 solve itself milliseconds
+        code = (
+            "import sys\n"
+            "from cdsp import InstanceConfig, SolveLimits, run_instance\n"
+            "cfg, limits = InstanceConfig(fleet_size='file'), SolveLimits(60.0)\n"
+            "record = run_instance(sys.argv[1], cfg, limits)\n"
+            "print(record.status, record.wall_s)\n"
+        )
+        proc = _python("-c", code, str(DATA_DIR / "tiny2.txt"))
+        assert proc.returncode == 0, proc.stderr
+        status, wall_s = proc.stdout.split()
+        assert status == "optimal"
+        assert float(wall_s) < 0.1
 
     def test_deterministic_rerun(self, tiny2_file):
         cfg = InstanceConfig(fleet_size="file")
@@ -551,6 +568,46 @@ class TestReporting:
         assert "threads" not in fingerprint and "threads" not in external
 
 
+GOLDEN_DIR = DATA_DIR / "report_golden"
+
+# Every status; a starred partial average (F' over 2 of 3 in 10-C-tight);
+# a None setting; a message holding a comma, a quote and a non-ASCII
+# character; records with null F and null gap.
+GOLDEN_RECORDS = [
+    RunRecord(
+        "a", Setting(10, "C", "tight"), "optimal", 30.0, 10.0, 0.0, 0.25, 0.125, 3, "Optimal"
+    ),
+    RunRecord(
+        "b", Setting(10, "C", "tight"), "feasible-time-limit",
+        40.5, 20.25, 1.5, 60.0, 0.5, 120, "Time limit reached",
+    ),
+    RunRecord(
+        "c", Setting(10, "C", "tight"), "no-solution-time-limit",
+        wall_s=60.0, build_s=0.5, message='stopped, "no incumbent"',
+    ),
+    RunRecord("d", Setting(20, "R", "wide"), "infeasible", message="node 2: window [28, 26]"),
+    RunRecord("e", None, "error", message="line 11: non-numeric field 'é'"),
+    RunRecord("f", None, "optimal", 12.0, 7.0, None, 0.01, 0.002),
+]
+
+
+class TestGoldenReport:
+    """report.csv, report.json and the printed table, byte for byte."""
+
+    def _report(self):
+        fingerprint = {"schema": SCHEMA_TAG, "solver": "scipy-highs"}
+        return BenchmarkReport(records=GOLDEN_RECORDS, fingerprint=fingerprint)
+
+    def test_report_files(self, tmp_path):
+        write_report(self._report(), tmp_path)
+        for name in ("report.csv", "report.json"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+
+    def test_report_table(self):
+        golden = (GOLDEN_DIR / "table.txt").read_text(encoding="utf-8")
+        assert report_table(self._report()) == golden
+
+
 class TestCli:
     def test_solve_subcommand(self, tiny2_file, capsys):
         from cdsp.cli import main
@@ -616,6 +673,18 @@ class TestCli:
         out = capsysbinary.readouterr().out.decode()
         assert out.startswith("caf\\udce9: optimal\n"), out
         assert "  F  = 20.000000\n" in out
+
+    def test_emit_never_imports_scipy_optimize(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from cdsp.cli import main\n"
+            "code = main(['emit', sys.argv[1], '--format', 'lp', '--out', sys.argv[2]])\n"
+            "print(code, 'scipy.optimize' in sys.modules)\n"
+        )
+        proc = _python("-c", code, str(GEN20), str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
+        assert (tmp_path / "gen20.lp").exists()
 
     def test_solve_error_exit_code(self, tmp_path, capsys):
         from cdsp.cli import main
