@@ -22,6 +22,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, ClassVar, Protocol
@@ -34,32 +35,42 @@ from .model import SENSE_GE, CsrRows, MipModel
 from .writers import MODEL_FORMATS, write_model
 
 
-#: HiGHS's MIP and primal feasibility tolerances in `ScipyMilpAdapter`.
-FEASIBILITY_TOL = 1e-9
+#: Every option `ScipyMilpAdapter` gives HiGHS but the time limit, read-only;
+#: its retry adds ``presolve`` off. The config fingerprint states it.
+HIGHS_OPTIONS = types.MappingProxyType(
+    {
+        "log_to_console": False,
+        # 0, so a reported optimum is a proven one
+        "mip_rel_gap": 0.0,
+        # well below HiGHS's 1e-6 MIP default: the decoded F is exact (the
+        # decoder times the routes itself), and what remains is comparing
+        # it with HiGHS's objective at 1e-6
+        "mip_feasibility_tolerance": 1e-9,
+        "primal_feasibility_tolerance": 1e-9,
+        # feasibility jump (Luteberget & Sartor 2023), which HiGHS 1.12 runs
+        # before every root LP at a fixed cost per solve: 47-53 ms, against
+        # 1.3-1.6 ms without it, on a 1-column MIP with presolve off (2-core
+        # x86-64 host). Off, the benchmark's 14 `oracle-tiny` instances take
+        # 0.29-0.32 s of HiGHS time in all instead of 0.53-0.60 s (15 nodes
+        # either way), and its 14 `solve-small` instances 1.3-1.6 s instead
+        # of 1.9-2.1 s (12 nodes instead of 11), at the same optima; the
+        # n = 15-25 instances keep their optima and node counts
+        "mip_heuristic_run_feasibility_jump": False,
+        # the root reduced-cost heuristic, a sub-MIP over the columns the
+        # root reduced costs leave free: most of the root work on small
+        # models, and HiGHS 1.12 crashes inside it on one seeded n = 50 draw
+        "mip_heuristic_run_root_reduced_cost": False,
+    }
+)
 
-#: HiGHS's relative gap target in `ScipyMilpAdapter`: 0, so a reported optimum is proven.
-GAP_TARGET = 0.0
-
-#: Whether `ScipyMilpAdapter` lets HiGHS run its feasibility-jump heuristic
-#: (Luteberget & Sartor 2023), which HiGHS 1.12 runs before every root LP
-#: at a fixed cost per solve: 47-53 ms, against 1.3-1.6 ms without it, on a
-#: 1-column MIP with presolve off (2-core x86-64 host). Off, the benchmark's
-#: 14 `oracle-tiny` instances take 0.29-0.32 s of HiGHS time in all instead
-#: of 0.53-0.60 s (15 nodes either way), and its 14 `solve-small` instances
-#: 1.3-1.6 s instead of 1.9-2.1 s (12 nodes instead of 11), at the same
-#: optima; the n = 15-25 instances keep their optima and node counts. A
-#: HiGHS that has no such option ignores it.
-FEASIBILITY_JUMP = False
-
-#: Whether `ScipyMilpAdapter` lets HiGHS run its root reduced-cost
-#: heuristic, a sub-MIP over the columns its root reduced costs leave free:
-#: most of the root work on small models, and HiGHS 1.12 crashes inside it
-#: on one seeded n = 50 draw. A HiGHS that has no such option ignores it.
-ROOT_REDUCED_COST = False
+#: The options `ScipyMilpAdapter` may skip: the heuristic toggles, which an
+#: older HiGHS lacks, where HiGHS runs on its own default instead.
+OPTIONAL_OPTIONS = frozenset(name for name in HIGHS_OPTIONS if name.startswith("mip_heuristic_"))
 
 #: How far past a deadline a carry's earliest arrival must fall before
 #: `dominated_carries` fixes it: well above the triangle tolerance summed
-#: over a trip and FEASIBILITY_TOL, and far below any time in an instance.
+#: over a trip and HiGHS's feasibility tolerance (HIGHS_OPTIONS), and far
+#: below any time in an instance.
 DOMINANCE_MARGIN = 1e-6
 
 #: The row families that involve the elapsed-shift columns tau; `solver_view`
@@ -313,13 +324,6 @@ def solver_view(model: MipModel) -> tuple[MipModel, Callable[[np.ndarray], np.nd
     return view, restore
 
 
-#: The options `ScipyMilpAdapter` may skip: heuristic toggles that an
-#: older HiGHS lacks, where HiGHS runs on its own default instead.
-OPTIONAL_OPTIONS = frozenset(
-    {"mip_heuristic_run_feasibility_jump", "mip_heuristic_run_root_reduced_cost"}
-)
-
-
 @functools.cache
 def load_highs():
     """scipy's HiGHS binding, ``scipy.optimize._highspy._core``, imported on
@@ -368,8 +372,10 @@ class ScipyMilpAdapter:
 
     HiGHS gets `solver_view(model)`, built here on each call: the same
     optima as the model as built, in far fewer branch-and-bound nodes. The
-    returned values are the model's. HiGHS's relative gap target is 0 (GAP_TARGET), so
-    a reported optimum is a proven one.
+    returned values are the model's. HiGHS gets HIGHS_OPTIONS and the time
+    limit; a HiGHS that lacks one of the OPTIONAL_OPTIONS runs on its
+    default, and any other option it rejects raises SolverConfigError
+    naming it.
 
     The view's arrays go to HiGHS as they are, through the binding's array
     overload of ``passModel``, the CSR matrix row-wise. The binding casts
@@ -385,16 +391,6 @@ class ScipyMilpAdapter:
 
     HiGHS gets no thread setting and runs with its own default.
     Deterministic for fixed inputs.
-
-    Feasibility tolerances are FEASIBILITY_TOL (1e-9), well below HiGHS's
-    1e-6 MIP default. The decoded F is exact (the decoder times the routes
-    itself); what remains is comparing it with HiGHS's objective at 1e-6.
-    HiGHS's feasibility-jump heuristic is off (FEASIBILITY_JUMP): a fixed
-    cost per solve that saved no branch-and-bound node on the benchmark.
-    So is its root reduced-cost heuristic (ROOT_REDUCED_COST), most of the
-    root work on small models. A HiGHS that lacks one of those two toggles
-    runs on its default; any other option it rejects raises
-    SolverConfigError naming it.
 
     HiGHS's model status sets the outcome's status, and its text the
     message. A model that HiGHS refuses to load (a "Model error", such as
@@ -419,15 +415,7 @@ class ScipyMilpAdapter:
                 f" ({matrix.nnz} nonzeros)",
             )
         arrays = _highs_model(highspy, view)
-        options = {
-            "log_to_console": False,
-            "time_limit": float(limits.time_limit_s),
-            "mip_rel_gap": GAP_TARGET,
-            "mip_feasibility_tolerance": FEASIBILITY_TOL,
-            "primal_feasibility_tolerance": FEASIBILITY_TOL,
-            "mip_heuristic_run_feasibility_jump": FEASIBILITY_JUMP,
-            "mip_heuristic_run_root_reduced_cost": ROOT_REDUCED_COST,
-        }
+        options = {**HIGHS_OPTIONS, "time_limit": float(limits.time_limit_s)}
         answers = {
             highspy.HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
             highspy.HighsModelStatus.kTimeLimit: SolveStatus.FEASIBLE_TIME_LIMIT,

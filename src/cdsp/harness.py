@@ -33,7 +33,7 @@ from .formulation import (
     extract_solution,
     solve,
 )
-from .formulation.solvers import FEASIBILITY_TOL, GAP_TARGET, load_highs
+from .formulation.solvers import HIGHS_OPTIONS, load_highs
 from .instances import Instance, InstanceConfig, Setting, build_instance, parse_solomon
 from .network import InfeasibleWindowError, TimeWindows, build_multigraph
 from .routes import solution_to_json, validate_solution
@@ -163,17 +163,18 @@ def config_fingerprint(
     """The settings a run used. ``limits`` is None for a run that solves no
     MIP (the oracle), which has no solve limits and decodes no incumbent."""
     bundled = solver_name == ScipyMilpAdapter.name
+    highs = load_highs()._Highs() if bundled else None
     return {
         "schema": SCHEMA_TAG,
         **cfg.fingerprint(),
         "fprime_release": "raw" if raw_release else "tightened",
         "gap_convention": "(incumbent - bound) / incumbent * 100",
         "integrality_tol": None if limits is None else INTEGRALITY_TOL,
-        # the bundled HiGHS's; any other solver keeps its own (null here)
-        "feasibility_tol": FEASIBILITY_TOL if bundled else None,
         "time_limit_s": None if limits is None else limits.time_limit_s,
-        "gap_target": GAP_TARGET if bundled else None,
         "solver": solver_name,
+        # the bundled HiGHS's; any other solver keeps its own (null here)
+        "highs_options": dict(HIGHS_OPTIONS) if bundled else None,
+        "highs_version": f"{highs.version()} ({highs.githash()})" if bundled else None,
     }
 
 

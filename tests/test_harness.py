@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from cdsp import (
     write_solomon,
 )
 from cdsp.formulation import INTEGRALITY_TOL, SolveOutcome, SolveStatus
-from cdsp.formulation.solvers import FEASIBILITY_TOL
+from cdsp.formulation.solvers import HIGHS_OPTIONS
 from cdsp.harness import (
     SCHEMA_TAG,
     BenchmarkReport,
@@ -557,13 +558,14 @@ class TestReporting:
         write_report(self._report(records), tmp_path)
         fingerprint = json.loads((tmp_path / "report.json").read_text())["fingerprint"]
         assert fingerprint["integrality_tol"] == INTEGRALITY_TOL
-        assert fingerprint["feasibility_tol"] == FEASIBILITY_TOL == 1e-9
-        assert fingerprint["gap_target"] == 0.0
+        assert fingerprint["highs_options"] == dict(HIGHS_OPTIONS)
+        # "1.12.0 (4f96ee8)" from the HiGHS that scipy bundles
+        assert re.fullmatch(r"\d+\.\d+\.\d+ \(\w+\)", fingerprint["highs_version"])
         # an external solver runs at its own tolerance and gap, which cdsp
         # does not set
         external = config_fingerprint(InstanceConfig(), LIMITS, "file", raw_release=False)
-        assert external["feasibility_tol"] is None
-        assert external["gap_target"] is None
+        assert external["highs_options"] is None
+        assert external["highs_version"] is None
         # no solver gets a thread count from cdsp
         assert "threads" not in fingerprint and "threads" not in external
 
@@ -648,7 +650,7 @@ class TestCli:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr
         assert "\nany-\\xc7-any " in proc.stdout, proc.stdout
-        assert "# gap_target: 0.0\n" in proc.stdout
+        assert f"# highs_options: {dict(HIGHS_OPTIONS)}\n" in proc.stdout
         assert "# report written to " in proc.stdout
 
     def test_emit_and_solve_a_file_name_outside_the_filesystem_encoding(
@@ -1007,7 +1009,7 @@ class TestCli:
         # solver tolerances
         fingerprint = json.loads(out[out.index("{") :])["config"]
         assert fingerprint["solver"] == "oracle"
-        for key in ("time_limit_s", "integrality_tol", "feasibility_tol", "gap_target"):
+        for key in ("time_limit_s", "integrality_tol", "highs_options", "highs_version"):
             assert fingerprint[key] is None, key
         assert "threads" not in fingerprint
 

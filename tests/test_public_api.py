@@ -117,17 +117,26 @@ def test_removed_model_and_graph_views():
 
 
 def test_tolerances_are_module_constants():
-    # no caller set them, so neither is a knob
+    # the one place that pins what HiGHS is told; no caller sets an option,
+    # so none is a knob
     from cdsp.formulation import solvers
 
-    assert solvers.FEASIBILITY_TOL == 1e-9
-    assert solvers.GAP_TARGET == 0.0
-    assert "feasibility_tol" not in {f.name for f in dataclasses.fields(cdsp.ScipyMilpAdapter)}
+    assert dict(solvers.HIGHS_OPTIONS) == {
+        "log_to_console": False,
+        "mip_rel_gap": 0.0,
+        "mip_feasibility_tolerance": 1e-9,
+        "primal_feasibility_tolerance": 1e-9,
+        "mip_heuristic_run_feasibility_jump": False,
+        "mip_heuristic_run_root_reduced_cost": False,
+    }
+    with pytest.raises(TypeError):
+        solvers.HIGHS_OPTIONS["mip_rel_gap"] = 1e-4
+    assert dataclasses.fields(cdsp.ScipyMilpAdapter) == ()
 
 
 def test_gap_target_is_gone(capsys):
     # a gap target let a result be reported optimal above the optimum
-    assert "gap_target" not in {f.name for f in dataclasses.fields(cdsp.SolveLimits)}
+    assert not [f.name for f in dataclasses.fields(cdsp.SolveLimits) if "gap" in f.name]
     with pytest.raises(SystemExit) as exc:
         main(["solve", str(TINY2), "--fleet", "file", "--gap-target", "0.05"])
     assert exc.value.code == 2

@@ -30,10 +30,8 @@ from cdsp import (
 )
 from cdsp.formulation import FileSolverAdapter, model_to_arrays, solvers
 from cdsp.formulation.solvers import (
-    FEASIBILITY_JUMP,
-    FEASIBILITY_TOL,
+    HIGHS_OPTIONS,
     OPTIONAL_OPTIONS,
-    ROOT_REDUCED_COST,
     SHIFT_FAMILIES,
     ScipyMilpAdapter,
     SolveOutcome,
@@ -164,14 +162,11 @@ class TestScipyAdapter:
         outcome = solve(tiny2_model, SolveLimits(time_limit_s=60))
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.objective == pytest.approx(20.0, abs=1e-6)
-        calls = [highs.options for highs in highs_spy.made]
-        assert len(calls) == 2
-        assert "presolve" not in calls[0]
-        assert calls[1]["presolve"] == "off"
-        assert 0 < calls[1]["time_limit"] <= 60
-        assert all(call["mip_heuristic_run_feasibility_jump"] is False for call in calls)
-        assert all(call["mip_heuristic_run_root_reduced_cost"] is False for call in calls)
-        assert all(call["mip_rel_gap"] == 0.0 for call in calls)
+        first, second = [highs.options for highs in highs_spy.made]
+        assert first == {**HIGHS_OPTIONS, "time_limit": 60.0}
+        left = second["time_limit"]
+        assert 0 < left <= 60
+        assert second == {**HIGHS_OPTIONS, "presolve": "off", "time_limit": left}
         assert "re-solved without presolve after: Solve error" in outcome.message
 
     def test_highs_without_an_option_solves_on_its_defaults(
@@ -248,21 +243,15 @@ class TestScipyAdapter:
         assert outcome.message == "Model error"
         assert outcome.values is None and outcome.objective is None
 
-    def test_highs_gets_the_gap_target_the_fingerprint_states(self, tiny2_model, monkeypatch):
+    def test_highs_gets_exactly_the_options_the_fingerprint_states(self, tiny2_model, highs_spy):
         from cdsp.harness import config_fingerprint
 
-        seen = []
-
-        def spy(highspy, arrays, options):
-            seen.append(options)
-            return _highs_run(highspy, arrays, options)
-
-        monkeypatch.setattr(solvers, "_highs_run", spy)
-        assert solve(tiny2_model, SolveLimits(time_limit_s=60)).status is SolveStatus.OPTIMAL
         limits = SolveLimits(time_limit_s=60)
         fingerprint = config_fingerprint(InstanceConfig(), limits, ScipyMilpAdapter.name, False)
-        assert [options["mip_rel_gap"] for options in seen] == [fingerprint["gap_target"]]
-        assert fingerprint["gap_target"] == solvers.GAP_TARGET
+        highs_spy.made.clear()  # the one that read HiGHS's version
+        assert solve(tiny2_model, limits).status is SolveStatus.OPTIMAL
+        stated = {**fingerprint["highs_options"], "time_limit": 60.0}
+        assert [highs.options for highs in highs_spy.made] == [stated]
 
     def test_adapter_crash_becomes_error_outcome(self, tiny2_model):
         class Exploding:
@@ -295,6 +284,11 @@ class TestScipyAdapter:
         assert not [line for line in proc.stdout.splitlines() if "HighsMipSolverData" in line]
 
 
+#: The bundled adapter's gap target and tolerances, without its heuristic
+#: toggles: what the paper-model tests hand HiGHS.
+PAPER_MODEL_OPTIONS = ("mip_rel_gap", "mip_feasibility_tolerance", "primal_feasibility_tolerance")
+
+
 def _solve_paper_model(model):
     """scipy's milp on the model's own arrays with the bundled adapter's
     tolerances: the paper model alone, without the time-bound rows, on
@@ -310,9 +304,7 @@ def _solve_paper_model(model):
             bounds=Bounds(lb, ub),
             options={
                 "time_limit": 60.0,
-                "mip_rel_gap": 0.0,
-                "mip_feasibility_tolerance": FEASIBILITY_TOL,
-                "primal_feasibility_tolerance": FEASIBILITY_TOL,
+                **{name: HIGHS_OPTIONS[name] for name in PAPER_MODEL_OPTIONS},
             },
         )
 
@@ -473,11 +465,8 @@ class TestTimeBoundRows:
         inst = random_instance(rng, int(rng.integers(8, 11)), int(rng.integers(2, 4)))
         model = build_model(build_multigraph(inst), inst)
         options = {
-            "log_to_console": False,
+            **{name: HIGHS_OPTIONS[name] for name in ("log_to_console", *PAPER_MODEL_OPTIONS)},
             "time_limit": 60.0,
-            "mip_rel_gap": 0.0,
-            "mip_feasibility_tolerance": FEASIBILITY_TOL,
-            "primal_feasibility_tolerance": FEASIBILITY_TOL,
             "presolve_rule_off": 1 << rule,
         }
         highs, status = _highs_run(highspy, _highs_model(highspy, model), options)
@@ -657,14 +646,7 @@ def _milp_outcome(model, time_limit_s):
             constraints=LinearConstraint(matrix, row_lb, row_ub),
             integrality=integrality,
             bounds=Bounds(lb, ub),
-            options={
-                "time_limit": time_limit_s,
-                "mip_rel_gap": 0.0,
-                "mip_feasibility_tolerance": FEASIBILITY_TOL,
-                "primal_feasibility_tolerance": FEASIBILITY_TOL,
-                "mip_heuristic_run_feasibility_jump": FEASIBILITY_JUMP,
-                "mip_heuristic_run_root_reduced_cost": ROOT_REDUCED_COST,
-            },
+            options={**HIGHS_OPTIONS, "time_limit": time_limit_s},
         )
     values = restore(res.x) if res.x is not None else None
     if res.status == 1:
@@ -723,7 +705,7 @@ def test_the_bundled_highs_binding_has_what_the_adapter_uses():
         ],
         "_Highs.": [
             "setOptionValue", "passModel", "run", "getModelStatus", "getInfo", "getSolution",
-            "modelStatusToString",
+            "modelStatusToString", "version", "githash",
         ],
         "HighsInfo.": [
             "primal_solution_status", "objective_function_value", "mip_dual_bound",
