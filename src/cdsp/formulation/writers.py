@@ -24,10 +24,9 @@ saves a piece per row (" " + head, tail + ":", an MPS sense tag + head,
 tail + newline). Each section concatenates its tables into one object
 table. Rows are gathered in consecutive blocks of about _BLOCK_PIECES
 pieces: a block's table ids are placed in an integer array by index
-arithmetic, taken from the table at once and joined into one string. LP
-line lengths are summed from the lengths of the taken pieces; that also
-gives each line's place in its block. A line longer than the line width is
-broken inside the joined block, at the spaces `_wrap` would pick, so no
+arithmetic, taken from the table at once and joined into one string. The
+LP writer then finds the lines longer than the line width from the joined
+block's newline positions and breaks each of them inside the block, so no
 line is joined on its own.
 """
 
@@ -121,10 +120,22 @@ def _num(value: float) -> str:
     return "inf" if value == math.inf else repr(value)
 
 
-def _wrap(line: str, keep: int) -> str:
-    """Break a line at spaces into lines of at most the line width, where
-    its tokens allow (see `_breaks`)."""
-    return _split_at(line, _breaks(line, 0, keep, len(line)))
+def _wrapped(block: str) -> str:
+    """The LP text ``block`` with each line longer than the line width broken
+    at the spaces `_breaks` picks, its " <label>:" kept whole: the line
+    through its first ":", or nothing if it has none.
+
+    LP text is ASCII (`_label` sanitizes the label; names, numbers and family
+    heads are generated), so the newlines are found in its bytes.
+    """
+    ends = np.flatnonzero(np.frombuffer(block.encode("ascii"), np.uint8) == 10)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    long = np.flatnonzero(ends - starts > _LINE_WIDTH)
+    breaks = []
+    for start, end in zip(starts[long].tolist(), ends[long].tolist()):
+        colon = block.find(":", start, end)
+        breaks += _breaks(block, start, colon + 1 - start if colon >= 0 else 0, end)
+    return _split_at(block, breaks) if breaks else block
 
 
 def _breaks(text: str, start: int, keep: int, end: int) -> list[int]:
@@ -175,10 +186,6 @@ def _text(values: np.ndarray, fmt) -> tuple[list[str], np.ndarray]:
     return [fmt(v) for v in distinct], code
 
 
-def _lengths(table) -> np.ndarray:
-    return np.fromiter(map(len, table), dtype=np.intp, count=len(table))
-
-
 def _table(*parts) -> tuple[np.ndarray, list[int]]:
     """One object array of the str sequences ``parts``, and each one's offset
     in it."""
@@ -197,7 +204,7 @@ def _piece_ids(piece, lo: int, hi: int, rows: np.ndarray) -> np.ndarray:
     return codes[lo:hi] + offset
 
 
-def _concat_rows(table, ptr, head=(), items=(), tail=(), wrap=False) -> Iterator[str]:
+def _concat_rows(table, ptr, head=(), items=(), tail=()) -> Iterator[str]:
     """Yield the text of every row r: its head pieces, then the pieces of its
     items ptr[r]:ptr[r+1] in order, then its tail pieces.
 
@@ -209,9 +216,7 @@ def _concat_rows(table, ptr, head=(), items=(), tail=(), wrap=False) -> Iterator
 
     Rows are taken in consecutive blocks of about _BLOCK_PIECES pieces. A
     block's ids are placed by index arithmetic, gathered from the table by
-    one take and joined. With wrap, a line longer than the line width is
-    broken at the spaces `_breaks` picks, its head pieces kept whole; line
-    lengths are summed from the lengths of the taken entries.
+    one take and joined.
     """
     num_rows = len(ptr) - 1
     h, q = len(head), len(items)
@@ -219,8 +224,6 @@ def _concat_rows(table, ptr, head=(), items=(), tail=(), wrap=False) -> Iterator
     before = np.arange(num_rows + 1, dtype=np.int64) * w  # each row's first piece
     if q:
         before += np.multiply(ptr, q, dtype=np.int64)
-    if wrap:
-        lengths = _lengths(table)
     r0 = 0
     while r0 < num_rows:
         r1 = int(np.searchsorted(before, before[r0] + _BLOCK_PIECES, "right")) - 1
@@ -238,18 +241,7 @@ def _concat_rows(table, ptr, head=(), items=(), tail=(), wrap=False) -> Iterator
                 ids[item_at + k] = _piece_ids(piece, i0, i1, item_row)
         for k, piece in enumerate(tail, -len(tail)):
             ids[at[1:] + k] = _piece_ids(piece, r0, r1, rows)
-        block = "".join(table.take(ids).tolist())
-        if wrap:
-            chars = np.concatenate(([0], np.cumsum(lengths.take(ids))))  # where piece k starts
-            starts, ends = chars[at[:-1]], chars[at[1:]] - 1  # without the newline
-            keep = chars[at[:-1] + h] - starts
-            long = np.flatnonzero(ends - starts > _LINE_WIDTH)
-            breaks = []
-            for start, kept, end in zip(*(a[long].tolist() for a in (starts, keep, ends))):
-                breaks += _breaks(block, start, kept, end)
-            if breaks:
-                block = _split_at(block, breaks)
-        yield block
+        yield "".join(table.take(ids).tolist())
         r0 = r1
 
 
@@ -279,14 +271,14 @@ def _lp_rows(ptr, indices, data, names, labels, senses=None, rhs=None) -> Iterat
     table, (head_at, tail_at, term_at, name_at, end_at) = _table(
         [" " + head for head in heads], [tail + ":" for tail in tails], terms + leads, names, ends
     )
-    yield from _concat_rows(
+    blocks = _concat_rows(
         table,
         ptr,
         [(head_at, head_code), (tail_at, tail_code)],
         [(term_at, code), (name_at, indices)],
         [(end_at, end_code)],
-        wrap=True,
     )
+    yield from map(_wrapped, blocks)
 
 
 def _label(model: MipModel) -> str:
@@ -325,7 +317,7 @@ def _lp_stream(model: MipModel) -> Iterator[str]:
             lines.append(f" {_num(lo)} <= {name} <= {_num(up)}\n")
     yield "".join(lines)
     binaries = [name for name, b in zip(names, model.integrality.tolist()) if b]
-    yield "Binaries\n" + _wrap(" ".join(binaries), 0) + "\nEnd\n"
+    yield "Binaries\n" + _wrapped(" ".join(binaries) + "\n") + "End\n"
 
 
 def _mps_stream(model: MipModel) -> Iterator[str]:

@@ -17,6 +17,7 @@ import json
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -363,7 +364,9 @@ def run_suite(
     Each entry is one `run_instance` record, so a missing instance file or
     an incumbent that does not decode or fails validation is that entry's
     error record, not a crash. Instances run in parallel across worker
-    processes when workers > 1.
+    processes when workers > 1. A worker that dies breaks the pool, and
+    with it every entry not yet finished; each of those runs again alone
+    (`_run_alone`).
     """
     solutions_dir = Path(out_dir) / "solutions" if out_dir is not None else None
     calls = [(e.path, cfg, limits, adapter, e.setting) for e in entries]
@@ -371,7 +374,12 @@ def run_suite(
     if workers > 1 and len(entries) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_instance, *call, **options) for call in calls]
-            records = [future.result() for future in futures]
+        records = []
+        for future, call in zip(futures, calls):
+            try:
+                records.append(future.result())
+            except BrokenProcessPool:
+                records.append(_run_alone(call, options))
     else:
         records = [run_instance(*call, **options) for call in calls]
 
@@ -380,6 +388,23 @@ def run_suite(
     if out_dir is not None:
         write_report(report, out_dir)
     return report
+
+
+def _run_alone(call: tuple, options: dict) -> RunRecord:
+    """`run_instance(*call, **options)` in a fresh one-worker pool; if that
+    worker dies too, the entry's error record."""
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(run_instance, *call, **options)
+    try:
+        return future.result()
+    except BrokenProcessPool:
+        path, *_, setting = call
+        return RunRecord(
+            label=Path(path).stem,
+            setting=setting,
+            status=SolveStatus.ERROR,
+            message="worker process ended abruptly",
+        )
 
 
 def _setting_label(key: tuple) -> str:

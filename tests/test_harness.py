@@ -114,6 +114,19 @@ class SlowCrashAdapter:
 
 
 @dataclasses.dataclass(frozen=True)
+class ExitOnGen10Adapter:
+    """Ends its own process on gen10, as a solver that crashes does; solves
+    every other instance."""
+
+    name: str = "exit-on-gen10"
+
+    def solve(self, model, limits):
+        if model.inst.label == "gen10":
+            os._exit(9)
+        return ScipyMilpAdapter().solve(model, limits)
+
+
+@dataclasses.dataclass(frozen=True)
 class LateRouteAdapter:
     """Reports capped2's single trip 0 -> 2 -> 1 -> 0 as optimal: node 2
     opens at 15, so node 1 (deadline 8) is reached too late."""
@@ -465,6 +478,27 @@ class TestRunSuite:
         assert report.records[0].net == pytest.approx(13.0, abs=1e-6)
         assert report.records[1].message.startswith("fractional arc value x_0 = ")
         assert report.has_errors
+
+    def test_dying_worker_is_one_error_record(self):
+        # the worker that runs gen10 exits, which breaks the pool; the entries
+        # it broke run again alone, and gen10's worker dies again
+        cfg, adapter = InstanceConfig(fleet_size="file"), ExitOnGen10Adapter()
+        names = ("tiny2", "gen10", "capped2")
+        entries = [ManifestEntry(path=DATA_DIR / f"{name}.txt") for name in names]
+        serial = run_suite([entries[0], entries[2]], cfg, LIMITS, adapter, workers=1)
+        report = run_suite(entries, cfg, LIMITS, adapter, workers=2)
+        fields = ("label", "setting", "status", "total", "net", "gap_pct", "nodes", "message")
+
+        def summary(record):
+            return tuple(getattr(record, field) for field in fields)
+
+        assert [r.label for r in report.records] == list(names)
+        assert summary(report.records[0]) == summary(serial.records[0])
+        assert summary(report.records[2]) == summary(serial.records[1])
+        dead = report.records[1]
+        assert dead.status is SolveStatus.ERROR
+        assert dead.message == "worker process ended abruptly"
+        assert report.settings[(None, None, None)].n_error == 1
 
 
 class TestReporting:

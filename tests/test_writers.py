@@ -132,24 +132,23 @@ def test_row_blocks_do_not_change_bytes(monkeypatch, n, explicit):
     assert write_mps(model) == mps
 
 
-def _words(rng, count, end=""):
+def _words(rng, count):
     """count random table entries of one to three space-led words."""
     return [
-        "".join(" " + "abcxyz"[: int(k)] * int(m) for k, m in rng.integers(1, 7, (int(j), 2))) + end
+        "".join(" " + "abcxyz"[: int(k)] * int(m) for k, m in rng.integers(1, 7, (int(j), 2)))
         for j in rng.integers(1, 4, count)
     ]
 
 
-def _random_gather(rng, wrap):
+def _random_gather(rng):
     """A random table, ragged ptr and head, item and tail pieces for
-    `_concat_rows`, using every piece form; with wrap, each row ends in one
-    tail piece that ends in a newline."""
+    `_concat_rows`, using every piece form."""
     num_rows = int(rng.integers(0, 30))
     counts = rng.integers(0, 40, num_rows) * (rng.random(num_rows) < 0.6)
     ptr = np.concatenate(([0], np.cumsum(counts)))
     num_items = int(ptr[-1])
     segments = [_words(rng, int(rng.integers(1, 20))) for _ in range(3)]
-    segments += [_words(rng, max(num_rows, 1)), _words(rng, int(rng.integers(1, 9)), "\n")]
+    segments.append(_words(rng, max(num_rows, 1)))
     offsets = np.cumsum([0] + [len(segment) for segment in segments]).tolist()
     table = np.array(sum(segments, []), dtype=object)
 
@@ -164,14 +163,12 @@ def _random_gather(rng, wrap):
     ]
     head = [row_forms[k] for k in rng.integers(0, 2, int(rng.integers(0, 3)))]
     items = [item_forms[k] for k in rng.permutation(3)[: int(rng.integers(0, 4))]]
-    tail = [(offsets[4], codes(4, num_rows))]
-    if not wrap:
-        tail = [row_forms[k] for k in rng.integers(0, 2, int(rng.integers(not head, 3)))]
+    tail = [row_forms[k] for k in rng.integers(0, 2, int(rng.integers(not head, 3)))]
     return table, ptr, head, items, tail
 
 
 def _reference_rows(table, ptr, head, items, tail):
-    """Each row's head text and whole text, one row and one piece at a time."""
+    """Each row's text, one row and one piece at a time."""
 
     def text(piece, k, row):
         offset, codes, *via = piece
@@ -179,47 +176,41 @@ def _reference_rows(table, ptr, head, items, tail):
             return table[offset + row]
         return table[offset + int(codes[int(via[0][k]) if via else k])]
 
-    rows = []
-    for r in range(len(ptr) - 1):
-        first = "".join(text(piece, r, r) for piece in head)
-        middle = "".join(
-            text(piece, i, r) for i in range(ptr[r], ptr[r + 1]) for piece in items
-        )
-        rows.append((first, first + middle + "".join(text(piece, r, r) for piece in tail)))
-    return rows
+    return [
+        "".join(text(piece, r, r) for piece in head)
+        + "".join(text(piece, i, r) for i in range(ptr[r], ptr[r + 1]) for piece in items)
+        + "".join(text(piece, r, r) for piece in tail)
+        for r in range(len(ptr) - 1)
+    ]
 
 
-@pytest.mark.parametrize("wrap", [False, True], ids=["plain", "wrap"])
 @pytest.mark.parametrize("pieces", [1, 3, 7, 1 << 16])
-def test_concat_rows_matches_a_per_row_join(monkeypatch, pieces, wrap):
+def test_concat_rows_matches_a_per_row_join(monkeypatch, pieces):
     # a block holds the rows whose pieces fit in _BLOCK_PIECES, or one
-    # longer row; with wrap each row is broken as `_wrap` breaks it alone
+    # longer row
     monkeypatch.setattr(writers, "_BLOCK_PIECES", pieces)
-    rng = np.random.default_rng(pieces + wrap)
+    rng = np.random.default_rng(pieces)
     for _ in range(60):
-        table, ptr, head, items, tail = _random_gather(rng, wrap)
-        rows = _reference_rows(table, ptr, head, items, tail)
-        if wrap:
-            rows = [(first, writers._wrap(line[:-1], len(first)) + "\n") for first, line in rows]
+        table, ptr, head, items, tail = _random_gather(rng)
         want, size = [], pieces
-        for r, (_, line) in enumerate(rows):
+        for r, line in enumerate(_reference_rows(table, ptr, head, items, tail)):
             count = len(head) + len(tail) + len(items) * int(ptr[r + 1] - ptr[r])
             if size + count > pieces:
                 want.append("")
                 size = 0
             want[-1] += line
             size += count
-        blocks = list(writers._concat_rows(table, ptr, head, items, tail, wrap=wrap))
+        blocks = list(writers._concat_rows(table, ptr, head, items, tail))
         assert blocks == want
 
 
-def _token_wrap(prefix, tokens):
+def _token_wrap(prefix, tokens, width):
     """The LP wrapping rule token by token: a token joins the current line
-    if the line stays within 78 characters, else it starts a new line with
-    one space."""
+    if the line stays within width characters, else it starts a new line
+    with one space."""
     lines, current = [], prefix
     for token in tokens:
-        if current and len(current) + 1 + len(token) > 78:
+        if current and len(current) + 1 + len(token) > width:
             lines.append(current)
             current = " " + token
         else:
@@ -229,14 +220,27 @@ def _token_wrap(prefix, tokens):
 
 
 def test_wrap_follows_token_rule():
+    # each line alone, labelled and not, and then runs of them in one block:
+    # a block is broken as its lines are one by one
     rng = np.random.default_rng(41)
+    width = writers._LINE_WIDTH
+    lines, want = [], []
     for _ in range(1000):
         longest = 90 if rng.random() < 0.2 else 12
         tokens = ["t" * int(k) for k in rng.integers(1, longest, int(rng.integers(1, 40)))]
         prefix = " " + "r" * int(rng.integers(1, longest)) + ":"
-        line = prefix + " " + " ".join(tokens)
-        assert writers._wrap(line, len(prefix)) == _token_wrap(prefix, tokens)
-        assert writers._wrap(" ".join(tokens), 0) == _token_wrap("", tokens)
+        for line, wrapped in [
+            (prefix + " " + " ".join(tokens) + "\n", _token_wrap(prefix, tokens, width) + "\n"),
+            (" ".join(tokens) + "\n", _token_wrap("", tokens, width) + "\n"),
+        ]:
+            assert writers._wrapped(line) == wrapped
+            lines.append(line)
+            want.append(wrapped)
+    a = 0
+    while a < len(lines):
+        b = a + int(rng.integers(1, 7))
+        assert writers._wrapped("".join(lines[a:b])) == "".join(want[a:b])
+        a = b
 
 
 def _lp_row_lines(text):
@@ -266,7 +270,8 @@ def test_lp_rows_wrap_like_wrap(monkeypatch, explicit):
         assert len(rows) == model.num_rows + 1
         for lines in rows:
             line = "".join(lines)
-            assert writers._wrap(line, line.index(": ") + 1) == "\n".join(lines)
+            label = line[: line.index(":") + 1]
+            assert "\n".join(lines) == _token_wrap(label, line[len(label) :].split(), width)
 
 
 class _Sink:
