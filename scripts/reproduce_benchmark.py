@@ -49,7 +49,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="benchmark-results", help="output directory")
     parser.add_argument("--sizes", type=int, nargs="*", help="restrict to these size classes")
     parser.add_argument("--time-limit", help="seconds per instance (cdsp suite's default)")
-    parser.add_argument("--workers", help="parallel instances (cdsp suite's default)")
+    parser.add_argument("--workers", help="entries solved at once (cdsp suite's default)")
     parser.add_argument(
         "--manifest-only", action="store_true", help="write manifest.csv and stop"
     )

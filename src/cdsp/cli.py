@@ -134,7 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("manifest")
     add_instance_flags(p_suite)
     add_solver_flags(p_suite)
-    p_suite.add_argument("--workers", type=_COUNT, default=1, help="parallel instances")
+    p_suite.add_argument(
+        "--workers", type=_COUNT, default=1, help="entries solved at once, each in its own process"
+    )
 
     p_emit = sub.add_parser(
         "emit", help="write the model file for an instance", allow_abbrev=False

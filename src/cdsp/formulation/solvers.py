@@ -348,16 +348,24 @@ def _highs_model(highspy, model: MipModel) -> tuple:
     )
 
 
+def set_highs_options(highs, options) -> dict:
+    """Set ``options`` on the HiGHS object ``highs`` as `ScipyMilpAdapter`
+    does, and return those HiGHS accepted, as it reads them back."""
+    accepted = {}
+    for name, value in options.items():
+        if highs.setOptionValue(name, value) != load_highs().HighsStatus.kError:
+            accepted[name] = highs.getOptionValue(name)[1]
+        elif name not in OPTIONAL_OPTIONS:
+            raise SolverConfigError(f"HiGHS rejects option {name} = {value!r}")
+    return accepted
+
+
 def _highs_run(highspy, arrays: tuple, options: dict):
     """One HiGHS solve of the model `_highs_model` gave as ``arrays`` under
-    ``options``: the Highs object and its model status, kModelError where
-    HiGHS refuses the model. An option that HiGHS rejects raises
-    SolverConfigError, except those in OPTIONAL_OPTIONS."""
+    ``options`` (see `set_highs_options`): the Highs object and its model
+    status, kModelError where HiGHS refuses the model."""
     highs = highspy._Highs()
-    for name, value in options.items():
-        if highs.setOptionValue(name, value) == highspy.HighsStatus.kError:
-            if name not in OPTIONAL_OPTIONS:
-                raise SolverConfigError(f"HiGHS rejects option {name} = {value!r}")
+    set_highs_options(highs, options)
     if highs.passModel(*arrays) == highspy.HighsStatus.kError:
         return highs, highspy.HighsModelStatus.kModelError
     highs.run()
@@ -373,9 +381,8 @@ class ScipyMilpAdapter:
     HiGHS gets `solver_view(model)`, built here on each call: the same
     optima as the model as built, in far fewer branch-and-bound nodes. The
     returned values are the model's. HiGHS gets HIGHS_OPTIONS and the time
-    limit; a HiGHS that lacks one of the OPTIONAL_OPTIONS runs on its
-    default, and any other option it rejects raises SolverConfigError
-    naming it.
+    limit through `set_highs_options`: one of the OPTIONAL_OPTIONS that it
+    rejects leaves it on its default, any other raises SolverConfigError.
 
     The view's arrays go to HiGHS as they are, through the binding's array
     overload of ``passModel``, the CSR matrix row-wise. The binding casts

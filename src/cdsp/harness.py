@@ -14,11 +14,12 @@ import csv
 import dataclasses
 import io
 import json
+import multiprocessing
+import signal
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .formulation import (
     extract_solution,
     solve,
 )
-from .formulation.solvers import HIGHS_OPTIONS, load_highs
+from .formulation.solvers import HIGHS_OPTIONS, load_highs, set_highs_options
 from .instances import Instance, InstanceConfig, Setting, build_instance, parse_solomon
 from .network import InfeasibleWindowError, TimeWindows, build_multigraph
 from .routes import solution_to_json, validate_solution
@@ -173,8 +174,8 @@ def config_fingerprint(
         "integrality_tol": None if limits is None else INTEGRALITY_TOL,
         "time_limit_s": None if limits is None else limits.time_limit_s,
         "solver": solver_name,
-        # the bundled HiGHS's; any other solver keeps its own (null here)
-        "highs_options": dict(HIGHS_OPTIONS) if bundled else None,
+        # those the bundled HiGHS accepted; any other solver keeps its own (null here)
+        "highs_options": set_highs_options(highs, HIGHS_OPTIONS) if bundled else None,
         "highs_version": f"{highs.version()} ({highs.githash()})" if bundled else None,
     }
 
@@ -363,48 +364,55 @@ def run_suite(
 
     Each entry is one `run_instance` record, so a missing instance file or
     an incumbent that does not decode or fails validation is that entry's
-    error record, not a crash. Instances run in parallel across worker
-    processes when workers > 1. A worker that dies breaks the pool, and
-    with it every entry not yet finished; each of those runs again alone
-    (`_run_alone`).
+    error record, not a crash. Each entry runs alone in its own child
+    process, at most ``workers`` (at least one) at once, so the adapter must
+    pickle; a child that dies is its entry's error record, naming the signal
+    or exit code. Records keep the entries' order; no child outlives the call.
     """
     solutions_dir = Path(out_dir) / "solutions" if out_dir is not None else None
-    calls = [(e.path, cfg, limits, adapter, e.setting) for e in entries]
     options = dict(raw_release=raw_release, out_dir=solutions_dir)
-    if workers > 1 and len(entries) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_instance, *call, **options) for call in calls]
-        records = []
-        for future, call in zip(futures, calls):
-            try:
-                records.append(future.result())
-            except BrokenProcessPool:
-                records.append(_run_alone(call, options))
-    else:
-        records = [run_instance(*call, **options) for call in calls]
-
+    # first, so that forked children inherit its import of scipy's HiGHS binding
     fingerprint = config_fingerprint(cfg, limits, adapter.name, raw_release)
+    records, running = [None] * len(entries), {}  # a receiving end: (entry index, child)
+    try:
+        for i, entry in enumerate(entries):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            args = (sender, entry.path, cfg, limits, adapter, entry.setting)
+            child = multiprocessing.Process(target=_send_record, args=args, kwargs=options)
+            child.start()
+            running[receiver] = i, child
+            sender.close()  # the child's copy alone now holds it open
+            while running and (len(running) >= max(workers, 1) or i == len(entries) - 1):
+                for receiver in wait(list(running)):  # a child sent its record or ended
+                    done, child = running[receiver]
+                    try:
+                        records[done] = receiver.recv()
+                    except EOFError:
+                        records[done] = _died(entries[done], child)
+                    child.join()
+                    del running[receiver]
+    finally:
+        for _, child in running.values():
+            child.terminate()
+            child.join()
+
     report = BenchmarkReport(records=records, fingerprint=fingerprint)
     if out_dir is not None:
         write_report(report, out_dir)
     return report
 
 
-def _run_alone(call: tuple, options: dict) -> RunRecord:
-    """`run_instance(*call, **options)` in a fresh one-worker pool; if that
-    worker dies too, the entry's error record."""
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        future = pool.submit(run_instance, *call, **options)
-    try:
-        return future.result()
-    except BrokenProcessPool:
-        path, *_, setting = call
-        return RunRecord(
-            label=Path(path).stem,
-            setting=setting,
-            status=SolveStatus.ERROR,
-            message="worker process ended abruptly",
-        )
+def _send_record(sender, *call, **options):
+    sender.send(run_instance(*call, **options))
+
+
+def _died(entry: ManifestEntry, child) -> RunRecord:
+    """The error record of an entry whose child ended without sending one."""
+    child.join()
+    code = child.exitcode
+    how = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exited with code {code}"
+    message = f"worker process {how}"
+    return RunRecord(entry.path.stem, entry.setting, SolveStatus.ERROR, message=message)
 
 
 def _setting_label(key: tuple) -> str:

@@ -1,9 +1,11 @@
 import csv
 import dataclasses
 import json
+import multiprocessing
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -23,6 +25,7 @@ from cdsp import (
     SolveLimits,
     write_solomon,
 )
+from cdsp import harness
 from cdsp.formulation import INTEGRALITY_TOL, SolveOutcome, SolveStatus
 from cdsp.formulation.solvers import HIGHS_OPTIONS
 from cdsp.harness import (
@@ -84,6 +87,12 @@ def _python(*args, **env) -> subprocess.CompletedProcess:
     )
 
 
+def _summary(record: RunRecord) -> tuple:
+    """A record's fields but its timings."""
+    fields = ("label", "setting", "status", "total", "net", "gap_pct", "nodes", "message")
+    return tuple(getattr(record, field) for field in fields)
+
+
 def _cdsp_under_a_c_locale(*args) -> subprocess.CompletedProcess:
     """``python -m cdsp`` with args under the C locale's ASCII encoding."""
     return _python("-m", "cdsp", *args, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
@@ -123,6 +132,41 @@ class ExitOnGen10Adapter:
     def solve(self, model, limits):
         if model.inst.label == "gen10":
             os._exit(9)
+        return ScipyMilpAdapter().solve(model, limits)
+
+
+@dataclasses.dataclass(frozen=True)
+class KillOnGen10Adapter:
+    """Sends its own process SIGKILL on gen10, as the OOM killer would; solves
+    every other instance."""
+
+    name: str = "kill-on-gen10"
+
+    def solve(self, model, limits):
+        if model.inst.label == "gen10":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return ScipyMilpAdapter().solve(model, limits)
+
+
+@dataclasses.dataclass(frozen=True)
+class WordyAdapter:
+    """Solves, with a message of a megabyte: more than a pipe holds."""
+
+    name: str = "wordy"
+
+    def solve(self, model, limits):
+        outcome = ScipyMilpAdapter().solve(model, limits)
+        return dataclasses.replace(outcome, message="x" * 2**20)
+
+
+@dataclasses.dataclass(frozen=True)
+class SleepyAdapter:
+    """Sleeps a minute, then solves."""
+
+    name: str = "sleepy"
+
+    def solve(self, model, limits):
+        time.sleep(60)
         return ScipyMilpAdapter().solve(model, limits)
 
 
@@ -449,6 +493,17 @@ class TestRunSuite:
         serial = run_suite(entries, cfg, LIMITS, workers=1)
         parallel = run_suite(entries, cfg, LIMITS, workers=2)
         assert [r.net for r in serial.records] == [r.net for r in parallel.records]
+        assert multiprocessing.active_children() == []
+
+    def test_workers_below_one_run_one_child_at_a_time(self):
+        names = ("tiny2", "gen10", "capped2")
+        entries = [ManifestEntry(path=DATA_DIR / f"{name}.txt") for name in names]
+        cfg = InstanceConfig(fleet_size="file")
+        one = run_suite(entries, cfg, LIMITS, workers=1)
+        none = run_suite(entries, cfg, LIMITS, workers=0)
+        assert [_summary(r) for r in none.records] == [_summary(r) for r in one.records]
+        assert [r.label for r in none.records] == list(names)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_validation_is_one_error_record(self, tmp_path, tiny2_file, workers):
@@ -462,6 +517,7 @@ class TestRunSuite:
         assert "decoded objective" in report.records[1].message
         assert report.records[0].net == pytest.approx(13.0, abs=1e-6)
         assert report.has_errors
+        assert multiprocessing.active_children() == []
 
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -478,27 +534,57 @@ class TestRunSuite:
         assert report.records[0].net == pytest.approx(13.0, abs=1e-6)
         assert report.records[1].message.startswith("fractional arc value x_0 = ")
         assert report.has_errors
+        assert multiprocessing.active_children() == []
 
-    def test_dying_worker_is_one_error_record(self):
-        # the worker that runs gen10 exits, which breaks the pool; the entries
-        # it broke run again alone, and gen10's worker dies again
-        cfg, adapter = InstanceConfig(fleet_size="file"), ExitOnGen10Adapter()
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "adapter, message",
+        [
+            (ExitOnGen10Adapter(), "worker process exited with code 9"),
+            (KillOnGen10Adapter(), "worker process killed by SIGKILL"),
+        ],
+        ids=["exit", "sigkill"],
+    )
+    def test_dying_worker_is_one_error_record(self, workers, adapter, message):
+        # gen10's child ends without sending a record: that entry alone is an
+        # error record naming how it ended, and the others are as in a suite
+        # without it
+        cfg = InstanceConfig(fleet_size="file")
         names = ("tiny2", "gen10", "capped2")
         entries = [ManifestEntry(path=DATA_DIR / f"{name}.txt") for name in names]
-        serial = run_suite([entries[0], entries[2]], cfg, LIMITS, adapter, workers=1)
-        report = run_suite(entries, cfg, LIMITS, adapter, workers=2)
-        fields = ("label", "setting", "status", "total", "net", "gap_pct", "nodes", "message")
-
-        def summary(record):
-            return tuple(getattr(record, field) for field in fields)
+        without = run_suite([entries[0], entries[2]], cfg, LIMITS, adapter, workers=workers)
+        report = run_suite(entries, cfg, LIMITS, adapter, workers=workers)
+        assert multiprocessing.active_children() == []
 
         assert [r.label for r in report.records] == list(names)
-        assert summary(report.records[0]) == summary(serial.records[0])
-        assert summary(report.records[2]) == summary(serial.records[1])
+        assert _summary(report.records[0]) == _summary(without.records[0])
+        assert _summary(report.records[2]) == _summary(without.records[1])
         dead = report.records[1]
         assert dead.status is SolveStatus.ERROR
-        assert dead.message == "worker process ended abruptly"
+        assert dead.message == message
         assert report.settings[(None, None, None)].n_error == 1
+
+    def test_a_record_larger_than_a_pipe_holds_comes_back(self, tiny2_file):
+        entries = [ManifestEntry(path=tiny2_file)] * 3
+        cfg = InstanceConfig(fleet_size="file")
+        report = run_suite(entries, cfg, LIMITS, WordyAdapter(), workers=2)
+        assert [r.message for r in report.records] == ["x" * 2**20] * 3
+        assert multiprocessing.active_children() == []
+
+    def test_no_child_outlives_a_suite_that_raises(self, tiny2_file, monkeypatch):
+        # the parent fails while its first two children still sleep: the
+        # suite raises, and it has ended both
+        cfg = InstanceConfig(fleet_size="file")
+        entries = [ManifestEntry(path=tiny2_file)] * 3
+
+        def broken_wait(connections):
+            assert multiprocessing.active_children()
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "wait", broken_wait)
+        with pytest.raises(KeyboardInterrupt):
+            run_suite(entries, cfg, LIMITS, SleepyAdapter(), workers=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestReporting:

@@ -253,6 +253,28 @@ class TestScipyAdapter:
         stated = {**fingerprint["highs_options"], "time_limit": 60.0}
         assert [highs.options for highs in highs_spy.made] == [stated]
 
+    def test_fingerprint_states_the_options_highs_accepted(self, highs_spy, monkeypatch):
+        # a HiGHS that lacks the feasibility-jump toggle, and that keeps a
+        # MIP feasibility tolerance of 1e-8 when given 1e-9: the fingerprint
+        # states what it reads back, not what the adapter asked for
+        from cdsp.harness import config_fingerprint
+
+        class OlderHighs(highs_spy):
+            def setOptionValue(self, name, value):
+                if name == "mip_heuristic_run_feasibility_jump":
+                    return highspy.HighsStatus.kError
+                if name == "mip_feasibility_tolerance":
+                    value = 1e-8
+                return super().setOptionValue(name, value)
+
+        monkeypatch.setattr(highspy, "_Highs", OlderHighs)
+        fingerprint = config_fingerprint(
+            InstanceConfig(), SolveLimits(time_limit_s=60), ScipyMilpAdapter.name, False
+        )
+        stated = dict(HIGHS_OPTIONS, mip_feasibility_tolerance=1e-8)
+        del stated["mip_heuristic_run_feasibility_jump"]
+        assert list(fingerprint["highs_options"].items()) == list(stated.items())
+
     def test_adapter_crash_becomes_error_outcome(self, tiny2_model):
         class Exploding:
             name = "exploding"
