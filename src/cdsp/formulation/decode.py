@@ -78,7 +78,6 @@ def extract_solution(model: MipModel, values) -> EvaluatedSolution:
     succ = np.full(n + 1, -1)
     succ[src[leaves]] = leaves
     succ, targets, kinds = succ.tolist(), tgt.tolist(), table["kind"].tolist()
-    depot, replenish = ArcKind.DEPOT.code, ArcKind.REPLENISH.code
     routes: list[list[list[int]]] = []
     used = 0
     # every point of care has one arc in and one out, so the depot's two
@@ -88,9 +87,9 @@ def extract_solution(model: MipModel, values) -> EvaluatedSolution:
         current = targets[start]
         trips: list[list[int]] = [[current]]
         pos = succ[current]
-        while kinds[pos] != depot:
+        while kinds[pos] != ArcKind.DEPOT:
             current = targets[pos]
-            if kinds[pos] == replenish:
+            if kinds[pos] == ArcKind.REPLENISH:
                 trips.append([current])
             else:
                 trips[-1].append(current)

@@ -350,7 +350,7 @@ def build_model(
 
     depot_out, depot_in = np.flatnonzero(src == 0), np.flatnonzero(tgt == 0)
     leaving, entering = graph.incident_arcs()
-    move = np.flatnonzero(arcs["kind"] != ArcKind.DEPOT.code)
+    move = np.flatnonzero(arcs["kind"] != ArcKind.DEPOT)
     s, t = src[move], tgt[move]
     m_visit = np.maximum(0.0, deadline[s] + cost[move] - release[t])
     m_shift = deadline[t] - travel[0, t]
@@ -358,7 +358,7 @@ def build_model(
     # request but t, in ascending order (1..n-1, shifted up past t); the
     # keys are one (inter arcs, n - 1, 2) table, and its carried half is
     # the table every carry column is broadcast against
-    inter_arcs = np.flatnonzero(arcs["kind"] == ArcKind.INTER.code)
+    inter_arcs = np.flatnonzero(arcs["kind"] == ArcKind.INTER)
     s_inter, t_inter = src[inter_arcs], tgt[inter_arcs]
     carry_keys = np.empty((len(inter_arcs), n - 1, 2), dtype=np.int64)
     carry_keys[:, :, 0] = inter_arcs[:, None]

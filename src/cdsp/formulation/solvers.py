@@ -184,14 +184,14 @@ def time_bound_rows(model: MipModel):
     n, lay, graph = model.n, model.layout, model.graph
     arcs = graph.arcs
     src, tgt, cost = arcs["source"], arcs["target"], arcs["cost"]
-    release = np.concatenate(([0.0], graph.windows.release[1:]))
+    release = graph.windows.release
     to_depot = model.inst.travel[:, 0]
 
     nodes = np.arange(1, n + 1)
     leaving, entering = graph.incident_arcs()  # row j - 1: node j's arcs
     arrival = np.maximum(release[src[entering]] + cost[entering], release[tgt[entering]])
     j, k = src[leaving], tgt[leaving]
-    inter = arcs["kind"][leaving] == ArcKind.INTER.code
+    inter = arcs["kind"][leaving] == ArcKind.INTER
     through = np.where(inter, cost[leaving] + to_depot[k], to_depot[j])
     last_visit = np.where(inter, np.maximum(release[k], release[j] + cost[leaving]), release[j])
     earliest = last_visit + np.where(inter, to_depot[k], to_depot[j])
@@ -237,7 +237,7 @@ def dominated_carries(model: MipModel) -> np.ndarray:
     """
     arcs = model.graph.arcs
     windows = model.graph.windows
-    inter = np.flatnonzero(arcs["kind"] == ArcKind.INTER.code)
+    inter = np.flatnonzero(arcs["kind"] == ArcKind.INTER)
     j, i = arcs["source"][inter], arcs["target"][inter]
     late = windows.release[j] + arcs["cost"][inter] > windows.deadline[i] + DOMINANCE_MARGIN
     return model.layout.y(i[late], j[late])

@@ -40,6 +40,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
+from ..instances import number_text
 from .model import SENSE_EQ, SENSE_GE, SENSE_LE, SENSES, MipModel
 
 MODEL_FORMATS = ("lp", "mps")
@@ -112,12 +113,6 @@ def _format(fmt: str) -> str:
     if fmt not in MODEL_FORMATS:
         raise ValueError(f"unknown model format {fmt!r}")
     return fmt
-
-
-def _num(value: float) -> str:
-    if value.is_integer() and abs(value) < 1e15:
-        return str(int(value))
-    return "inf" if value == math.inf else repr(value)
 
 
 def _wrapped(block: str) -> str:
@@ -256,7 +251,7 @@ def _lp_rows(ptr, indices, data, names, labels, senses=None, rhs=None) -> Iterat
     heads, tails, head_code, tail_code = labels
     distinct, code = _distinct(data)
     terms = [
-        (" - " if v < 0 else " + ") + ("" if abs(v) == 1.0 else _num(abs(v)) + " ")
+        (" - " if v < 0 else " + ") + ("" if abs(v) == 1.0 else number_text(abs(v)) + " ")
         for v in distinct
     ]
     leads = [t if v < 0 else " " + t[3:] for t, v in zip(terms, distinct)]
@@ -264,13 +259,14 @@ def _lp_rows(ptr, indices, data, names, labels, senses=None, rhs=None) -> Iterat
     if senses is None:
         ends, end_code = ["\n"], np.zeros(len(ptr) - 1, dtype=np.int32)
     else:
-        distinct_rhs, rhs_code = _distinct(rhs)
-        rhs_text = [_num(v) for v in distinct_rhs]
+        rhs_text, end_code = _text(rhs, number_text)
+        end_code += np.multiply(senses, len(rhs_text), dtype=np.int32)
         ends = [f" {s} {t}\n" for s in SENSES for t in rhs_text]
-        end_code = senses * len(rhs_text) + rhs_code
+        del senses, rhs  # coded
     table, (head_at, tail_at, term_at, name_at, end_at) = _table(
         [" " + head for head in heads], [tail + ":" for tail in tails], terms + leads, names, ends
     )
+    del terms, leads, ends  # in the table
     blocks = _concat_rows(
         table,
         ptr,
@@ -305,16 +301,16 @@ def _lp_stream(model: MipModel) -> Iterator[str]:
     ):
         if integer:
             if lo == up:
-                lines.append(f" {name} = {_num(lo)}\n")
+                lines.append(f" {name} = {number_text(lo)}\n")
             continue
         if lo == 0.0 and up == math.inf:
             continue
         if lo == up:
-            lines.append(f" {name} = {_num(lo)}\n")
+            lines.append(f" {name} = {number_text(lo)}\n")
         elif up == math.inf:
-            lines.append(f" {name} >= {_num(lo)}\n")
+            lines.append(f" {name} >= {number_text(lo)}\n")
         else:
-            lines.append(f" {_num(lo)} <= {name} <= {_num(up)}\n")
+            lines.append(f" {number_text(lo)} <= {name} <= {number_text(up)}\n")
     yield "".join(lines)
     binaries = [name for name, b in zip(names, model.integrality.tolist()) if b]
     yield "Binaries\n" + _wrapped(" ".join(binaries) + "\n") + "End\n"
@@ -325,7 +321,7 @@ def _mps_stream(model: MipModel) -> Iterator[str]:
     names = model.layout.names()
     heads, tails, head_code, tail_code = model.row_name_codes()
     senses, rhs = model.row_senses()
-    rhs_text, rhs_code = _text(rhs, lambda v: f"  {_num(v)}\n")
+    rhs_text, rhs_code = _text(rhs, lambda v: f"  {number_text(v)}\n")
     del rhs
     no_items = np.broadcast_to(0, model.num_rows + 1)
     tag = {SENSE_LE: " L ", SENSE_EQ: " E ", SENSE_GE: " G "}
@@ -350,13 +346,13 @@ def _mps_stream(model: MipModel) -> Iterator[str]:
     ):
         if integer:
             if lo == up:
-                lines.append(f" FX BND {name}  {_num(lo)}\n")
+                lines.append(f" FX BND {name}  {number_text(lo)}\n")
             else:
                 lines.append(f" BV BND {name}\n")
             continue
-        lines.append(f" LO BND {name}  {_num(lo)}\n")
+        lines.append(f" LO BND {name}  {number_text(lo)}\n")
         if up != math.inf:
-            lines.append(f" UP BND {name}  {_num(up)}\n")
+            lines.append(f" UP BND {name}  {number_text(up)}\n")
     lines.append("ENDATA\n")
     yield "".join(lines)
 
@@ -367,7 +363,7 @@ def _mps_columns(model: MipModel, names, heads, tails, head_code, tail_code) -> 
     csc = model.matrix.tocsc()
     csc.sort_indices()
     ptr, rows = csc.indptr, csc.indices
-    values, value_code = _text(csc.data, lambda v: f"  {_num(v)}\n")
+    values, value_code = _text(csc.data, lambda v: f"  {number_text(v)}\n")
     del csc  # the values are coded
     starts = []
     in_integer = False
@@ -381,7 +377,7 @@ def _mps_columns(model: MipModel, names, heads, tails, head_code, tail_code) -> 
             start = "    MARKER    'MARKER'    'INTEND'\n"
         in_integer = bool(integer)
         if cost != 0.0 or not cells:  # an otherwise-empty column is declared with obj 0
-            start += f"    {name}  obj  {_num(cost)}\n"
+            start += f"    {name}  obj  {number_text(cost)}\n"
         starts.append(start)
     table, (start_at, name_at, head_at, tail_at, value_at) = _table(
         starts, [f"    {name}  " for name in names], heads, tails, values

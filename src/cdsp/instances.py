@@ -290,7 +290,7 @@ def write_solomon(raw: RawInstance) -> str:
     between them however long a value's exact text is.
     """
     out = [raw.name, "", "VEHICLE", "NUMBER     CAPACITY"]
-    out.append(f"{raw.vehicle_number:>4} {_fmt(raw.vehicle_capacity):>12}")
+    out.append(f"{raw.vehicle_number:>4} {number_text(raw.vehicle_capacity):>12}")
     out.append("")
     out.append("CUSTOMER")
     out.append(
@@ -299,7 +299,7 @@ def write_solomon(raw: RawInstance) -> str:
     out.append("")
     for site, demand in zip(raw.sites, raw.demands):
         fields = (site.id, site.x, site.y, demand, site.release, site.deadline, site.service)
-        out.append("".join(f" {_fmt(v):>10}" for v in fields))
+        out.append("".join(f" {number_text(v):>10}" for v in fields))
     return "\n".join(out) + "\n"
 
 
@@ -376,7 +376,10 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _fmt(value: float) -> str:
-    if float(value).is_integer():
+def number_text(value: float) -> str:
+    """A number's exact text, as the Solomon and model writers give it: an
+    integral value under 1e15 as an integer, any other as its repr."""
+    value = float(value)
+    if value.is_integer() and abs(value) < 1e15:
         return str(int(value))
-    return repr(float(value))
+    return repr(value)

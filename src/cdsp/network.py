@@ -8,8 +8,9 @@ tightened at build time: a site cannot be visited before the depot leg in,
 nor so late that the vehicle misses the depot deadline on the way back.
 
 The 2n^2 arcs are one read-only numpy table (``ARC_DTYPE``): the arc id is
-the row index, and the ``kind`` field holds ``ArcKind.code``. The costs copy
-``Instance.travel``, where callers read the depot legs.
+the row index, and the ``kind`` field holds an ``ArcKind`` value: DEPOT 0,
+INTER 1 or REPLENISH 2. The costs copy ``Instance.travel``, where callers
+read the depot legs.
 """
 
 from __future__ import annotations
@@ -22,15 +23,12 @@ import numpy as np
 from .instances import Instance
 
 
-class ArcKind(enum.Enum):
-    DEPOT = "depot"  # adjacent to the depot
-    INTER = "inter"  # direct leg between two points of care
-    REPLENISH = "replenish"  # hidden depot visit between two points of care
+class ArcKind(enum.IntEnum):
+    """An arc's kind; its value is the arc table's ``kind`` code."""
 
-    @property
-    def code(self) -> int:
-        """This kind's value in the arc table's ``kind`` field."""
-        return tuple(ArcKind).index(self)
+    DEPOT = 0  # adjacent to the depot
+    INTER = 1  # direct leg between two points of care
+    REPLENISH = 2  # hidden depot visit between two points of care
 
 
 ARC_DTYPE = np.dtype(
@@ -88,19 +86,18 @@ class Multigraph:
 
 def preprocess_time_windows(inst: Instance) -> TimeWindows:
     """Tighten windows: r_j to at least the depot leg in, d_j to at most the
-    latest return-feasible time. Raises InfeasibleWindowError when a window
-    empties.
+    latest return-feasible time. Raises InfeasibleWindowError for the
+    lowest-numbered window that empties. The depot's window is
+    [0, depot deadline].
     """
-    n = inst.n
-    release = np.zeros(n + 1)
-    deadline = np.zeros(n + 1)
-    deadline[0] = inst.depot_deadline
-    for j in inst.points_of_care:
-        site = inst.sites[j]
-        release[j] = max(site.release, inst.travel[0, j])
-        deadline[j] = min(site.deadline, inst.depot_deadline - inst.travel[j, 0])
-        if release[j] > deadline[j]:
-            raise InfeasibleWindowError(j, release[j], deadline[j])
+    travel, end = inst.travel, inst.depot_deadline
+    release = np.maximum([s.release for s in inst.sites], travel[0])
+    deadline = np.minimum([s.deadline for s in inst.sites], end - travel[:, 0])
+    release[0], deadline[0] = 0.0, end
+    empty = np.flatnonzero(release > deadline)
+    if len(empty):
+        j = int(empty[0])
+        raise InfeasibleWindowError(j, release[j], deadline[j])
     return TimeWindows(release=release, deadline=deadline)
 
 
@@ -123,10 +120,7 @@ def build_multigraph(inst: Instance) -> Multigraph:
     arcs = np.empty(2 * n * n, dtype=ARC_DTYPE)
     arcs["source"] = np.concatenate((depot, nodes, i, i))
     arcs["target"] = np.concatenate((nodes, depot, j, j))
-    arcs["kind"] = np.repeat(
-        [ArcKind.DEPOT.code, ArcKind.INTER.code, ArcKind.REPLENISH.code],
-        [2 * n, len(i), len(i)],
-    )
+    arcs["kind"] = np.repeat(list(ArcKind), [2 * n, len(i), len(i)])
     arcs["cost"] = np.concatenate(
         (travel[0, nodes], travel[nodes, 0], travel[i, j], travel[i, 0] + travel[0, j])
     )

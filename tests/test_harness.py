@@ -178,7 +178,7 @@ class LateRouteAdapter:
     name: str = "late-route"
 
     def solve(self, model, limits):
-        depot, inter = ArcKind.DEPOT.code, ArcKind.INTER.code
+        depot, inter = ArcKind.DEPOT, ArcKind.INTER
         route = {(depot, 0, 2), (inter, 2, 1), (depot, 1, 0)}
         values = np.zeros(model.num_columns)
         for a, (source, target, kind, _) in enumerate(model.graph.arcs.tolist()):

@@ -128,6 +128,18 @@ class TestParseSolomon:
             again = parse_solomon(write_solomon(raw))
             assert again == raw
 
+    def test_roundtrip_preserves_large_integral_fields(self):
+        # from 1e15 on an integral value is written as its repr, as the
+        # model writers write it
+        for old, new, text in [
+            ("1236", "1000000000000000", " 1000000000000000.0 "),
+            ("  25         200", "  25         123456789012345678", " 1.2345678901234568e+17\n"),
+        ]:
+            raw = parse_solomon(SOLOMON_SNIPPET.replace(old, new))
+            written = write_solomon(raw)
+            assert text in written
+            assert parse_solomon(written) == raw
+
 
 class TestBuildInstance:
     def test_euclidean_345(self):

@@ -64,6 +64,13 @@ class TestPreprocess:
             preprocess_time_windows(inst)
         assert err.value.node == 2
 
+    def test_lowest_empty_window_is_reported(self):
+        # nodes 2 and 3 both empty: release 3 > deadline 2, release 6 > 5
+        inst = line_instance([0.0] * 3, [50.0, 2.0, 5.0], depot_deadline=60.0, legs=[1, 2, 3])
+        with pytest.raises(InfeasibleWindowError, match="release 3 > deadline 2$") as err:
+            preprocess_time_windows(inst)
+        assert err.value.node == 2
+
     def test_idempotent_and_never_widens(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -172,6 +179,7 @@ class TestMultigraph:
         g = build_multigraph(inst)
         assert g.arcs.dtype == ARC_DTYPE
         assert len(g.arcs) == 2 * n * n
+        assert set(g.arcs["kind"].tolist()) <= set(ArcKind)
         assert arc_list(g) == reference_arcs(inst)
         # bit-identical costs, not only equal ones
         ref_costs = np.array([a.cost for a in reference_arcs(inst)])

@@ -54,6 +54,8 @@ REMOVED_GRAPH_ATTRIBUTES = (
     "movement_arcs",
     "out_arcs",
 )
+# an arc kind's value is its code in the arc table
+REMOVED_ARC_KIND_ATTRIBUTES = ("code",)
 REMOVED_ORACLE_RESULT_ATTRIBUTES = ("feasible",)
 # build_instance reads a setting only for the size-class fleet rule
 REMOVED_INSTANCE_ATTRIBUTES = ("setting",)
@@ -108,6 +110,8 @@ def test_removed_model_and_graph_views():
         assert not hasattr(model, name), name
     for name in REMOVED_GRAPH_ATTRIBUTES:
         assert not hasattr(cdsp.network.Multigraph, name), name
+    for name in REMOVED_ARC_KIND_ATTRIBUTES:
+        assert not hasattr(cdsp.ArcKind, name), name
     for name in REMOVED_ORACLE_RESULT_ATTRIBUTES:
         assert not hasattr(cdsp.exact_solve_tiny(inst), name), name
     for name in REMOVED_INSTANCE_ATTRIBUTES:

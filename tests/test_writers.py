@@ -286,31 +286,34 @@ class _Sink:
 
 
 def test_write_model_never_holds_the_text(tmp_path):
-    # write_mps grows its text in place, block by block: at its peak it
-    # holds the text, one block and the writer's own arrays (the CSC index,
-    # the value codes and two int32 row-name codes per row, with O(n^2)
-    # strings in their tables), under 1.5 texts here; joining the blocks
-    # would hold them all and the joined copy, two texts. A stream holds
-    # one block besides the writer's arrays: under 0.8 texts.
+    # the joined writers grow their text in place, block by block: at its
+    # peak each holds the text, one block and the writer's own arrays. For
+    # MPS those are the CSC index, the value codes and two int32 row-name
+    # codes per row, with O(n^2) strings in their tables; for LP the term
+    # codes, one int32 end code and two row-name codes per row, and the
+    # object table of every term, name and line end. Joining the blocks
+    # would hold them all and the joined copy besides. A stream holds one
+    # block besides the writer's arrays.
     inst = random_instance(np.random.default_rng(50), 50, 12)
     model = build_model(build_multigraph(inst), inst)
-    path = tmp_path / "model.mps"
-    tracemalloc.start()
-    try:
-        size = len(write_mps(model))
-        _, joined = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        with open(path, "w", encoding="utf-8", newline="") as file:
-            sink = _Sink(file)
-            writers.write_model(model, "mps", sink)
-        _, streamed = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert path.stat().st_size == size
-    assert sink.largest < size / 10
-    assert joined < 1.5 * size, (joined, size)
-    assert streamed < joined - size / 2, (streamed, joined, size)
-    assert streamed < 0.8 * size, (streamed, size)
+    for fmt, joined_texts, streamed_texts in (("mps", 1.5, 0.8), ("lp", 2.8, 1.8)):
+        path = tmp_path / f"model.{fmt}"
+        tracemalloc.start()
+        try:
+            size = len(emit_model(model, fmt))
+            _, joined = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            with open(path, "w", encoding="utf-8", newline="") as file:
+                sink = _Sink(file)
+                writers.write_model(model, fmt, sink)
+            _, streamed = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size == size, fmt
+        assert sink.largest < size / 10, fmt
+        assert joined < joined_texts * size, (fmt, joined, size)
+        assert streamed < joined - size / 2, (fmt, streamed, joined, size)
+        assert streamed < streamed_texts * size, (fmt, streamed, size)
 
 
 def test_write_model_rejects_unknown_format_before_writing(tiny2_model):

@@ -126,7 +126,7 @@ class Arc:
         else:
             if self.source == 0 or self.target == 0 or self.source == self.target:
                 raise ValueError(
-                    f"arc {self.id}: {self.kind.value} arc must join two distinct points of care"
+                    f"arc {self.id}: {self.kind.name} arc must join two distinct points of care"
                 )
 
 
@@ -166,8 +166,7 @@ def reference_triangle_violations(travel) -> list[tuple[int, int, int, float]]:
 
 def arc_list(graph: Multigraph) -> list[Arc]:
     """The graph's arc table as validated `Arc`s, in id order."""
-    kinds = tuple(ArcKind)
-    return [Arc(a, s, t, kinds[k], c) for a, (s, t, k, c) in enumerate(graph.arcs.tolist())]
+    return [Arc(a, s, t, ArcKind(k), c) for a, (s, t, k, c) in enumerate(graph.arcs.tolist())]
 
 
 def big_m_visit(arc: Arc, windows: TimeWindows) -> float:
@@ -259,8 +258,8 @@ def reference_rows(graph: Multigraph, inst: Instance, explicit_bounds: bool = Fa
 
     arcs = graph.arcs
     src, tgt, cost = arcs["source"], arcs["target"], arcs["cost"]
-    is_depot = arcs["kind"] == ArcKind.DEPOT.code
-    is_inter = arcs["kind"] == ArcKind.INTER.code
+    is_depot = arcs["kind"] == ArcKind.DEPOT
+    is_inter = arcs["kind"] == ArcKind.INTER
 
     rows = _RowBlocks()
 
